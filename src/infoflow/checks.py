@@ -161,7 +161,7 @@ def check_lqg_grid_filter(seed: int = DEFAULT_SEED,
                              seed=seed, sample_stride=400, x0_mean=0.0,
                              x0_var=0.5, keep_sequences=True)
         run = run_filter_ensemble(model, grid, cfg)
-        n_steps = int(round(cfg.horizon / dt))
+        n_steps = cfg.n_steps
         times = dt * np.arange(n_steps + 1)
         lin = LinearModel([[-1.0]], [[SQRT2]], [[1.0]])
         vhat = riccati_series(lin, [[cfg.x0_var]], times)[:, 0, 0]
@@ -317,7 +317,6 @@ def check_feedback_mwz(seed: int = DEFAULT_SEED,
 
 def check_zero_gain_bitwise(seed: int = DEFAULT_SEED) -> CheckResult:
     def body():
-        import io
         model, grid, rho_ss = _double_well_setup()
         cfg = EnsembleConfig(dt=1e-3, horizon=0.5, n_trajectories=200,
                              seed=seed, sample_stride=25, x0_mean=0.0,
@@ -326,13 +325,7 @@ def check_zero_gain_bitwise(seed: int = DEFAULT_SEED) -> CheckResult:
         for policy in (None, zero_policy()):
             controlled, _ = run_controlled_experiment(model, grid, cfg, policy,
                                                       rho_ss=rho_ss)
-            buf = io.StringIO()
-            ledger = controlled.ledger
-            buf.write(",".join(metrics.LEDGER_COLUMNS) + "\n")
-            for i in range(ledger.times.size):
-                row = [ledger.column(nm)[i] for nm in metrics.LEDGER_COLUMNS]
-                buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
-            texts.append(buf.getvalue())
+            texts.append(controlled.ledger.csv_text())
         ok = texts[0] == texts[1]
         return CheckResult(
             "8c zero_gain_bitwise", ok, 0.0 if ok else 1.0, 0.0,

@@ -5,15 +5,12 @@
     infoflow list-scenarios
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure; ``check``
-exits 1 when a criterion fails.  The worker count variable INFOFLOW_WORKERS
-is accepted for compatibility with batch launchers; outputs never depend on
-it (reductions happen in a fixed order).
+exits 1 when a criterion fails.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -30,21 +27,8 @@ from .report import write_check_report, write_run_report
 SUITES = ("gaussian", "grid", "infoflow", "feedback", "all")
 
 
-def _check_workers_env() -> None:
-    value = os.environ.get("INFOFLOW_WORKERS")
-    if value is None:
-        return
-    try:
-        if int(value) < 1:
-            raise ValueError
-    except ValueError:
-        raise ConfigError(f"INFOFLOW_WORKERS must be a positive integer, "
-                          f"got {value!r}") from None
-
-
 def _cmd_run(args) -> int:
     try:
-        _check_workers_env()
         scenario = load_scenario(args.config)
         if not model_has_steady_state(scenario.model):
             raise ConfigError(
@@ -97,7 +81,6 @@ def _write_snapshots(path, run) -> None:
 
 def _cmd_check(args) -> int:
     try:
-        _check_workers_env()
         start = time.time()
         results = run_suite(args.suite, seed=args.seed, scale=args.scale)
     except ConfigError as exc:

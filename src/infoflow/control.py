@@ -16,7 +16,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .ensemble import EnsembleConfig, _mean_drift_values, run_filter_ensemble
+from .ensemble import (EnsembleConfig, _mean_drift_values,
+                       apply_policy,  # noqa: F401  (re-exported)
+                       run_filter_ensemble)
 from .errors import ConfigError
 from .gaussian import LinearModel, riccati_series
 from .grid import Grid1D, GridDensity
@@ -73,20 +75,6 @@ def make_policy(name: str, **params) -> ControlPolicy:
         return POLICIES[name](**params)
     except TypeError as exc:
         raise ConfigError(f"bad parameters for policy {name!r}: {exc}") from exc
-
-
-def apply_policy(policy: ControlPolicy, t: float, posterior_summary):
-    """Evaluate a policy and clamp to its declared bounds.
-
-    Returns (controls, n_clamped).  Deterministic in its inputs, so replays
-    from logged summaries reproduce logged controls exactly.
-    """
-    beta = np.asarray(policy(t, posterior_summary), dtype=float)
-    if policy.bound > 0.0:
-        clipped = np.clip(beta, -policy.bound, policy.bound)
-        n_clamped = int(np.sum(clipped != beta))
-        return clipped, n_clamped
-    return beta, 0
 
 
 def mean_drift(model, x_grid, controls) -> np.ndarray:

@@ -23,9 +23,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, FilterCollapseError, SimulationBlowupError
-from .grid import (DENSITY_FLOOR, EXPONENT_LIMIT, FaceFields, Grid1D,
-                   advance_values, face_fields, gaussian_density,
-                   observation_values, score_values, substeps_for)
+from .grid import (DENSITY_FLOOR, FaceFields, Grid1D, advance_values,
+                   face_fields, gaussian_density, observation_values,
+                   score_values, substeps_for, zakai_advance)
 from .models import DiffusionModel, _blowup_bounds
 from .rng import (CHANNEL_DYNAMICS, CHANNEL_INITIAL, CHANNEL_OBSERVATION,
                   substream)
@@ -48,12 +48,18 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.horizon < self.dt:
             raise ConfigError("require dt > 0 and horizon >= dt")
+        if abs(self.n_steps * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
+            raise ConfigError("horizon must be an integer multiple of dt")
+        if self.sample_stride < 1 or self.n_steps % self.sample_stride != 0:
+            raise ConfigError("sample_stride must divide horizon/dt")
         if self.n_trajectories < 1:
             raise ConfigError("need at least one trajectory")
-        if self.sample_stride < 1:
-            raise ConfigError("sample_stride must be >= 1")
         if self.x0_var <= 0:
             raise ConfigError("x0_var must be positive")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.horizon / self.dt))
 
 
 @dataclass
@@ -155,6 +161,22 @@ def _draw_increments(seed, n_traj, n_steps, dt):
     return dw, du, x0n
 
 
+def apply_policy(policy, t: float, posterior_summary):
+    """Evaluate a policy, one control per summary, and clamp to its bound.
+
+    Returns (controls, n_clamped).  A policy without a positive ``bound``
+    runs unclamped.  Deterministic in its inputs, so replays from logged
+    summaries reproduce logged controls exactly.
+    """
+    beta = np.broadcast_to(np.asarray(policy(t, posterior_summary), dtype=float),
+                           np.shape(posterior_summary)).astype(float)
+    bound = float(getattr(policy, "bound", 0.0))
+    if bound > 0.0:
+        clipped = np.clip(beta, -bound, bound)
+        return clipped, int(np.sum(clipped != beta))
+    return beta, 0
+
+
 def _mean_drift_values(model, xs, beta):
     """Ensemble-mean drift at the points ``xs``.
 
@@ -191,9 +213,7 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
             f"trajectories is noisy and contaminates the shared prior "
             f"density; use at least 100", stacklevel=2)
     dt, n_traj, seed = config.dt, config.n_trajectories, config.seed
-    n_steps = int(round(config.horizon / dt))
-    if n_steps % config.sample_stride != 0:
-        raise ConfigError("horizon/dt must be a multiple of sample_stride")
+    n_steps = config.n_steps
     sample_steps = np.arange(0, n_steps + 1, config.sample_stride)
     n_samples = sample_steps.size
     xc = grid.centers
@@ -201,7 +221,7 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
     dx = grid.dx
 
     base = face_fields(model, grid, None)
-    bound = float(getattr(policy, "bound", 0.0)) if policy is not None else 0.0
+    bound = float(getattr(policy, "bound", 0.0))
     budget = FaceFields(v_face=np.abs(base.v_face) + abs(bound),
                         sigma_centers=base.sigma_centers, dx=dx)
     n_half = substeps_for(budget, 0.5 * dt, config.safety)
@@ -249,12 +269,8 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
 
         beta = None
         if policy is not None:
-            beta = np.asarray(policy(t, pi_mean), dtype=float)
-            beta = np.broadcast_to(beta, (n_traj,)).astype(float)
-            if bound > 0.0:
-                clipped = np.clip(beta, -bound, bound)
-                clamp_count += int(np.sum(clipped != beta))
-                beta = clipped
+            beta, n_clamped = apply_policy(policy, t, pi_mean)
+            clamp_count += n_clamped
 
         if k == sample_steps[s_idx]:
             raw_at_x = interp_rows(post_vals, grid, x)
@@ -322,17 +338,8 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
                                      dtype=float)
         ff_post = FaceFields(v_face=v_face_post, sigma_centers=base.sigma_centers,
                              dx=dx)
-        post_vals = advance_values(post_vals, ff_post, 0.5 * dt, n_half)
-        expo = h_c[None, :] * dy[:, None] - 0.5 * (h_c * h_c)[None, :] * dt
-        peak = float(np.max(np.abs(expo)))
-        if peak > EXPONENT_LIMIT:
-            raise FilterCollapseError(
-                f"observation update overflow at t={t:.6g}: "
-                f"max |h dY - h^2 dt / 2| = {peak:.3e}")
-        shift = np.max(expo, axis=1)
-        post_vals = post_vals * np.exp(expo - shift[:, None])
+        post_vals, shift = zakai_advance(post_vals, ff_post, n_half, h_c, dy, dt)
         ledger = ledger + shift
-        post_vals = advance_values(post_vals, ff_post, 0.5 * dt, n_half)
         new_mass = np.sum(post_vals, axis=1) * dx
         if np.any(new_mass < _MASS_FOLD_LO) or np.any(new_mass > _MASS_FOLD_HI):
             safe = np.maximum(new_mass, DENSITY_FLOOR)
@@ -348,17 +355,7 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
     return EnsembleRun(
         model=model, grid=grid, config=config,
         times=dt * sample_steps.astype(float),
-        states=rec["states"], pi_h=rec["pi_h"], h_at_x=rec["h_at_x"],
-        sigma_at_x=rec["sigma_at_x"], log_post_at_x=rec["log_post_at_x"],
-        score_post_at_x=rec["score_post_at_x"],
-        log_zeta_at_x=rec["log_zeta_at_x"], log_sigma1=rec["log_sigma1"],
-        int_pi_h_sq=rec["int_pi_h_sq"],
-        log_prior_fp_at_x=rec["log_prior_fp_at_x"],
-        score_prior_fp_at_x=rec["score_prior_fp_at_x"],
-        log_prior_mix_at_x=rec["log_prior_mix_at_x"],
-        score_prior_mix_at_x=rec["score_prior_mix_at_x"],
-        post_mean=rec["post_mean"], post_var=rec["post_var"],
         excluded=excluded, prior_fp=prior_snap, posterior_mean=post_mean_snap,
         posterior_final=posterior_final, controls=controls_rec,
         v_bar=v_bar_rec, clamp_count=clamp_count,
-        obs_increments=obs_seq, pi_h_path=pi_seq)
+        obs_increments=obs_seq, pi_h_path=pi_seq, **rec)

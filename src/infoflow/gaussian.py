@@ -59,9 +59,6 @@ class LinearModel:
     def sigma(self) -> np.ndarray:
         return self.B @ self.B.T
 
-    def is_hurwitz(self) -> bool:
-        return bool(np.all(np.linalg.eigvals(self.A).real < 0))
-
 
 @dataclass
 class GaussianBelief:
@@ -148,16 +145,21 @@ def lyapunov_steady(A, sigma) -> np.ndarray:
     return vss
 
 
+def _rk4_step(f: Callable, y, h):
+    """One classical RK4 step of dy/dt = f(y)."""
+    k1 = f(y)
+    k2 = f(y + 0.5 * h * k1)
+    k3 = f(y + 0.5 * h * k2)
+    k4 = f(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def _rk4(f: Callable, y0, t_span: float, n_steps: int):
     """Classical fixed-step RK4 returning the endpoint."""
     h = t_span / n_steps
     y = y0
     for _ in range(n_steps):
-        k1 = f(y)
-        k2 = f(y + 0.5 * h * k1)
-        k3 = f(y + 0.5 * h * k2)
-        k4 = f(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = _rk4_step(f, y, h)
     return y
 
 def propagate_gaussian(A, sigma, belief0: GaussianBelief, t: float,
@@ -192,19 +194,15 @@ def lyapunov_series(A, sigma, v0, times) -> np.ndarray:
     out[0] = v0
     if A.shape == (1, 1):
         a, s, v = float(A[0, 0]), float(sigma[0, 0]), float(v0[0, 0])
+        rhs = lambda y: 2 * a * y + s
         for k in range(times.size - 1):
-            h = times[k + 1] - times[k]
-            k1 = 2 * a * v + s
-            k2 = 2 * a * (v + 0.5 * h * k1) + s
-            k3 = 2 * a * (v + 0.5 * h * k2) + s
-            k4 = 2 * a * (v + h * k3) + s
-            v += (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            v = _rk4_step(rhs, v, times[k + 1] - times[k])
             out[k + 1, 0, 0] = v
         return out
     v = v0
     rhs = lambda m: A @ m + m @ A.T + sigma
     for k in range(times.size - 1):
-        v = _rk4(rhs, v, times[k + 1] - times[k], 1)
+        v = _rk4_step(rhs, v, times[k + 1] - times[k])
         v = 0.5 * (v + v.T)
         out[k + 1] = v
     return out
@@ -226,12 +224,7 @@ def riccati_series(model: LinearModel, v0, times) -> np.ndarray:
         v = float(v0[0, 0])
         rhs = lambda y: 2 * a * y + s - c2 * y * y
         for k in range(times.size - 1):
-            h = times[k + 1] - times[k]
-            k1 = rhs(v)
-            k2 = rhs(v + 0.5 * h * k1)
-            k3 = rhs(v + 0.5 * h * k2)
-            k4 = rhs(v + h * k3)
-            v += (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            v = _rk4_step(rhs, v, times[k + 1] - times[k])
             if not (v > 0) or not math.isfinite(v):
                 raise CovarianceError(
                     f"Riccati solution lost positivity at t={times[k + 1]:.6g}")
@@ -241,7 +234,7 @@ def riccati_series(model: LinearModel, v0, times) -> np.ndarray:
     rhs = lambda m: A @ m + m @ A.T + sigma - m @ ctc @ m
     v = v0
     for k in range(times.size - 1):
-        v = _rk4(rhs, v, times[k + 1] - times[k], 1)
+        v = _rk4_step(rhs, v, times[k + 1] - times[k])
         v = 0.5 * (v + v.T)
         eig = np.linalg.eigvalsh(v)
         if eig[0] <= 0 or not np.all(np.isfinite(v)):
@@ -334,17 +327,12 @@ def gaussian_relax_series(a: float, sigma_sq: float, v0: float, mu0: float,
     mu = np.empty(n_steps + 1)
     dev[0] = v0 - v_ss
     mu[0] = mu0
-    def rk4_linear(y, rate):
-        k1 = rate * y
-        k2 = rate * (y + 0.5 * dt * k1)
-        k3 = rate * (y + 0.5 * dt * k2)
-        k4 = rate * (y + dt * k3)
-        return y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    d, m = dev[0], mu[0]
+    f_d = lambda y: 2.0 * a * y
+    f_m = lambda y: a * y
+    d, m = float(dev[0]), float(mu[0])
     for k in range(n_steps):
-        d = rk4_linear(d, 2.0 * a)
-        m = rk4_linear(m, a)
+        d = _rk4_step(f_d, d, dt)
+        m = _rk4_step(f_m, m, dt)
         dev[k + 1] = d
         mu[k + 1] = m
     v = v_ss + dev
@@ -441,12 +429,8 @@ def kb_identity_scan(a: float, sigma_sq: float, c: float, v0: float,
     f_d = lambda y: 2.0 * a * y
     f_dh = lambda y: lin * y - c2 * y * y
     for k in range(n_steps):
-        k1 = f_d(d); k2 = f_d(d + 0.5 * dt * k1)
-        k3 = f_d(d + 0.5 * dt * k2); k4 = f_d(d + dt * k3)
-        d += (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        k1 = f_dh(dh); k2 = f_dh(dh + 0.5 * dt * k1)
-        k3 = f_dh(dh + 0.5 * dt * k2); k4 = f_dh(dh + dt * k3)
-        dh += (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        d = _rk4_step(f_d, d, dt)
+        dh = _rk4_step(f_dh, dh, dt)
         dev[k + 1], dev_h[k + 1] = d, dh
 
     v = v_ss + dev

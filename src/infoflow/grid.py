@@ -157,8 +157,20 @@ def advance_values(values: np.ndarray, ff: FaceFields, duration: float,
     return values
 
 
-def substeps_for(ff: FaceFields, duration: float, safety: float = 0.9) -> int:
+def substeps_for(ff: FaceFields, duration: float, safety: float = 0.9,
+                 n_substeps: Optional[int] = None) -> int:
+    """Fewest substeps of ``duration`` within ``safety`` x the CFL limit.
+
+    A given ``n_substeps`` is returned as is, after a CflError if its
+    substep exceeds that limit.
+    """
     limit = safety * ff.cfl_limit()
+    if n_substeps is not None:
+        step = abs(duration) / n_substeps
+        if step > limit:
+            raise CflError(f"step {step:.3e} exceeds the explicit stability "
+                           f"limit {limit:.3e} (grid dx={ff.dx:.3e})")
+        return n_substeps
     if not math.isfinite(limit) or limit <= 0:
         return 1
     return max(1, int(math.ceil(abs(duration) / limit)))
@@ -172,24 +184,16 @@ def fp_step(model: DiffusionModel, rho: GridDensity, dt: float,
     UnstableStepError if the update drives any cell below -1e-14.
     """
     ff = face_fields(model, rho.grid, control)
-    limit = safety * ff.cfl_limit()
-    if abs(dt) > limit:
-        raise CflError(f"dt={dt:.3e} exceeds the explicit stability limit "
-                       f"{limit:.3e} (grid dx={rho.grid.dx:.3e})")
-    vals = _one_step(rho.values, ff, dt)
+    vals = advance_values(rho.values, ff, dt, substeps_for(ff, dt, safety, 1))
     return GridDensity(rho.grid, vals, rho.normalized, rho.log_norm)
 
 
 def fp_evolve(model: DiffusionModel, rho: GridDensity, duration: float,
-              control=None, safety: float = 0.9,
-              max_dt: Optional[float] = None) -> GridDensity:
+              control=None, safety: float = 0.9) -> GridDensity:
     """Evolve over a finite horizon with automatic CFL substepping."""
     ff = face_fields(model, rho.grid, control)
-    limit = safety * ff.cfl_limit()
-    if max_dt is not None:
-        limit = min(limit, max_dt)
-    n = max(1, int(math.ceil(duration / limit)))
-    vals = advance_values(rho.values, ff, duration, n)
+    vals = advance_values(rho.values, ff, duration,
+                          substeps_for(ff, duration, safety))
     return GridDensity(rho.grid, vals, rho.normalized, rho.log_norm)
 
 
@@ -205,9 +209,37 @@ def observation_values(model: DiffusionModel, grid: Grid1D, y_current=None) -> n
     raise ConfigError("grid filtering expects an elementwise scalar observation map")
 
 
-def zakai_exponent(h_vals: np.ndarray, delta_y, dt: float) -> np.ndarray:
-    dy = float(np.asarray(delta_y).reshape(-1)[0]) if np.ndim(delta_y) else float(delta_y)
-    return h_vals * dy - 0.5 * h_vals * h_vals * dt
+def _increments(delta_y, values: np.ndarray) -> np.ndarray:
+    """Observation increments, one per density row of ``values``."""
+    dy = np.asarray(delta_y, dtype=float)
+    if dy.shape != values.shape[:-1]:
+        raise ConfigError(f"dY has shape {dy.shape}; one increment per density "
+                          f"needs shape {values.shape[:-1]}")
+    return dy
+
+
+def zakai_advance(values: np.ndarray, ff: FaceFields, n_half: int,
+                  h_vals: np.ndarray, delta_y, dt: float):
+    """One Strang-split Zakai step of one density (M,) or a batch (N, M).
+
+    Half a transport step, the factor exp(h dY - |h|^2 dt / 2), half a
+    transport step, with one increment per density in ``delta_y``.  Each
+    row's factor is divided by its maximum, returned as ``shift`` for the
+    caller's log-normalization ledger.
+    """
+    dy = _increments(delta_y, values)
+    values = advance_values(values, ff, 0.5 * dt, n_half)
+    expo = h_vals * dy[..., None] - 0.5 * h_vals * h_vals * dt
+    peak = float(np.max(np.abs(expo)))
+    if peak > EXPONENT_LIMIT:
+        raise UnstableStepError(
+            f"observation update overflow: max |h dY - h^2 dt/2| = {peak:.3e}, "
+            f"max |h dY| = {float(np.max(np.abs(h_vals * dy[..., None]))):.3e}")
+    shift = np.max(expo, axis=-1)
+    values = values * np.exp(expo - shift[..., None])
+    del expo  # the caller still holds the input: free an (N, M) array here
+    values = advance_values(values, ff, 0.5 * dt, n_half)
+    return values, shift
 
 
 def zakai_step(model: DiffusionModel, zeta: GridDensity, delta_y, dt: float,
@@ -220,24 +252,11 @@ def zakai_step(model: DiffusionModel, zeta: GridDensity, delta_y, dt: float,
     overflow; the shift is density-independent, preserving linearity.
     """
     ff = face_fields(model, zeta.grid, control)
-    n_sub = n_substeps_half if n_substeps_half is not None else \
-        substeps_for(ff, 0.5 * dt, safety)
-    if (0.5 * dt) / n_sub > safety * ff.cfl_limit():
-        raise CflError(f"zakai half-step {0.5 * dt / n_sub:.3e} exceeds the "
-                       f"stability limit {safety * ff.cfl_limit():.3e}")
-    vals = advance_values(zeta.values, ff, 0.5 * dt, n_sub)
+    n_sub = substeps_for(ff, 0.5 * dt, safety, n_substeps_half)
     h_vals = observation_values(model, zeta.grid, y_current)
-    expo = zakai_exponent(h_vals, delta_y, dt)
-    peak = float(np.max(np.abs(expo)))
-    if peak > EXPONENT_LIMIT:
-        raise UnstableStepError(
-            f"observation update overflow: max |h dY - h^2 dt/2| = {peak:.3e}, "
-            f"max |h dY| = {float(np.max(np.abs(h_vals * float(np.ravel(delta_y)[0])))):.3e}")
-    shift = float(np.max(expo))
-    vals = vals * np.exp(expo - shift)
-    vals = advance_values(vals, ff, 0.5 * dt, n_sub)
+    vals, shift = zakai_advance(zeta.values, ff, n_sub, h_vals, delta_y, dt)
     return GridDensity(zeta.grid, vals, normalized=False,
-                       log_norm=zeta.log_norm + shift)
+                       log_norm=zeta.log_norm + float(shift))
 
 
 def ks_step(model: DiffusionModel, rho_hat: GridDensity, delta_y, dt: float,
@@ -252,16 +271,15 @@ def ks_step(model: DiffusionModel, rho_hat: GridDensity, delta_y, dt: float,
     mass only to O(dt^2)).
     """
     grid = rho_hat.grid
+    dy = float(_increments(delta_y, rho_hat.values))
     ff = face_fields(model, grid, control)
-    n_sub = n_substeps_half if n_substeps_half is not None else \
-        substeps_for(ff, 0.5 * dt, safety)
+    n_sub = substeps_for(ff, 0.5 * dt, safety, n_substeps_half)
     vals = advance_values(rho_hat.values, ff, 0.5 * dt, n_sub)
     h_vals = observation_values(model, grid)
     mass = np.sum(vals, axis=-1) * grid.dx
     pi_h = np.sum(vals * h_vals, axis=-1) * grid.dx / mass
     pi_h2 = np.sum(vals * h_vals * h_vals, axis=-1) * grid.dx / mass
     var_h = pi_h2 - pi_h * pi_h
-    dy = float(np.ravel(delta_y)[0])
     di = dy - pi_h * dt
     fluct = h_vals - pi_h
     factor = 1.0 + fluct * di + 0.5 * (fluct * fluct - var_h) * (di * di - dt)

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .ensemble import EnsembleRun
 from .grid import (DENSITY_FLOOR, Grid1D, GridDensity, SCORE_GATE,
-                   advance_values, density_functionals, face_fields, fp_step,
+                   density_functionals, face_fields, fp_evolve, fp_step,
                    gaussian_density, score_values)
 from .models import DiffusionModel, brownian
 
@@ -53,6 +53,13 @@ MAX_EXCLUDED_FRACTION = 1e-3
 
 def _gate(values: np.ndarray) -> np.ndarray:
     return values > SCORE_GATE * float(np.max(values))
+
+
+def _fisher(rho: GridDensity, weight) -> float:
+    """int rho weight (d ln rho / dx)^2 dx, gated where rho is negligible."""
+    score = score_values(rho.values, rho.grid.dx)
+    integrand = np.where(_gate(rho.values), rho.values * weight * score * score, 0.0)
+    return float(np.trapezoid(integrand, dx=rho.grid.dx))
 
 def u_values_on_grid(model: DiffusionModel, grid: Grid1D,
                      drift_values: Optional[np.ndarray] = None) -> np.ndarray:
@@ -81,13 +88,8 @@ def mean_divergence_u(model: DiffusionModel, rho: GridDensity,
 def entropy_production_rate(model: DiffusionModel, rho: GridDensity,
                             drift_values: Optional[np.ndarray] = None) -> float:
     """dH/dt = E[div u] + (1/2) E[Gamma(ln rho, ln rho)] by quadrature."""
-    grid = rho.grid
-    sig = model.sigma_profile(grid.centers)
-    score = score_values(rho.values, grid.dx)
-    mask = _gate(rho.values)
-    fisher = np.where(mask, rho.values * sig * score * score, 0.0)
     return mean_divergence_u(model, rho, drift_values) \
-        + 0.5 * float(np.trapezoid(fisher, dx=grid.dx))
+        + 0.5 * fisher_trace_unconditional(model, rho)
 
 
 def free_surprise_rate(model: DiffusionModel, rho: GridDensity,
@@ -125,21 +127,12 @@ def free_surprise_rate(model: DiffusionModel, rho: GridDensity,
 
 def fisher_trace_unconditional(model: DiffusionModel, rho: GridDensity) -> float:
     """tr J^rho = E[(d ln rho)^T sigma (d ln rho)] by quadrature."""
-    grid = rho.grid
-    sig = model.sigma_profile(grid.centers)
-    score = score_values(rho.values, grid.dx)
-    mask = _gate(rho.values)
-    integrand = np.where(mask, rho.values * sig * score * score, 0.0)
-    return float(np.trapezoid(integrand, dx=grid.dx))
+    return _fisher(rho, model.sigma_profile(rho.grid.centers))
 
 
 def fisher_trace_identity(rho: GridDensity) -> float:
     """Identity-weighted translational Fisher information of a 1-d density."""
-    grid = rho.grid
-    score = score_values(rho.values, grid.dx)
-    mask = _gate(rho.values)
-    integrand = np.where(mask, rho.values * score * score, 0.0)
-    return float(np.trapezoid(integrand, dx=grid.dx))
+    return _fisher(rho, 1.0)
 
 
 def cramer_rao_check(rho: GridDensity) -> float:
@@ -187,12 +180,8 @@ def supplied_rate(run: EnsembleRun, t: float):
     return _mean_se(0.5 * err * err, _included(run, s))
 
 
-def fisher_trace_conditional(run: EnsembleRun, t: float, from_zeta: bool = False):
-    """tr J^pi: ensemble mean of the posterior score squared at the truth.
-
-    The score of the unnormalized filter density equals the score of the
-    normalized one, so ``from_zeta`` only exists to exercise that invariance.
-    """
+def fisher_trace_conditional(run: EnsembleRun, t: float):
+    """tr J^pi: ensemble mean of the posterior score squared at the truth."""
     s = run.sample_index(t)
     score = run.score_post_at_x[s]
     return _mean_se(run.sigma_at_x[s] * score * score, _included(run, s))
@@ -298,7 +287,7 @@ def mwz_residual(run: EnsembleRun, t: float, prior: str = "fp",
     return _mean_se(per_traj, _window_mask(run, s))
 
 
-def conditional_entropy_rate(run: EnsembleRun, t: float, prior: str = "fp"):
+def conditional_entropy_rate(run: EnsembleRun, t: float):
     """d/dt H(X(t) | Y_0^t) = (1/2) tr J^pi + E[div u] - supply rate."""
     s = run.sample_index(t)
     drift_vals = run.v_bar[s] if run.v_bar is not None else None
@@ -356,15 +345,12 @@ def de_bruijn_check(v0: float, t_grid, sigma_sq: float = 1.0,
         6.0 * math.sqrt(v0 + sigma_sq * float(t_grid[-1]))
     grid = Grid1D(-half, half, n_cells)
     rho = gaussian_density(grid, 0.0, v0)
-    ff = face_fields(model, grid, None)
-    step = (0.9 * ff.cfl_limit()) / 2.0
+    step = 0.45 * face_fields(model, grid, None).cfl_limit()
     deviations = np.empty(t_grid.size)
     t_now = 0.0
     for i, t in enumerate(t_grid):
         if t > t_now:
-            n = max(1, int(math.ceil((t - t_now) / step)))
-            rho = GridDensity(grid, advance_values(rho.values, ff, t - t_now, n),
-                              normalized=True)
+            rho = fp_evolve(model, rho, t - t_now, safety=0.45)
             t_now = t
         fd = entropy_rate_fd(model, rho, step)
         half_j = 0.5 * fisher_trace_unconditional(model, rho)
@@ -388,12 +374,17 @@ class InfoLedger:
             return self.times
         return self.data[name]
 
+    def csv_text(self) -> str:
+        """Header plus one row per sample time, numbers in 17 digits."""
+        lines = [",".join(LEDGER_COLUMNS)]
+        for i in range(self.times.size):
+            lines.append(",".join(f"{self.column(name)[i]:.17g}"
+                                  for name in LEDGER_COLUMNS))
+        return "\n".join(lines) + "\n"
+
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(",".join(LEDGER_COLUMNS) + "\n")
-            for i in range(self.times.size):
-                row = [self.column(name)[i] for name in LEDGER_COLUMNS]
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            fh.write(self.csv_text())
 
     def all_finite(self) -> bool:
         return all(bool(np.all(np.isfinite(self.column(c))))

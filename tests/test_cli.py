@@ -140,14 +140,6 @@ def test_list_scenarios(capsys):
         assert name in out
 
 
-def test_workers_env_validated(tmp_path, monkeypatch):
-    monkeypatch.setenv("INFOFLOW_WORKERS", "zero")
-    cfg, _ = write_config(tmp_path, OU_CONFIG)
-    assert cli.main(["run", str(cfg)]) == 2
-    monkeypatch.setenv("INFOFLOW_WORKERS", "4")
-    assert cli.main(["run", str(cfg)]) == 0
-
-
 @pytest.mark.filterwarnings("ignore:mean-drift estimation")
 def test_policy_section_parsed(tmp_path):
     text = OU_CONFIG + "\n[policy]\nname = linear_gain\ngain = 0.5\nbound = 5.0\n"

@@ -108,3 +108,15 @@ def test_interp_rows_matches_numpy():
     ref = np.where((xs >= -2) & (xs <= 2),
                    np.interp(xs, grid.centers, values), 0.0)
     np.testing.assert_allclose(mine, ref, atol=1e-14)
+
+
+def test_config_steps_and_stride_contract():
+    # 0.0104 is not a whole number of 1e-3 steps
+    with pytest.raises(ConfigError):
+        EnsembleConfig(dt=1e-3, horizon=0.0104, n_trajectories=2, seed=0)
+    with pytest.raises(ConfigError):
+        EnsembleConfig(dt=1e-3, horizon=0.1, n_trajectories=2, seed=0,
+                       sample_stride=30)
+    cfg = EnsembleConfig(dt=1e-3, horizon=0.1, n_trajectories=2, seed=0,
+                         sample_stride=25)
+    assert cfg.n_steps == 100

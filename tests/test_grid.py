@@ -11,6 +11,7 @@ from infoflow.grid import (Grid1D, GridDensity, advance_values,
                            density_functionals, face_fields, fp_evolve,
                            fp_step, gaussian_density, ks_step, normalize,
                            score_values, steady_state_grid, zakai_step)
+from infoflow.grid import observation_values, substeps_for, zakai_advance
 from infoflow.models import simulate_joint
 
 
@@ -302,3 +303,39 @@ def test_ks_factor_positivity_guard():
     rho = gaussian_density(grid, 0.0, 1.0)
     with pytest.raises(UnstableStepError):
         ks_step(m, rho, 3.0, 1e-2, n_substeps_half=1)
+
+
+def test_multi_element_increment_rejected():
+    m = models.double_well()
+    rho = gaussian_density(Grid1D(-2.5, 2.5, 128), 0.0, 0.25)
+    for step in (zakai_step, ks_step):
+        with pytest.raises(ConfigError):
+            step(m, rho, np.array([0.1, 5.0]), 1e-3)
+
+
+def test_ks_step_cfl_guard():
+    # a half step at 0.95 x the raw limit breaks the 0.9 safety margin
+    m = models.ou()
+    grid = Grid1D(-6, 6, 128)
+    rho = gaussian_density(grid, 0.0, 0.5)
+    dt = 2.0 * 0.95 * face_fields(m, grid, None).cfl_limit()
+    for step in (zakai_step, ks_step):
+        with pytest.raises(CflError):
+            step(m, rho, 0.01, dt, n_substeps_half=1)
+
+
+def test_batched_zakai_rows_match_single_density():
+    m = models.double_well()
+    grid = Grid1D(-2.5, 2.5, 192)
+    dt = 1e-3
+    rows = [gaussian_density(grid, mean, var).values
+            for mean, var in ((-0.8, 0.2), (0.1, 0.5), (0.9, 0.3))]
+    dy = np.array([0.05, -0.12, 0.31])
+    ff = face_fields(m, grid, None)
+    vals, shift = zakai_advance(np.stack(rows), ff, substeps_for(ff, 0.5 * dt),
+                                observation_values(m, grid), dy, dt)
+    assert shift.shape == (3,)
+    for i, row in enumerate(rows):
+        single = zakai_step(m, GridDensity(grid, row), dy[i], dt)
+        assert np.array_equal(vals[i], single.values)
+        assert shift[i] == single.log_norm
