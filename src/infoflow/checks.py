@@ -9,6 +9,7 @@ information balance), ``feedback`` (controlled runs), ``all``.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -51,51 +52,53 @@ class CheckResult:
                 f"({self.runtime_s:.2f}s)")
 
 
-def _timed(fn: Callable[[], CheckResult]) -> CheckResult:
-    start = time.time()
-    res = fn()
-    res.runtime_s = time.time() - start
-    return res
+def _timed(check: Callable[..., CheckResult]) -> Callable[..., CheckResult]:
+    """Record the check's wall time in the ``runtime_s`` of its result."""
+    @functools.wraps(check)
+    def timed(*args, **kwargs) -> CheckResult:
+        start = time.perf_counter()
+        res = check(*args, **kwargs)
+        res.runtime_s = time.perf_counter() - start
+        return res
+    return timed
 
 
 # ---------------------------------------------------------------------------
 # Criterion 1: LQG free-surprise dissipation
 # ---------------------------------------------------------------------------
 
+@_timed
 def check_lqg_free_surprise(seed: int = DEFAULT_SEED) -> CheckResult:
-    def body():
-        dt = 1e-4
-        series = gaussian_relax_series(a=-1.0, sigma_sq=2.0, v0=0.25,
-                                       mu0=1.0, horizon=10.0, dt=dt)
-        f_vals, df = series["F"], series["dF_dt"]
-        fd = (f_vals[2:] - f_vals[:-2]) / (2.0 * dt)
-        rel = np.abs(fd - df[1:-1]) / np.maximum(np.abs(df[1:-1]), 1e-300)
-        max_rel = float(np.max(rel))
-        monotone = float(np.max(df))
-        f_end = float(f_vals[-1])
-        ok = max_rel <= 1e-6 and monotone <= 1e-10 and f_end <= 1e-6
-        return CheckResult(
-            "1 lqg_free_surprise", ok, max_rel, 1e-6,
-            detail=f"max dF/dt={monotone:.2e} (<=0), F(10)={f_end:.2e} (<=1e-6)")
-    return _timed(body)
+    dt = 1e-4
+    series = gaussian_relax_series(a=-1.0, sigma_sq=2.0, v0=0.25,
+                                   mu0=1.0, horizon=10.0, dt=dt)
+    f_vals, df = series["F"], series["dF_dt"]
+    fd = (f_vals[2:] - f_vals[:-2]) / (2.0 * dt)
+    rel = np.abs(fd - df[1:-1]) / np.maximum(np.abs(df[1:-1]), 1e-300)
+    max_rel = float(np.max(rel))
+    monotone = float(np.max(df))
+    f_end = float(f_vals[-1])
+    ok = max_rel <= 1e-6 and monotone <= 1e-10 and f_end <= 1e-6
+    return CheckResult(
+        "1 lqg_free_surprise", ok, max_rel, 1e-6,
+        detail=f"max dF/dt={monotone:.2e} (<=0), F(10)={f_end:.2e} (<=1e-6)")
 
 
 # ---------------------------------------------------------------------------
 # Criterion 2: Kalman-Bucy information identity
 # ---------------------------------------------------------------------------
 
+@_timed
 def check_kb_identity(seed: int = DEFAULT_SEED) -> CheckResult:
-    def body():
-        scan = kb_identity_scan(a=-1.0, sigma_sq=2.0, c=1.0, v0=0.25,
-                                vhat0=0.25, horizon=5.0, dt=1e-4)
-        target = (math.sqrt(3.0) - 1.0) / 2.0
-        rates = kb_info_rates([[1.0]], [[math.sqrt(3.0) - 1.0]], [[2.0]], [[1.0]])
-        st_err = max(abs(rates.S_rate - target), abs(rates.D_rate - target))
-        ok = scan["max_rel_err"] <= 1e-6 and st_err <= 1e-8
-        return CheckResult(
-            "2 kalman_bucy_identity", ok, scan["max_rel_err"], 1e-6,
-            detail=f"stationary |S-D-target| = {st_err:.2e} (<=1e-8)")
-    return _timed(body)
+    scan = kb_identity_scan(a=-1.0, sigma_sq=2.0, c=1.0, v0=0.25,
+                            vhat0=0.25, horizon=5.0, dt=1e-4)
+    target = (math.sqrt(3.0) - 1.0) / 2.0
+    rates = kb_info_rates([[1.0]], [[math.sqrt(3.0) - 1.0]], [[2.0]], [[1.0]])
+    st_err = max(abs(rates.S_rate - target), abs(rates.D_rate - target))
+    ok = scan["max_rel_err"] <= 1e-6 and st_err <= 1e-8
+    return CheckResult(
+        "2 kalman_bucy_identity", ok, scan["max_rel_err"], 1e-6,
+        detail=f"stationary |S-D-target| = {st_err:.2e} (<=1e-8)")
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +109,7 @@ def _entropy_rate_scan(n_cells: int, dt: float) -> float:
     model = ou(rate=1.0, sigma_sq=2.0)
     grid = Grid1D(-6.0, 6.0, n_cells)
     rho = gaussian_density(grid, 0.0, 0.25)
-    ff = face_fields(model, grid, None)
+    ff = face_fields(model, grid)
     sample_times = 0.05 * np.arange(1, 21)
     devs = []
     t_now = 0.0
@@ -115,76 +118,73 @@ def _entropy_rate_scan(n_cells: int, dt: float) -> float:
         n = int(round((ts - t_now) / dt))
         vals = advance_values(vals, ff, ts - t_now, n)
         t_now = ts
-        dens = GridDensity(grid, vals, normalized=True)
+        dens = GridDensity(grid, vals)
         fd = metrics.entropy_rate_fd(model, dens, dt)
         formula = metrics.entropy_production_rate(model, dens)
         devs.append(abs(fd - formula))
     return float(np.max(devs))
 
 
+@_timed
 def check_entropy_production_grid(seed: int = DEFAULT_SEED) -> CheckResult:
-    def body():
-        dev_512 = _entropy_rate_scan(512, 1e-4)
-        dev_1024 = _entropy_rate_scan(1024, 5e-5)  # finer dt to stay within CFL
-        ratio = dev_512 / max(dev_1024, 1e-300)
-        ok = dev_512 <= 1e-3 and ratio >= 3.0
-        return CheckResult(
-            "3 entropy_production_grid", ok, dev_512, 1e-3,
-            detail=f"512->1024 deviation ratio {ratio:.2f} (>=3)")
-    return _timed(body)
+    dev_512 = _entropy_rate_scan(512, 1e-4)
+    dev_1024 = _entropy_rate_scan(1024, 5e-5)  # finer dt to stay within CFL
+    ratio = dev_512 / max(dev_1024, 1e-300)
+    ok = dev_512 <= 1e-3 and ratio >= 3.0
+    return CheckResult(
+        "3 entropy_production_grid", ok, dev_512, 1e-3,
+        detail=f"512->1024 deviation ratio {ratio:.2f} (>=3)")
 
 
 # ---------------------------------------------------------------------------
 # Criterion 4: de Bruijn identity
 # ---------------------------------------------------------------------------
 
+@_timed
 def check_de_bruijn(seed: int = DEFAULT_SEED) -> CheckResult:
-    def body():
-        res = metrics.de_bruijn_check(v0=0.25, t_grid=np.linspace(0.1, 2.0, 20),
-                                      sigma_sq=1.0, n_cells=1024)
-        ok = res["max_deviation"] <= 1e-3
-        return CheckResult("4 de_bruijn", ok, res["max_deviation"], 1e-3)
-    return _timed(body)
+    res = metrics.de_bruijn_check(v0=0.25, t_grid=np.linspace(0.1, 2.0, 20),
+                                  sigma_sq=1.0, n_cells=1024)
+    ok = res["max_deviation"] <= 1e-3
+    return CheckResult("4 de_bruijn", ok, res["max_deviation"], 1e-3)
 
 
 # ---------------------------------------------------------------------------
 # Criterion 5: Gaussian-oracle filter equivalence
 # ---------------------------------------------------------------------------
 
+@_timed
 def check_lqg_grid_filter(seed: int = DEFAULT_SEED,
                           n_trajectories: int = 100) -> CheckResult:
-    def body():
-        dt = 2.5e-4
-        model = lqg(A=[[-1.0]], B=[[SQRT2]], C=[[1.0]])
-        grid = Grid1D(-6.0, 6.0, 512)
-        cfg = EnsembleConfig(dt=dt, horizon=3.0, n_trajectories=n_trajectories,
-                             seed=seed, sample_stride=400, x0_mean=0.0,
-                             x0_var=0.5, keep_sequences=True)
-        run = run_filter_ensemble(model, grid, cfg)
-        n_steps = cfg.n_steps
-        times = dt * np.arange(n_steps + 1)
-        lin = LinearModel([[-1.0]], [[SQRT2]], [[1.0]])
-        vhat = riccati_series(lin, [[cfg.x0_var]], times)[:, 0, 0]
-        xh = np.full(n_trajectories, cfg.x0_mean)
-        sample_steps = (run.times / dt).round().astype(int)
-        xh_at = np.empty((sample_steps.size, n_trajectories))
-        xh_at[0] = xh
-        s_idx = 1
-        for k in range(n_steps):
-            di = run.obs_increments[:, k] - xh * dt
-            xh = xh - xh * dt + vhat[k] * di
-            if s_idx < sample_steps.size and k + 1 == sample_steps[s_idx]:
-                xh_at[s_idx] = xh
-                s_idx += 1
-        var_err = float(np.max(np.abs(run.post_var - vhat[sample_steps][:, None])))
-        mean_err = float(np.max(np.abs(run.post_mean - xh_at)
-                                / np.sqrt(vhat[sample_steps])[:, None]))
-        ok = var_err <= 5e-3 and mean_err <= 5e-3
-        return CheckResult(
-            "5 lqg_grid_filter", ok, max(var_err, mean_err), 5e-3,
-            detail=f"var err {var_err:.2e}, mean err/sqrt(Vhat) {mean_err:.2e}, "
-                   f"N={n_trajectories}")
-    return _timed(body)
+    dt = 2.5e-4
+    model = lqg(A=[[-1.0]], B=[[SQRT2]], C=[[1.0]])
+    grid = Grid1D(-6.0, 6.0, 512)
+    cfg = EnsembleConfig(dt=dt, horizon=3.0, n_trajectories=n_trajectories,
+                         seed=seed, sample_stride=400, x0_mean=0.0,
+                         x0_var=0.5, keep_sequences=True)
+    run = run_filter_ensemble(model, grid, cfg)
+    n_steps = cfg.n_steps
+    times = dt * np.arange(n_steps + 1)
+    lin = LinearModel([[-1.0]], [[SQRT2]], [[1.0]])
+    vhat = riccati_series(lin, [[cfg.x0_var]], times)[:, 0, 0]
+    xh = np.full(n_trajectories, cfg.x0_mean)
+    sample_steps = (run.times / dt).round().astype(int)
+    xh_at = np.empty((sample_steps.size, n_trajectories))
+    xh_at[0] = xh
+    s_idx = 1
+    for k in range(n_steps):
+        di = run.obs_increments[:, k] - xh * dt
+        xh = xh - xh * dt + vhat[k] * di
+        if s_idx < sample_steps.size and k + 1 == sample_steps[s_idx]:
+            xh_at[s_idx] = xh
+            s_idx += 1
+    var_err = float(np.max(np.abs(run.post_var - vhat[sample_steps][:, None])))
+    mean_err = float(np.max(np.abs(run.post_mean - xh_at)
+                            / np.sqrt(vhat[sample_steps])[:, None]))
+    ok = var_err <= 5e-3 and mean_err <= 5e-3
+    return CheckResult(
+        "5 lqg_grid_filter", ok, max(var_err, mean_err), 5e-3,
+        detail=f"var err {var_err:.2e}, mean err/sqrt(Vhat) {mean_err:.2e}, "
+               f"N={n_trajectories}")
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +199,12 @@ def _double_well_setup():
 
 
 def _double_well_run(seed: int, n_trajectories: int,
-                     policy: Optional[ControlPolicy] = None,
-                     prior: str = "fp"):
+                     policy: Optional[ControlPolicy] = None):
     model, grid, rho_ss = _double_well_setup()
     cfg = EnsembleConfig(dt=1e-3, horizon=2.0, n_trajectories=n_trajectories,
                          seed=seed, sample_stride=50, x0_mean=0.0, x0_var=0.25)
     controlled, run = run_controlled_experiment(model, grid, cfg, policy,
-                                                rho_ss=rho_ss, prior=prior)
+                                                rho_ss=rho_ss)
     return controlled.ledger, run
 
 
@@ -231,106 +230,101 @@ def _mwz_violation(ledger) -> float:
     return float(np.max(ratios))
 
 
+@_timed
 def check_double_well_mwz(seed: int = DEFAULT_SEED,
                           n_trajectories: int = 2000) -> CheckResult:
-    def body():
-        ledger, run = _double_well_cached(seed, n_trajectories)
-        worst = _mwz_violation(ledger)
-        inv = ledger.invariant_report()
-        ok = (worst <= 1.0 and inv["S_rate_nonneg"] and inv["D_forms_agree"]
-              and inv["I_mc_nonneg"])
-        return CheckResult(
-            "6 double_well_mwz", ok, worst, 1.0,
-            detail=f"max |resid|/(3 SE) over 10 times; invariants "
-                   f"S>=0:{inv['S_rate_nonneg']} D-agree:{inv['D_forms_agree']} "
-                   f"I>=0:{inv['I_mc_nonneg']} N={n_trajectories}")
-    return _timed(body)
+    ledger, run = _double_well_cached(seed, n_trajectories)
+    worst = _mwz_violation(ledger)
+    inv = ledger.invariant_report()
+    ok = (worst <= 1.0 and inv["S_rate_nonneg"] and inv["D_forms_agree"]
+          and inv["I_mc_nonneg"])
+    return CheckResult(
+        "6 double_well_mwz", ok, worst, 1.0,
+        detail=f"max |resid|/(3 SE) over 10 times; invariants "
+               f"S>=0:{inv['S_rate_nonneg']} D-agree:{inv['D_forms_agree']} "
+               f"I>=0:{inv['I_mc_nonneg']} N={n_trajectories}")
 
 
+@_timed
 def check_tower_property(seed: int = DEFAULT_SEED,
                          n_trajectories: int = 2000) -> CheckResult:
-    def body():
-        ledger, run = _double_well_cached(seed, n_trajectories)
-        dx = run.grid.dx
-        mean_post = run.posterior_final.mean(axis=0)
-        dist = float(np.sum(np.abs(mean_post - run.prior_fp[-1])) * dx)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(0, 3)))
-        n = run.n_trajectories
-        boot = np.empty(200)
-        for b in range(200):
-            idx = rng.integers(0, n, size=n)
-            boot[b] = float(np.sum(np.abs(
-                run.posterior_final[idx].mean(axis=0) - mean_post)) * dx)
-        se = float(np.mean(boot))
-        ok = dist <= 3.0 * se
-        return CheckResult(
-            "7 tower_property", ok, dist, 3.0 * se,
-            detail=f"L1(mean posterior, FP density) vs 3x bootstrap scale")
-    return _timed(body)
+    ledger, run = _double_well_cached(seed, n_trajectories)
+    dx = run.grid.dx
+    mean_post = run.posterior_final.mean(axis=0)
+    dist = float(np.sum(np.abs(mean_post - run.prior_fp[-1])) * dx)
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(0, 3)))
+    n = run.n_trajectories
+    boot = np.empty(200)
+    for b in range(200):
+        idx = rng.integers(0, n, size=n)
+        boot[b] = float(np.sum(np.abs(
+            run.posterior_final[idx].mean(axis=0) - mean_post)) * dx)
+    se = float(np.mean(boot))
+    ok = dist <= 3.0 * se
+    return CheckResult(
+        "7 tower_property", ok, dist, 3.0 * se,
+        detail=f"L1(mean posterior, FP density) vs 3x bootstrap scale")
 
 
+@_timed
 def check_feedback_lqg(seed: int = DEFAULT_SEED) -> CheckResult:
-    def body():
-        model = LinearModel([[-1.0]], [[SQRT2]], [[1.0]])
-        kw = dict(x0_mean=1.0, x0_var=0.25, horizon=2.0, dt=1e-3, seed=seed)
-        controlled = controlled_kb_experiment(model, gain=0.5, **kw)
-        plain = controlled_kb_experiment(model, gain=0.0, **kw)
-        dv = float(np.max(np.abs(controlled["vhat"] - plain["vhat"])))
-        times = controlled["times"]
-        v_unc = lyapunov_series([[-1.0]], [[2.0]], [[0.25]], times)[:, 0, 0]
-        d_rates = 0.0
-        for k in range(0, times.size, 200):
-            rc = kb_info_rates([[v_unc[k]]], [[controlled["vhat"][k]]],
-                               [[2.0]], [[1.0]])
-            ru = kb_info_rates([[v_unc[k]]], [[plain["vhat"][k]]],
-                               [[2.0]], [[1.0]])
-            d_rates = max(d_rates, abs(rc.S_rate - ru.S_rate),
-                          abs(rc.D_rate - ru.D_rate))
-        mean_gap = float(np.max(np.abs(controlled["xhat"] - plain["xhat"])))
-        ok = dv <= 1e-10 and d_rates <= 1e-10 and mean_gap > 1e-2
-        return CheckResult(
-            "8a feedback_lqg_invariance", ok, max(dv, d_rates), 1e-10,
-            detail=f"mean paths differ by {mean_gap:.3f} (>0.01)")
-    return _timed(body)
+    model = LinearModel([[-1.0]], [[SQRT2]], [[1.0]])
+    kw = dict(x0_mean=1.0, x0_var=0.25, horizon=2.0, dt=1e-3, seed=seed)
+    controlled = controlled_kb_experiment(model, gain=0.5, **kw)
+    plain = controlled_kb_experiment(model, gain=0.0, **kw)
+    dv = float(np.max(np.abs(controlled["vhat"] - plain["vhat"])))
+    times = controlled["times"]
+    v_unc = lyapunov_series([[-1.0]], [[2.0]], [[0.25]], times)[:, 0, 0]
+    d_rates = 0.0
+    for k in range(0, times.size, 200):
+        rc = kb_info_rates([[v_unc[k]]], [[controlled["vhat"][k]]],
+                           [[2.0]], [[1.0]])
+        ru = kb_info_rates([[v_unc[k]]], [[plain["vhat"][k]]],
+                           [[2.0]], [[1.0]])
+        d_rates = max(d_rates, abs(rc.S_rate - ru.S_rate),
+                      abs(rc.D_rate - ru.D_rate))
+    mean_gap = float(np.max(np.abs(controlled["xhat"] - plain["xhat"])))
+    ok = dv <= 1e-10 and d_rates <= 1e-10 and mean_gap > 1e-2
+    return CheckResult(
+        "8a feedback_lqg_invariance", ok, max(dv, d_rates), 1e-10,
+        detail=f"mean paths differ by {mean_gap:.3f} (>0.01)")
 
 
+@_timed
 def check_feedback_mwz(seed: int = DEFAULT_SEED,
                        n_trajectories: int = 2000) -> CheckResult:
-    def body():
-        policy = linear_gain_policy(gain=0.5, bound=5.0)
-        ledger, run = _double_well_run(seed + 1, n_trajectories, policy)
-        worst = _mwz_violation(ledger)
-        raw = max(
-            abs(r) / max(3.0 * se, 1e-300)
-            for r, se in (metrics.mwz_residual(run, run.times[i],
-                                               control_correction=False)
-                          for i in MWZ_SAMPLE_INDICES))
-        ok = worst <= 1.0
-        return CheckResult(
-            "8b feedback_mwz", ok, worst, 1.0,
-            detail=f"controlled balance (with control-score term), K=0.5, "
-                   f"N={n_trajectories}; uncorrected form max |r|/(3 SE) = "
-                   f"{raw:.2f}; clamps={run.clamp_count}")
-    return _timed(body)
+    policy = linear_gain_policy(gain=0.5, bound=5.0)
+    ledger, run = _double_well_run(seed + 1, n_trajectories, policy)
+    worst = _mwz_violation(ledger)
+    raw = max(
+        abs(r) / max(3.0 * se, 1e-300)
+        for r, se in (metrics.mwz_residual(run, run.times[i],
+                                           control_correction=False)
+                      for i in MWZ_SAMPLE_INDICES))
+    ok = worst <= 1.0
+    return CheckResult(
+        "8b feedback_mwz", ok, worst, 1.0,
+        detail=f"controlled balance (with control-score term), K=0.5, "
+               f"N={n_trajectories}; uncorrected form max |r|/(3 SE) = "
+               f"{raw:.2f}; clamps={run.clamp_count}")
 
 
+@_timed
 def check_zero_gain_bitwise(seed: int = DEFAULT_SEED) -> CheckResult:
-    def body():
-        model, grid, rho_ss = _double_well_setup()
-        cfg = EnsembleConfig(dt=1e-3, horizon=0.5, n_trajectories=200,
-                             seed=seed, sample_stride=25, x0_mean=0.0,
-                             x0_var=0.25)
-        texts = []
-        for policy in (None, zero_policy()):
-            controlled, _ = run_controlled_experiment(model, grid, cfg, policy,
-                                                      rho_ss=rho_ss)
-            texts.append(controlled.ledger.csv_text())
-        ok = texts[0] == texts[1]
-        return CheckResult(
-            "8c zero_gain_bitwise", ok, 0.0 if ok else 1.0, 0.0,
-            detail="zero-gain ledger bytes == uncontrolled ledger bytes")
-    return _timed(body)
+    model, grid, rho_ss = _double_well_setup()
+    cfg = EnsembleConfig(dt=1e-3, horizon=0.5, n_trajectories=200,
+                         seed=seed, sample_stride=25, x0_mean=0.0,
+                         x0_var=0.25)
+    texts = []
+    for policy in (None, zero_policy()):
+        controlled, _ = run_controlled_experiment(model, grid, cfg, policy,
+                                                  rho_ss=rho_ss)
+        texts.append(controlled.ledger.csv_text())
+    ok = texts[0] == texts[1]
+    return CheckResult(
+        "8c zero_gain_bitwise", ok, 0.0 if ok else 1.0, 0.0,
+        detail="zero-gain ledger bytes == uncontrolled ledger bytes")
 
 
 # ---------------------------------------------------------------------------
@@ -372,79 +366,76 @@ def _field_combine(f: SmoothField, g: SmoothField, sign: float) -> SmoothField:
         gradient=lambda x: f.gradient_at(x) + sign * g.gradient_at(x))
 
 
+@_timed
 def check_gamma_properties(seed: int = DEFAULT_SEED) -> CheckResult:
-    def body():
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(100):
-            dim = int(rng.integers(1, 3))
-            b1 = rng.normal(size=(dim, int(rng.integers(1, 3))))
-            b2 = rng.normal(size=(dim, int(rng.integers(1, 3))))
-            m1 = _random_model(rng, dim, b1)
-            m2 = _random_model(rng, dim, b2)
-            m12 = _random_model(rng, dim, np.concatenate([b1, b2], axis=1))
-            f = _random_field(rng, dim)
-            g = _random_field(rng, dim)
-            h = _random_field(rng, dim)
-            x = rng.uniform(-2.0, 2.0, size=dim)
-            worst = max(worst, -gamma(m1, f, f, x))        # positivity
-            plus = _field_combine(f, g, +1.0)
-            minus = _field_combine(f, g, -1.0)
-            pol = abs(4.0 * gamma(m1, f, g, x)
-                      - gamma(m1, plus, plus, x) + gamma(m1, minus, minus, x))
-            worst = max(worst, pol)
-            bider = abs(gamma(m1, f, product_field(g, h), x)
-                        - gamma(m1, f, g, x) * h.value(x)
-                        - g.value(x) * gamma(m1, f, h, x))
-            worst = max(worst, bider)
-            addit = abs(gamma(m12, f, g, x)
-                        - gamma(m1, f, g, x) - gamma(m2, f, g, x))
-            worst = max(worst, addit)
-        ok = worst <= 1e-10
-        return CheckResult("9a gamma_properties", ok, worst, 1e-10,
-                           detail="positivity/polarization/bi-derivation/"
-                                  "additivity on 100 random fields")
-    return _timed(body)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(100):
+        dim = int(rng.integers(1, 3))
+        b1 = rng.normal(size=(dim, int(rng.integers(1, 3))))
+        b2 = rng.normal(size=(dim, int(rng.integers(1, 3))))
+        m1 = _random_model(rng, dim, b1)
+        m2 = _random_model(rng, dim, b2)
+        m12 = _random_model(rng, dim, np.concatenate([b1, b2], axis=1))
+        f = _random_field(rng, dim)
+        g = _random_field(rng, dim)
+        h = _random_field(rng, dim)
+        x = rng.uniform(-2.0, 2.0, size=dim)
+        worst = max(worst, -gamma(m1, f, f, x))        # positivity
+        plus = _field_combine(f, g, +1.0)
+        minus = _field_combine(f, g, -1.0)
+        pol = abs(4.0 * gamma(m1, f, g, x)
+                  - gamma(m1, plus, plus, x) + gamma(m1, minus, minus, x))
+        worst = max(worst, pol)
+        bider = abs(gamma(m1, f, product_field(g, h), x)
+                    - gamma(m1, f, g, x) * h.value(x)
+                    - g.value(x) * gamma(m1, f, h, x))
+        worst = max(worst, bider)
+        addit = abs(gamma(m12, f, g, x)
+                    - gamma(m1, f, g, x) - gamma(m2, f, g, x))
+        worst = max(worst, addit)
+    ok = worst <= 1e-10
+    return CheckResult("9a gamma_properties", ok, worst, 1e-10,
+                       detail="positivity/polarization/bi-derivation/"
+                              "additivity on 100 random fields")
 
 
+@_timed
 def check_mass_conservation(seed: int = DEFAULT_SEED) -> CheckResult:
-    def body():
-        model = ou(rate=1.0, sigma_sq=2.0)
-        grid = Grid1D(-6.0, 6.0, 128)
-        ff = face_fields(model, grid, None)
-        dt = 0.5 * ff.cfl_limit()
-        vals = gaussian_density(grid, 0.5, 0.3).values
-        worst = 0.0
-        mass = float(np.sum(vals) * grid.dx)
-        for _ in range(10_000):
-            vals = advance_values(vals, ff, dt, 1)
-            new_mass = float(np.sum(vals) * grid.dx)
-            worst = max(worst, abs(new_mass - mass))
-            mass = new_mass
-        ok = worst <= 1e-12
-        return CheckResult("9b fp_mass_conservation", ok, worst, 1e-12,
-                           detail="per-step drift over 1e4 steps")
-    return _timed(body)
+    model = ou(rate=1.0, sigma_sq=2.0)
+    grid = Grid1D(-6.0, 6.0, 128)
+    ff = face_fields(model, grid)
+    dt = 0.5 * ff.cfl_limit()
+    vals = gaussian_density(grid, 0.5, 0.3).values
+    worst = 0.0
+    mass = float(np.sum(vals) * grid.dx)
+    for _ in range(10_000):
+        vals = advance_values(vals, ff, dt, 1)
+        new_mass = float(np.sum(vals) * grid.dx)
+        worst = max(worst, abs(new_mass - mass))
+        mass = new_mass
+    ok = worst <= 1e-12
+    return CheckResult("9b fp_mass_conservation", ok, worst, 1e-12,
+                       detail="per-step drift over 1e4 steps")
 
 
+@_timed
 def check_zakai_linearity(seed: int = DEFAULT_SEED) -> CheckResult:
-    def body():
-        model = double_well()
-        grid = Grid1D(-2.5, 2.5, 256)
-        z1 = gaussian_density(grid, -0.8, 0.2)
-        z2 = gaussian_density(grid, 0.9, 0.3)
-        a_w, b_w = 0.7, 1.3
-        mix = GridDensity(grid, a_w * z1.values + b_w * z2.values)
-        dt, dy = 1e-3, 0.04
-        kw = dict(n_substeps_half=2)
-        out_mix = zakai_step(model, mix, dy, dt, **kw)
-        out_sep = (a_w * zakai_step(model, z1, dy, dt, **kw).values
-                   + b_w * zakai_step(model, z2, dy, dt, **kw).values)
-        scale = float(np.max(np.abs(out_sep)))
-        gap = float(np.max(np.abs(out_mix.values - out_sep))) / scale
-        ok = gap <= 1e-12
-        return CheckResult("9c zakai_linearity", ok, gap, 1e-12)
-    return _timed(body)
+    model = double_well()
+    grid = Grid1D(-2.5, 2.5, 256)
+    z1 = gaussian_density(grid, -0.8, 0.2)
+    z2 = gaussian_density(grid, 0.9, 0.3)
+    a_w, b_w = 0.7, 1.3
+    mix = GridDensity(grid, a_w * z1.values + b_w * z2.values)
+    dt, dy = 1e-3, 0.04
+    kw = dict(n_substeps_half=2)
+    out_mix = zakai_step(model, mix, dy, dt, **kw)
+    out_sep = (a_w * zakai_step(model, z1, dy, dt, **kw).values
+               + b_w * zakai_step(model, z2, dy, dt, **kw).values)
+    scale = float(np.max(np.abs(out_sep)))
+    gap = float(np.max(np.abs(out_mix.values - out_sep))) / scale
+    ok = gap <= 1e-12
+    return CheckResult("9c zakai_linearity", ok, gap, 1e-12)
 
 
 def _ks_zakai_gap(model, grid: Grid1D, dt: float, horizon: float, seed: int,
@@ -461,49 +452,47 @@ def _ks_zakai_gap(model, grid: Grid1D, dt: float, horizon: float, seed: int,
     return float(np.sum(np.abs(zak_n.values - ks.values)) * grid.dx)
 
 
+@_timed
 def check_ks_zakai_agreement(seed: int = DEFAULT_SEED) -> CheckResult:
-    def body():
-        worst_lo, worst_hi = math.inf, 0.0
-        details = []
-        for model, half in ((lqg(A=[[-1.0]], B=[[SQRT2]], C=[[1.0]]), 6.0),
-                            (double_well(), 2.5)):
-            grid = Grid1D(-half, half, 256)
-            dt_fine = 5e-4
-            path = simulate_joint(model, lambda r: r.normal(0.0, 0.5, size=1),
-                                  0.5, dt_fine / 2.0, seed, 0)
-            fine = path.obs_increments[:, 0]
-            gap_coarse = _ks_zakai_gap(model, grid, 2.0 * dt_fine, 0.5, seed, fine)
-            gap_fine = _ks_zakai_gap(model, grid, dt_fine, 0.5, seed, fine)
-            ratio = gap_coarse / max(gap_fine, 1e-300)
-            worst_lo = min(worst_lo, ratio)
-            worst_hi = max(worst_hi, ratio)
-            details.append(f"{model.name}: ratio {ratio:.2f}")
-        ok = worst_lo >= 1.6 and worst_hi <= 2.4
-        measured = worst_lo if abs(worst_lo - 2.0) > abs(worst_hi - 2.0) else worst_hi
-        return CheckResult("9d ks_zakai_agreement", ok, measured, 2.0,
-                           detail="; ".join(details) + " (in [1.6, 2.4])")
-    return _timed(body)
+    worst_lo, worst_hi = math.inf, 0.0
+    details = []
+    for model, half in ((lqg(A=[[-1.0]], B=[[SQRT2]], C=[[1.0]]), 6.0),
+                        (double_well(), 2.5)):
+        grid = Grid1D(-half, half, 256)
+        dt_fine = 5e-4
+        path = simulate_joint(model, lambda r: r.normal(0.0, 0.5, size=1),
+                              0.5, dt_fine / 2.0, seed, 0)
+        fine = path.obs_increments[:, 0]
+        gap_coarse = _ks_zakai_gap(model, grid, 2.0 * dt_fine, 0.5, seed, fine)
+        gap_fine = _ks_zakai_gap(model, grid, dt_fine, 0.5, seed, fine)
+        ratio = gap_coarse / max(gap_fine, 1e-300)
+        worst_lo = min(worst_lo, ratio)
+        worst_hi = max(worst_hi, ratio)
+        details.append(f"{model.name}: ratio {ratio:.2f}")
+    ok = worst_lo >= 1.6 and worst_hi <= 2.4
+    measured = worst_lo if abs(worst_lo - 2.0) > abs(worst_hi - 2.0) else worst_hi
+    return CheckResult("9d ks_zakai_agreement", ok, measured, 2.0,
+                       detail="; ".join(details) + " (in [1.6, 2.4])")
 
 
+@_timed
 def check_cramer_rao(seed: int = DEFAULT_SEED) -> CheckResult:
-    def body():
-        grid = Grid1D(-8.0, 8.0, 512)
-        gauss = gaussian_density(grid, 0.0, 1.0)
-        model, dw_grid, rho_ss = _double_well_setup()
-        mix_vals = 0.5 * (gaussian_density(grid, -2.5, 0.3).values
-                          + gaussian_density(grid, 2.5, 0.3).values)
-        mix = GridDensity(grid, mix_vals / (np.sum(mix_vals) * grid.dx))
-        g_gap = metrics.cramer_rao_check(gauss)
-        dw_gap = metrics.cramer_rao_check(rho_ss)
-        mix_gap = metrics.cramer_rao_check(mix)
-        worst = min(g_gap, dw_gap, mix_gap)
-        ok = (g_gap >= -1e-6 and abs(g_gap) <= 1e-3
-              and dw_gap >= -1e-6 and mix_gap > 0.5)
-        return CheckResult(
-            "9e cramer_rao", ok, worst, -1e-6,
-            detail=f"gauss {g_gap:.2e}, double-well {dw_gap:.2e}, "
-                   f"mixture {mix_gap:.3f} (>0.5)")
-    return _timed(body)
+    grid = Grid1D(-8.0, 8.0, 512)
+    gauss = gaussian_density(grid, 0.0, 1.0)
+    model, dw_grid, rho_ss = _double_well_setup()
+    mix_vals = 0.5 * (gaussian_density(grid, -2.5, 0.3).values
+                      + gaussian_density(grid, 2.5, 0.3).values)
+    mix = GridDensity(grid, mix_vals / (np.sum(mix_vals) * grid.dx))
+    g_gap = metrics.cramer_rao_check(gauss)
+    dw_gap = metrics.cramer_rao_check(rho_ss)
+    mix_gap = metrics.cramer_rao_check(mix)
+    worst = min(g_gap, dw_gap, mix_gap)
+    ok = (g_gap >= -1e-6 and abs(g_gap) <= 1e-3
+          and dw_gap >= -1e-6 and mix_gap > 0.5)
+    return CheckResult(
+        "9e cramer_rao", ok, worst, -1e-6,
+        detail=f"gauss {g_gap:.2e}, double-well {dw_gap:.2e}, "
+               f"mixture {mix_gap:.3f} (>0.5)")
 
 
 # ---------------------------------------------------------------------------

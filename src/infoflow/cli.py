@@ -38,7 +38,7 @@ def _cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        start = time.time()
+        start = time.perf_counter()
         rho_ss = steady_state_grid(scenario.model, scenario.grid)
         controlled, run = run_controlled_experiment(
             scenario.model, scenario.grid, scenario.ens, scenario.policy,
@@ -54,7 +54,7 @@ def _cmd_run(args) -> int:
             _write_snapshots(outdir / "snapshots.csv", run)
         payload = write_run_report(outdir / "report.json", __version__,
                                    scenario.name, scenario.raw_text, ledger,
-                                   time.time() - start)
+                                   time.perf_counter() - start)
         inv = payload["invariants"]
         for name, value in sorted(inv.items()):
             print(f"  {name}: {'ok' if value else 'VIOLATED'}")
@@ -81,7 +81,7 @@ def _write_snapshots(path, run) -> None:
 
 def _cmd_check(args) -> int:
     try:
-        start = time.time()
+        start = time.perf_counter()
         results = run_suite(args.suite, seed=args.seed, scale=args.scale)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -93,7 +93,7 @@ def _cmd_check(args) -> int:
         print(res.line())
     payload = write_check_report(args.report, __version__, args.suite,
                                  args.seed, args.scale, results,
-                                 time.time() - start)
+                                 time.perf_counter() - start)
     n_pass = sum(r.passed for r in results)
     print(f"{n_pass}/{len(results)} checks passed "
           f"(suite={args.suite}, seed={args.seed}, scale={args.scale})")

@@ -114,8 +114,9 @@ def load_scenario(path) -> ScenarioConfig:
         raise ConfigError(f"cannot parse config: {exc}") from exc
 
     name = _require(parser, "scenario", "name")
-    model = build_model(dict(parser["model"])) if parser.has_section("model") \
-        else _missing("model")
+    if not parser.has_section("model"):
+        raise ConfigError("missing [model] section")
+    model = build_model(dict(parser["model"]))
 
     try:
         dt = float(_require(parser, "time", "dt"))
@@ -179,10 +180,6 @@ def load_scenario(path) -> ScenarioConfig:
                           policy=policy, outdir=outdir,
                           density_snapshots=snaps in ("true", "1", "yes"),
                           prior_mode=prior_mode, raw_text=text)
-
-
-def _missing(section):
-    raise ConfigError(f"missing [{section}] section")
 
 
 def scenario_template() -> str:

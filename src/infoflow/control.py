@@ -16,9 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .ensemble import (EnsembleConfig, _mean_drift_values,
-                       apply_policy,  # noqa: F401  (re-exported)
-                       run_filter_ensemble)
+from .ensemble import (EnsembleConfig, run_filter_ensemble,
+                       apply_policy, mean_drift)  # noqa: F401  (re-exported)
 from .errors import ConfigError
 from .gaussian import LinearModel, riccati_series
 from .grid import Grid1D, GridDensity
@@ -75,13 +74,6 @@ def make_policy(name: str, **params) -> ControlPolicy:
         return POLICIES[name](**params)
     except TypeError as exc:
         raise ConfigError(f"bad parameters for policy {name!r}: {exc}") from exc
-
-
-def mean_drift(model, x_grid, controls) -> np.ndarray:
-    """Ensemble-mean drift field v_bar(x) = mean_k v(x, beta_k)."""
-    return _mean_drift_values(model, np.asarray(x_grid, dtype=float),
-                              None if controls is None else
-                              np.asarray(controls, dtype=float))
 
 
 @dataclass

@@ -42,7 +42,6 @@ class EnsembleConfig:
     sample_stride: int = 1
     x0_mean: float = 0.0
     x0_var: float = 0.25
-    safety: float = 0.9
     keep_sequences: bool = False
 
     def __post_init__(self):
@@ -177,12 +176,13 @@ def apply_policy(policy, t: float, posterior_summary):
     return beta, 0
 
 
-def _mean_drift_values(model, xs, beta):
-    """Ensemble-mean drift at the points ``xs``.
+def mean_drift(model, xs, beta) -> np.ndarray:
+    """Ensemble-mean drift field v_bar(x) = mean_k v(x, beta_k) at ``xs``.
 
     Identical controls short-circuit to a single evaluation so that a
     zero-gain policy reproduces the uncontrolled arithmetic bit for bit.
     """
+    xs = np.asarray(xs, dtype=float)
     if beta is None:
         v = np.asarray(model.drift(xs, None), dtype=float)
         return np.broadcast_to(v, xs.shape).astype(float) if v.ndim == 0 else v
@@ -220,12 +220,12 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
     xf = grid.interior_faces
     dx = grid.dx
 
-    base = face_fields(model, grid, None)
+    base = face_fields(model, grid)
     bound = float(getattr(policy, "bound", 0.0))
     budget = FaceFields(v_face=np.abs(base.v_face) + abs(bound),
                         sigma_centers=base.sigma_centers, dx=dx)
-    n_half = substeps_for(budget, 0.5 * dt, config.safety)
-    n_full = substeps_for(budget, dt, config.safety)
+    n_half = substeps_for(budget, 0.5 * dt)
+    n_full = substeps_for(budget, dt)
 
     h_c = observation_values(model, grid)
 
@@ -306,7 +306,7 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
             post_mean_snap[s_idx] = mix_vals
             if policy is not None:
                 controls_rec[s_idx] = beta
-                v_bar_rec[s_idx] = _mean_drift_values(model, xc, beta)
+                v_bar_rec[s_idx] = mean_drift(model, xc, beta)
             if k == n_steps:
                 posterior_final = post_vals.copy()
             s_idx += 1
@@ -347,7 +347,7 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
             ledger = ledger + np.log(safe)
 
         # --- shared prior with the ensemble-mean drift
-        v_bar_face = _mean_drift_values(model, xf, beta)
+        v_bar_face = mean_drift(model, xf, beta)
         ff_prior = FaceFields(v_face=v_bar_face, sigma_centers=base.sigma_centers,
                               dx=dx)
         prior_vals = advance_values(prior_vals, ff_prior, dt, n_full)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_continuous_lyapunov
@@ -348,19 +348,16 @@ def gaussian_relax_series(a: float, sigma_sq: float, v0: float, mu0: float,
 # ---------------------------------------------------------------------------
 
 def kalman_bucy_run(model: LinearModel, path: JointPath,
-                    belief0: GaussianBelief,
-                    control: Optional[Callable] = None) -> KalmanRun:
+                    belief0: GaussianBelief) -> KalmanRun:
     """Run the Kalman-Bucy filter along one observation path.
 
     The conditioned covariance solves the Riccati equation (deterministic,
     independent of the realization); the conditioned mean is advanced per
     observation increment,
 
-        Xhat_{k+1} = Xhat_k + (A Xhat_k + beta_k) dt + Vhat_k C^T dI_k,
+        Xhat_{k+1} = Xhat_k + A Xhat_k dt + Vhat_k C^T dI_k,
 
-    with innovations dI_k = dY_k - C Xhat_k dt.  ``control(t, xhat)`` may
-    supply a drift offset beta (a filter-known control); it does not alter
-    the Riccati flow.
+    with innovations dI_k = dY_k - C Xhat_k dt.
     """
     A, C = model.A, model.C
     dt = path.dt
@@ -371,13 +368,10 @@ def kalman_bucy_run(model: LinearModel, path: JointPath,
     x = belief0.mean.astype(float).copy()
     means[0] = x
     for k in range(k_steps):
-        beta = 0.0 if control is None else np.asarray(
-            control(path.times[k], x), dtype=float)
         pred = C @ x * dt
         di = path.obs_increments[k] - pred
         innov[k] = di
-        x = x + (A @ x) * dt + (beta * dt if control is not None else 0.0) \
-            + covs[k] @ C.T @ di
+        x = x + (A @ x) * dt + covs[k] @ C.T @ di
         means[k + 1] = x
     return KalmanRun(times=path.times, means=means, covs=covs, innovations=innov)
 

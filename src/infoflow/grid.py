@@ -1,5 +1,5 @@
 """Finite-volume solvers on a 1-d grid: Fokker-Planck evolution, the Zakai
-and Kushner-Stratonovich filter updates, and density functionals.
+and Kushner-Stratonovich filter updates, entropy and KL divergence.
 
 The update is the conservative flux form
 
@@ -68,7 +68,6 @@ class GridDensity:
 
     grid: Grid1D
     values: np.ndarray
-    normalized: bool = False
     log_norm: float = 0.0
 
     def __post_init__(self):
@@ -80,17 +79,14 @@ class GridDensity:
         return float(np.sum(self.values, axis=-1) * self.grid.dx)
 
     def copy(self) -> "GridDensity":
-        return GridDensity(self.grid, self.values.copy(), self.normalized,
-                           self.log_norm)
+        return GridDensity(self.grid, self.values.copy(), self.log_norm)
 
 
-def gaussian_density(grid: Grid1D, mean: float, var: float,
-                     normalize_mass: bool = True) -> GridDensity:
+def gaussian_density(grid: Grid1D, mean: float, var: float) -> GridDensity:
+    """Gaussian cell values rescaled to unit mass on the grid."""
     xc = grid.centers
     vals = np.exp(-0.5 * (xc - mean) ** 2 / var) / math.sqrt(2.0 * math.pi * var)
-    if normalize_mass:
-        vals = vals / (np.sum(vals) * grid.dx)
-    return GridDensity(grid, vals, normalized=normalize_mass)
+    return GridDensity(grid, vals / (np.sum(vals) * grid.dx))
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +113,12 @@ class FaceFields:
         return 1.0 / denom
 
 
-def face_fields(model: DiffusionModel, grid: Grid1D, control=None) -> FaceFields:
+def face_fields(model: DiffusionModel, grid: Grid1D) -> FaceFields:
+    """Uncontrolled drift at the interior faces and sigma at the centers."""
     if model.dim_state != 1:
         raise ConfigError("grid solvers support 1-d state models only")
     xf = grid.interior_faces
-    v = np.asarray(model.drift(xf, control), dtype=float)
+    v = np.asarray(model.drift(xf, None), dtype=float)
     if v.ndim == 0:
         v = np.full(xf.shape, float(v))
     sig = model.sigma_profile(grid.centers)
@@ -176,25 +173,24 @@ def substeps_for(ff: FaceFields, duration: float, safety: float = 0.9,
     return max(1, int(math.ceil(abs(duration) / limit)))
 
 
-def fp_step(model: DiffusionModel, rho: GridDensity, dt: float,
-            control=None, safety: float = 0.9) -> GridDensity:
+def fp_step(model: DiffusionModel, rho: GridDensity, dt: float) -> GridDensity:
     """One explicit Fokker-Planck step.  Mass is conserved to roundoff.
 
     Raises CflError before stepping if |dt| exceeds the stability limit and
     UnstableStepError if the update drives any cell below -1e-14.
     """
-    ff = face_fields(model, rho.grid, control)
-    vals = advance_values(rho.values, ff, dt, substeps_for(ff, dt, safety, 1))
-    return GridDensity(rho.grid, vals, rho.normalized, rho.log_norm)
+    ff = face_fields(model, rho.grid)
+    vals = advance_values(rho.values, ff, dt, substeps_for(ff, dt, n_substeps=1))
+    return GridDensity(rho.grid, vals, rho.log_norm)
 
 
 def fp_evolve(model: DiffusionModel, rho: GridDensity, duration: float,
-              control=None, safety: float = 0.9) -> GridDensity:
+              safety: float = 0.9) -> GridDensity:
     """Evolve over a finite horizon with automatic CFL substepping."""
-    ff = face_fields(model, rho.grid, control)
+    ff = face_fields(model, rho.grid)
     vals = advance_values(rho.values, ff, duration,
                           substeps_for(ff, duration, safety))
-    return GridDensity(rho.grid, vals, rho.normalized, rho.log_norm)
+    return GridDensity(rho.grid, vals, rho.log_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -243,25 +239,23 @@ def zakai_advance(values: np.ndarray, ff: FaceFields, n_half: int,
 
 
 def zakai_step(model: DiffusionModel, zeta: GridDensity, delta_y, dt: float,
-               control=None, n_substeps_half: Optional[int] = None,
-               y_current=None, safety: float = 0.9) -> GridDensity:
+               n_substeps_half: Optional[int] = None,
+               y_current=None) -> GridDensity:
     """One Strang-split step of the unnormalized filter density.
 
     Linear in the density.  The multiplicative factor is applied with its
     per-step maximum shifted into ``log_norm`` so the stored values never
     overflow; the shift is density-independent, preserving linearity.
     """
-    ff = face_fields(model, zeta.grid, control)
-    n_sub = substeps_for(ff, 0.5 * dt, safety, n_substeps_half)
+    ff = face_fields(model, zeta.grid)
+    n_sub = substeps_for(ff, 0.5 * dt, n_substeps=n_substeps_half)
     h_vals = observation_values(model, zeta.grid, y_current)
     vals, shift = zakai_advance(zeta.values, ff, n_sub, h_vals, delta_y, dt)
-    return GridDensity(zeta.grid, vals, normalized=False,
-                       log_norm=zeta.log_norm + float(shift))
+    return GridDensity(zeta.grid, vals, log_norm=zeta.log_norm + float(shift))
 
 
 def ks_step(model: DiffusionModel, rho_hat: GridDensity, delta_y, dt: float,
-            control=None, n_substeps_half: Optional[int] = None,
-            safety: float = 0.9) -> GridDensity:
+            n_substeps_half: Optional[int] = None) -> GridDensity:
     """One step of the normalized (Kushner-Stratonovich) density equation.
 
     Nonlinear: the innovation dI = dY - pi(h) dt multiplies the centered
@@ -272,8 +266,8 @@ def ks_step(model: DiffusionModel, rho_hat: GridDensity, delta_y, dt: float,
     """
     grid = rho_hat.grid
     dy = float(_increments(delta_y, rho_hat.values))
-    ff = face_fields(model, grid, control)
-    n_sub = substeps_for(ff, 0.5 * dt, safety, n_substeps_half)
+    ff = face_fields(model, grid)
+    n_sub = substeps_for(ff, 0.5 * dt, n_substeps=n_substeps_half)
     vals = advance_values(rho_hat.values, ff, 0.5 * dt, n_sub)
     h_vals = observation_values(model, grid)
     mass = np.sum(vals, axis=-1) * grid.dx
@@ -289,7 +283,7 @@ def ks_step(model: DiffusionModel, rho_hat: GridDensity, delta_y, dt: float,
     vals = vals * factor
     vals = advance_values(vals, ff, 0.5 * dt, n_sub)
     vals = vals / (np.sum(vals, axis=-1) * grid.dx)
-    return GridDensity(grid, vals, normalized=True, log_norm=rho_hat.log_norm)
+    return GridDensity(grid, vals, log_norm=rho_hat.log_norm)
 
 
 def normalize(zeta: GridDensity):
@@ -303,13 +297,12 @@ def normalize(zeta: GridDensity):
     if not math.isfinite(mass) or mass <= 0.0:
         raise FilterCollapseError(f"filter collapse: total mass {mass:.3e}")
     log_mass = zeta.log_norm + math.log(mass)
-    rho_hat = GridDensity(zeta.grid, zeta.values / mass, normalized=True,
-                          log_norm=log_mass)
+    rho_hat = GridDensity(zeta.grid, zeta.values / mass, log_norm=log_mass)
     return rho_hat, log_mass
 
 
 # ---------------------------------------------------------------------------
-# Density functionals
+# Entropy, KL divergence and the score
 # ---------------------------------------------------------------------------
 
 def _log_values(values: np.ndarray) -> np.ndarray:
@@ -326,37 +319,22 @@ def score_values(values: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-class DensityFunctionals:
-    """Entropy, score, pointwise evaluation and KL for one grid density."""
-
-    def __init__(self, rho: GridDensity):
-        self.rho = rho
-        self.grid = rho.grid
-
-    def entropy(self) -> float:
-        vals = self.rho.values
-        integrand = np.where(vals > 0.0, -vals * _log_values(vals), 0.0)
-        return float(np.trapezoid(integrand, dx=self.grid.dx))
-
-    def score_field(self) -> np.ndarray:
-        return score_values(self.rho.values, self.grid.dx)
-
-    def eval_at(self, x) -> np.ndarray:
-        return np.interp(np.asarray(x, dtype=float), self.grid.centers,
-                         self.rho.values, left=0.0, right=0.0)
-
-    def kl_against(self, other: GridDensity) -> float:
-        if other.grid != self.grid:
-            raise ConfigError("KL requires densities on the same grid")
-        p, q = self.rho.values, other.values
-        if np.any((p > DENSITY_FLOOR) & (q <= 0.0)):
-            return math.inf
-        integrand = np.where(p > 0.0, p * (_log_values(p) - _log_values(q)), 0.0)
-        return float(np.trapezoid(integrand, dx=self.grid.dx))
+def entropy(rho: GridDensity) -> float:
+    """-int rho ln rho dx by the trapezoid rule, 0 ln 0 taken as 0."""
+    vals = rho.values
+    integrand = np.where(vals > 0.0, -vals * _log_values(vals), 0.0)
+    return float(np.trapezoid(integrand, dx=rho.grid.dx))
 
 
-def density_functionals(rho: GridDensity) -> DensityFunctionals:
-    return DensityFunctionals(rho)
+def kl_divergence(rho: GridDensity, other: GridDensity) -> float:
+    """KL(rho || other) by the trapezoid rule; inf where other has no mass."""
+    if other.grid != rho.grid:
+        raise ConfigError("KL requires densities on the same grid")
+    p, q = rho.values, other.values
+    if np.any((p > DENSITY_FLOOR) & (q <= 0.0)):
+        return math.inf
+    integrand = np.where(p > 0.0, p * (_log_values(p) - _log_values(q)), 0.0)
+    return float(np.trapezoid(integrand, dx=rho.grid.dx))
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +358,8 @@ def steady_state_grid(model: DiffusionModel, grid: Grid1D,
         log_w -= np.max(log_w)
         vals = np.exp(log_w)
         vals /= np.sum(vals) * grid.dx
-        return GridDensity(grid, vals, normalized=True)
-    rho = GridDensity(grid, np.full(grid.n_cells, 1.0 / (grid.x_max - grid.x_min)),
-                      normalized=True)
+        return GridDensity(grid, vals)
+    rho = GridDensity(grid, np.full(grid.n_cells, 1.0 / (grid.x_max - grid.x_min)))
     elapsed, chunk = 0.0, 1.0
     while elapsed < max_time:
         new = fp_evolve(model, rho, chunk)

@@ -33,9 +33,9 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .ensemble import EnsembleRun
-from .grid import (DENSITY_FLOOR, Grid1D, GridDensity, SCORE_GATE,
-                   density_functionals, face_fields, fp_evolve, fp_step,
-                   gaussian_density, score_values)
+from .grid import (DENSITY_FLOOR, Grid1D, GridDensity, SCORE_GATE, entropy,
+                   face_fields, fp_evolve, fp_step, gaussian_density,
+                   kl_divergence, score_values)
 from .models import DiffusionModel, brownian
 
 LEDGER_COLUMNS = (
@@ -161,64 +161,6 @@ def _mean_se(values: np.ndarray, mask: np.ndarray):
     return mean, se
 
 
-def _included(run: EnsembleRun, s: int) -> np.ndarray:
-    return ~run.excluded[s]
-
-
-def _prior_arrays(run: EnsembleRun, prior: str):
-    if prior == "fp":
-        return run.log_prior_fp_at_x, run.score_prior_fp_at_x
-    if prior == "mixture":
-        return run.log_prior_mix_at_x, run.score_prior_mix_at_x
-    raise ConfigError("prior must be 'fp' or 'mixture'")
-
-
-def supplied_rate(run: EnsembleRun, t: float):
-    """Duncan supply rate (1/2) E|h(X) - pi(h)|^2 with its standard error."""
-    s = run.sample_index(t)
-    err = run.h_at_x[s] - run.pi_h[s]
-    return _mean_se(0.5 * err * err, _included(run, s))
-
-
-def fisher_trace_conditional(run: EnsembleRun, t: float):
-    """tr J^pi: ensemble mean of the posterior score squared at the truth."""
-    s = run.sample_index(t)
-    score = run.score_post_at_x[s]
-    return _mean_se(run.sigma_at_x[s] * score * score, _included(run, s))
-
-
-def dissipated_rate(run: EnsembleRun, t: float, prior: str = "fp"):
-    """Dissipation rate, paired Fisher-difference and relative-score forms.
-
-    Returns ((fisher, fisher_se), (gamma, gamma_se)).  The two agree in
-    expectation; the gamma form is non-negative per trajectory.
-    """
-    s = run.sample_index(t)
-    _, score_prior = _prior_arrays(run, prior)
-    sp = run.score_post_at_x[s]
-    sr = score_prior[s]
-    sig = run.sigma_at_x[s]
-    fisher = 0.5 * (sig * sp * sp - sig * sr * sr)
-    gamma = 0.5 * sig * (sp - sr) ** 2
-    mask = _included(run, s)
-    return _mean_se(fisher, mask), _mean_se(gamma, mask)
-
-
-def mutual_information(run: EnsembleRun, t: float, prior: str = "fp"):
-    """Mutual information between X(t) and the observation path.
-
-    ``I_mc`` averages ln(posterior/prior) at the truth; ``I_zakai`` uses the
-    unnormalized density and subtracts the accumulated ln sigma_t(1).  The
-    two agree per trajectory up to the bookkeeping roundoff.
-    """
-    s = run.sample_index(t)
-    log_prior, _ = _prior_arrays(run, prior)
-    mask = _included(run, s)
-    i_mc = run.log_post_at_x[s] - log_prior[s]
-    i_zakai = run.log_zeta_at_x[s] - run.log_sigma1[s] - log_prior[s]
-    return _mean_se(i_mc, mask), _mean_se(i_zakai, mask)
-
-
 def _stencil_rows(series: np.ndarray, times: np.ndarray) -> np.ndarray:
     """Time derivative along axis 0 on a uniform sample grid.
 
@@ -242,10 +184,83 @@ def _stencil_rows(series: np.ndarray, times: np.ndarray) -> np.ndarray:
     return out
 
 
+def integrands(run: EnsembleRun, prior: str = "fp") -> dict:
+    """Every per-trajectory ledger integrand as an (S, N) array.
+
+    Keys: ``supply``, ``j_pi``, ``d_fisher``, ``d_gamma``, ``i_mc``,
+    ``i_zakai``, ``di_dt`` (the time derivative of ``i_mc``) and
+    ``control_score`` (beta * grad ln rho(X), or None without controls).
+    """
+    if prior == "fp":
+        log_prior, sr = run.log_prior_fp_at_x, run.score_prior_fp_at_x
+    elif prior == "mixture":
+        log_prior, sr = run.log_prior_mix_at_x, run.score_prior_mix_at_x
+    else:
+        raise ConfigError("prior must be 'fp' or 'mixture'")
+    err = run.h_at_x - run.pi_h
+    sp = run.score_post_at_x
+    sig = run.sigma_at_x
+    out = dict(supply=0.5 * err * err, j_pi=sig * sp * sp,
+               d_gamma=0.5 * sig * (sp - sr) ** 2,
+               i_mc=run.log_post_at_x - log_prior,
+               i_zakai=run.log_zeta_at_x - run.log_sigma1 - log_prior,
+               control_score=None if run.controls is None else run.controls * sr)
+    out["d_fisher"] = 0.5 * (out["j_pi"] - sig * sr * sr)
+    out["di_dt"] = _stencil_rows(out["i_mc"], run.times)
+    return out
+
+
 def _window_mask(run: EnsembleRun, s: int) -> np.ndarray:
     lo = max(0, s - 2)
     hi = min(run.n_samples, s + 3)
     return ~np.any(run.excluded[lo:hi], axis=0)
+
+
+def _balance(run: EnsembleRun, terms: dict, s: int, d_form: str,
+             control_correction: bool):
+    """Mean and SE of dI/dt - supply + dissipation at sample ``s``."""
+    if d_form not in ("gamma", "fisher"):
+        raise ConfigError("d_form must be 'gamma' or 'fisher'")
+    rows = terms["di_dt"][s] - terms["supply"][s] + terms["d_" + d_form][s]
+    if control_correction and terms["control_score"] is not None:
+        rows = rows + terms["control_score"][s]
+    return _mean_se(rows, _window_mask(run, s))
+
+
+def _at_sample(run: EnsembleRun, t: float, prior: str, *names) -> list:
+    """Mean and SE of each named integrand over the trajectories kept at t."""
+    s = run.sample_index(t)
+    terms = integrands(run, prior)
+    return [_mean_se(terms[name][s], ~run.excluded[s]) for name in names]
+
+
+def supplied_rate(run: EnsembleRun, t: float):
+    """Duncan supply rate (1/2) E|h(X) - pi(h)|^2 with its standard error."""
+    return _at_sample(run, t, "fp", "supply")[0]
+
+
+def fisher_trace_conditional(run: EnsembleRun, t: float):
+    """tr J^pi: ensemble mean of the posterior score squared at the truth."""
+    return _at_sample(run, t, "fp", "j_pi")[0]
+
+
+def dissipated_rate(run: EnsembleRun, t: float, prior: str = "fp"):
+    """Dissipation rate, paired Fisher-difference and relative-score forms.
+
+    Returns ((fisher, fisher_se), (gamma, gamma_se)).  The two agree in
+    expectation; the gamma form is non-negative per trajectory.
+    """
+    return tuple(_at_sample(run, t, prior, "d_fisher", "d_gamma"))
+
+
+def mutual_information(run: EnsembleRun, t: float, prior: str = "fp"):
+    """Mutual information between X(t) and the observation path.
+
+    ``I_mc`` averages ln(posterior/prior) at the truth; ``I_zakai`` uses the
+    unnormalized density and subtracts the accumulated ln sigma_t(1).  The
+    two agree per trajectory up to the bookkeeping roundoff.
+    """
+    return tuple(_at_sample(run, t, prior, "i_mc", "i_zakai"))
 
 
 def mwz_residual(run: EnsembleRun, t: float, prior: str = "fp",
@@ -266,35 +281,17 @@ def mwz_residual(run: EnsembleRun, t: float, prior: str = "fp",
     control.  ``control_correction=True`` includes that term (it vanishes
     identically without a policy or with a zero-gain one).
     """
-    s = run.sample_index(t)
-    log_prior, score_prior = _prior_arrays(run, prior)
-    integrand = run.log_post_at_x - log_prior
-    fdi = _stencil_rows(integrand, run.times)[s]
-    err = run.h_at_x[s] - run.pi_h[s]
-    supply = 0.5 * err * err
-    sp = run.score_post_at_x[s]
-    sr = score_prior[s]
-    sig = run.sigma_at_x[s]
-    if d_form == "gamma":
-        diss = 0.5 * sig * (sp - sr) ** 2
-    elif d_form == "fisher":
-        diss = 0.5 * sig * (sp * sp - sr * sr)
-    else:
-        raise ConfigError("d_form must be 'gamma' or 'fisher'")
-    per_traj = fdi - supply + diss
-    if control_correction and run.controls is not None:
-        per_traj = per_traj + run.controls[s] * sr
-    return _mean_se(per_traj, _window_mask(run, s))
+    return _balance(run, integrands(run, prior), run.sample_index(t), d_form,
+                    control_correction)
 
 
 def conditional_entropy_rate(run: EnsembleRun, t: float):
     """d/dt H(X(t) | Y_0^t) = (1/2) tr J^pi + E[div u] - supply rate."""
     s = run.sample_index(t)
     drift_vals = run.v_bar[s] if run.v_bar is not None else None
-    rho = GridDensity(run.grid, run.prior_fp[s], normalized=True)
+    rho = GridDensity(run.grid, run.prior_fp[s])
     div_u = mean_divergence_u(run.model, rho, drift_vals)
-    j_pi, j_se = fisher_trace_conditional(run, t)
-    s_rate, s_se = supplied_rate(run, t)
+    (j_pi, j_se), (s_rate, s_se) = _at_sample(run, t, "fp", "j_pi", "supply")
     value = 0.5 * j_pi + div_u - s_rate
     return value, math.sqrt(0.25 * j_se ** 2 + s_se ** 2)
 
@@ -307,15 +304,11 @@ def conditional_entropy_identity_residual(run: EnsembleRun, t: float,
     subtracts the quadrature (1/2) tr J^rho; zero in expectation.
     """
     s = run.sample_index(t)
-    log_prior, _ = _prior_arrays(run, prior)
-    integrand = run.log_post_at_x - log_prior
-    fdi = _stencil_rows(integrand, run.times)[s]
-    sp = run.score_post_at_x[s]
-    sig = run.sigma_at_x[s]
-    err = run.h_at_x[s] - run.pi_h[s]
-    rho = GridDensity(run.grid, run.prior_fp[s], normalized=True)
+    terms = integrands(run, prior)
+    rho = GridDensity(run.grid, run.prior_fp[s])
     tr_j_rho = fisher_trace_unconditional(run.model, rho)
-    per_traj = 0.5 * sig * sp * sp - 0.5 * err * err + fdi - 0.5 * tr_j_rho
+    per_traj = (0.5 * terms["j_pi"][s] - terms["supply"][s] + terms["di_dt"][s]
+                - 0.5 * tr_j_rho)
     return _mean_se(per_traj, _window_mask(run, s))
 
 
@@ -325,14 +318,18 @@ def conditional_entropy_identity_residual(run: EnsembleRun, t: float,
 
 def entropy_rate_fd(model: DiffusionModel, rho: GridDensity,
                     delta: float) -> float:
-    """Instantaneous dH/dt of the semi-discrete flow by a +/- step difference."""
-    h_plus = density_functionals(fp_step(model, rho, delta)).entropy()
-    h_minus = density_functionals(fp_step(model, rho, -delta)).entropy()
-    return (h_plus - h_minus) / (2.0 * delta)
+    """dH/dt = -int (1 + ln rho) d_t rho of the semi-discrete flow, with the
+    trapezoid weights of :func:`entropy`.  One forward step gives d_t rho
+    exactly, as the step is linear in its length; a backward step would be
+    anti-diffusive and can drive tail cells negative.
+    """
+    drho = (fp_step(model, rho, delta).values - rho.values) / delta
+    integrand = -(1.0 + np.log(np.maximum(rho.values, DENSITY_FLOOR))) * drho
+    return float(np.trapezoid(integrand, dx=rho.grid.dx))
 
 
 def de_bruijn_check(v0: float, t_grid, sigma_sq: float = 1.0,
-                    n_cells: int = 1024, box_half: Optional[float] = None) -> dict:
+                    n_cells: int = 1024) -> dict:
     """Deviation |dH/dt - (1/2) tr J^rho| for pure diffusion.
 
     Evolves a centered Gaussian of variance ``v0`` on the grid and compares
@@ -341,11 +338,10 @@ def de_bruijn_check(v0: float, t_grid, sigma_sq: float = 1.0,
     """
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
     model = brownian(sigma_sq=sigma_sq)
-    half = box_half if box_half is not None else \
-        6.0 * math.sqrt(v0 + sigma_sq * float(t_grid[-1]))
+    half = 6.0 * math.sqrt(v0 + sigma_sq * float(t_grid[-1]))
     grid = Grid1D(-half, half, n_cells)
     rho = gaussian_density(grid, 0.0, v0)
-    step = 0.45 * face_fields(model, grid, None).cfl_limit()
+    step = 0.45 * face_fields(model, grid).cfl_limit()
     deviations = np.empty(t_grid.size)
     t_now = 0.0
     for i, t in enumerate(t_grid):
@@ -421,15 +417,17 @@ def assemble_info_ledger(run: EnsembleRun, rho_ss: Optional[GridDensity] = None,
     s_n = run.n_samples
     cols = {name: np.empty(s_n) for name in LEDGER_COLUMNS if name != "t"}
     model, grid = run.model, run.grid
+    terms = integrands(run, prior)
+    per_sample = {"trJ_pi": terms["j_pi"], "S_rate": terms["supply"],
+                  "D_rate_fisher": terms["d_fisher"],
+                  "D_rate_gamma": terms["d_gamma"], "I_mc": terms["i_mc"]}
     for s in range(s_n):
-        t = float(run.times[s])
         drift_vals = run.v_bar[s] if run.v_bar is not None else None
-        rho = GridDensity(grid, run.prior_fp[s], normalized=True)
-        fun = density_functionals(rho)
-        cols["H"][s] = fun.entropy()
+        rho = GridDensity(grid, run.prior_fp[s])
+        cols["H"][s] = entropy(rho)
         cols["dH_dt"][s] = entropy_production_rate(model, rho, drift_vals)
         if rho_ss is not None:
-            cols["F"][s] = fun.kl_against(rho_ss)
+            cols["F"][s] = kl_divergence(rho, rho_ss)
             gamma_form, _ = free_surprise_rate(model, rho, rho_ss, drift_vals)
             cols["dF_dt"][s] = gamma_form
         else:
@@ -437,17 +435,12 @@ def assemble_info_ledger(run: EnsembleRun, rho_ss: Optional[GridDensity] = None,
             cols["dF_dt"][s] = 0.0
         prior_vals = run.prior_fp[s] if prior == "fp" else run.posterior_mean[s]
         cols["trJ_rho"][s] = fisher_trace_unconditional(
-            model, GridDensity(grid, prior_vals, normalized=True))
-        cols["trJ_pi"][s], cols["trJ_pi_se"][s] = \
-            fisher_trace_conditional(run, t)
-        cols["S_rate"][s], cols["S_rate_se"][s] = supplied_rate(run, t)
-        (cols["D_rate_fisher"][s], cols["D_rate_fisher_se"][s]), \
-            (cols["D_rate_gamma"][s], cols["D_rate_gamma_se"][s]) = \
-            dissipated_rate(run, t, prior)
-        (cols["I_mc"][s], cols["I_mc_se"][s]), _ = \
-            mutual_information(run, t, prior)
+            model, GridDensity(grid, prior_vals))
+        included = ~run.excluded[s]
+        for name, rows in per_sample.items():
+            cols[name][s], cols[name + "_se"][s] = _mean_se(rows[s], included)
         cols["mwz_residual"][s], cols["mwz_residual_se"][s] = \
-            mwz_residual(run, t, prior, d_form, control_correction=correct)
+            _balance(run, terms, s, d_form, correct)
     meta = dict(
         n_trajectories=run.n_trajectories, dt=run.config.dt,
         seed=run.config.seed, grid=(grid.x_min, grid.x_max, grid.n_cells),

@@ -27,19 +27,19 @@ import numpy as np
 from .errors import ConfigError, SimulationBlowupError
 from .rng import CHANNEL_DYNAMICS, CHANNEL_INITIAL, CHANNEL_OBSERVATION, substream
 
+FD_STEP = 1e-5   # central-difference step of SmoothField gradients
+
 
 @dataclass
 class SmoothField:
-    """Scalar test function with optional analytic derivatives.
+    """Scalar test function with an optional analytic gradient.
 
-    Missing derivatives fall back to central differences of ``value`` with
-    step ``fd_step``, accurate to O(step^2).
+    A missing gradient falls back to central differences of ``value`` with
+    step ``FD_STEP``, accurate to O(step^2).
     """
 
     value: Callable
     gradient: Optional[Callable] = None
-    hessian: Optional[Callable] = None
-    fd_step: float = 1e-5
 
     def __call__(self, x):
         return self.value(x)
@@ -48,7 +48,7 @@ class SmoothField:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if self.gradient is not None:
             return np.atleast_1d(np.asarray(self.gradient(x), dtype=float))
-        h = self.fd_step
+        h = FD_STEP
         g = np.empty_like(x)
         for i in range(x.size):
             xp, xm = x.copy(), x.copy()
@@ -65,7 +65,6 @@ def product_field(f: SmoothField, g: SmoothField) -> SmoothField:
         gradient=(None if f.gradient is None or g.gradient is None else
                   lambda x: np.asarray(f.gradient(x)) * g.value(x)
                   + f.value(x) * np.asarray(g.gradient(x))),
-        fd_step=min(f.fd_step, g.fd_step),
     )
 
 
@@ -81,8 +80,6 @@ class DiffusionModel:
     observation_map : callable (x, y_or_None) -> observation drift h
     domain_box : (n, 2) array of [low, high]; trajectories leaving ten
         times this box abort with :class:`SimulationBlowupError`
-    derivative_step : finite-difference step for derivatives of sigma not
-        supplied analytically (default 1e-5 of the domain width)
     sigma_divergence : optional analytic (d sigma^{ij} / dx^j)_i
     sigma_1d : optional vectorized sigma(x) profile for 1-d grid solvers
     """
@@ -94,7 +91,6 @@ class DiffusionModel:
     diffusion_factor: Callable
     observation_map: Callable
     domain_box: np.ndarray = None
-    derivative_step: Optional[float] = None
     sigma_divergence: Optional[Callable] = None
     sigma_1d: Optional[Callable] = None
     name: str = "custom"
@@ -111,8 +107,7 @@ class DiffusionModel:
 
     @property
     def fd_step(self) -> float:
-        if self.derivative_step is not None:
-            return self.derivative_step
+        """Central-difference step for sigma's divergence: 1e-5 of the box."""
         width = float(np.max(self.domain_box[:, 1] - self.domain_box[:, 0]))
         return 1e-5 * width
 

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from infoflow import models
 from infoflow.errors import (CflError, ConfigError, FilterCollapseError,
                              UnstableStepError)
-from infoflow.grid import (Grid1D, GridDensity, advance_values,
-                           density_functionals, face_fields, fp_evolve,
-                           fp_step, gaussian_density, ks_step, normalize,
-                           score_values, steady_state_grid, zakai_step)
+from infoflow.grid import (Grid1D, GridDensity, advance_values, entropy,
+                           face_fields, fp_evolve, fp_step, gaussian_density,
+                           kl_divergence, ks_step, normalize, score_values,
+                           steady_state_grid, zakai_step)
 from infoflow.grid import observation_values, substeps_for, zakai_advance
 from infoflow.models import simulate_joint
 
@@ -104,7 +104,7 @@ class TestZakai:
         zeta = gaussian_density(grid, 0.0, 0.25)
         dt, n_sub = 1e-3, 2
         out = zakai_step(m, zeta, 0.13, dt, n_substeps_half=n_sub)
-        ff = face_fields(m, grid, None)
+        ff = face_fields(m, grid)
         manual = advance_values(zeta.values, ff, 0.5 * dt, n_sub)
         manual = advance_values(manual, ff, 0.5 * dt, n_sub)
         assert np.array_equal(out.values, manual)
@@ -183,7 +183,7 @@ class TestNormalize:
         path = simulate_joint(m, lambda r: r.normal(0.0, 1.0, size=1),
                               horizon, dt, seed=42)
         incs = path.obs_increments[:, 0]
-        ff = face_fields(m, grid, None)
+        ff = face_fields(m, grid)
         vals = gaussian_density(grid, 0.0, 1.0).values
         h = c_gain * grid.centers
         dx = grid.dx
@@ -211,41 +211,30 @@ class TestNormalize:
 class TestDensityFunctionals:
     def test_gaussian_entropy(self):
         rho = gaussian_density(Grid1D(-8, 8, 512), 0.0, 1.0)
-        fun = density_functionals(rho)
-        assert fun.entropy() == pytest.approx(
+        assert entropy(rho) == pytest.approx(
             0.5 * math.log(2 * math.pi * math.e), abs=1e-4)
 
     def test_kl_self_and_errors(self):
         grid = Grid1D(-8, 8, 256)
         rho = gaussian_density(grid, 0.0, 1.0)
-        fun = density_functionals(rho)
-        assert fun.kl_against(rho) == 0.0
+        assert kl_divergence(rho, rho) == 0.0
         with pytest.raises(ConfigError):
-            fun.kl_against(gaussian_density(Grid1D(-8, 8, 128), 0.0, 1.0))
+            kl_divergence(rho, gaussian_density(Grid1D(-8, 8, 128), 0.0, 1.0))
 
     def test_kl_disjoint_support_sentinel(self):
         grid = Grid1D(-8, 8, 256)
         rho = gaussian_density(grid, 0.0, 1.0)
         other_vals = np.where(grid.centers > 0, rho.values, 0.0)
         other = GridDensity(grid, other_vals)
-        assert density_functionals(rho).kl_against(other) == math.inf
+        assert kl_divergence(rho, other) == math.inf
 
     def test_gaussian_score(self):
         grid = Grid1D(-8, 8, 512)
         rho = gaussian_density(grid, 0.5, 2.0)
-        fun = density_functionals(rho)
         xc = grid.centers
         inner = np.abs(xc - 0.5) < 4.0
-        np.testing.assert_allclose(fun.score_field()[inner],
+        np.testing.assert_allclose(score_values(rho.values, grid.dx)[inner],
                                    (-(xc - 0.5) / 2.0)[inner], atol=1e-3)
-
-    def test_eval_at(self):
-        grid = Grid1D(-2, 2, 64)
-        rho = gaussian_density(grid, 0.0, 0.5)
-        fun = density_functionals(rho)
-        assert fun.eval_at(10.0) == 0.0
-        assert fun.eval_at(-10.0) == 0.0
-        assert fun.eval_at(0.0) > 0.0
 
     def test_score_invariant_under_scaling(self):
         grid = Grid1D(-6, 6, 256)
@@ -318,7 +307,7 @@ def test_ks_step_cfl_guard():
     m = models.ou()
     grid = Grid1D(-6, 6, 128)
     rho = gaussian_density(grid, 0.0, 0.5)
-    dt = 2.0 * 0.95 * face_fields(m, grid, None).cfl_limit()
+    dt = 2.0 * 0.95 * face_fields(m, grid).cfl_limit()
     for step in (zakai_step, ks_step):
         with pytest.raises(CflError):
             step(m, rho, 0.01, dt, n_substeps_half=1)
@@ -331,7 +320,7 @@ def test_batched_zakai_rows_match_single_density():
     rows = [gaussian_density(grid, mean, var).values
             for mean, var in ((-0.8, 0.2), (0.1, 0.5), (0.9, 0.3))]
     dy = np.array([0.05, -0.12, 0.31])
-    ff = face_fields(m, grid, None)
+    ff = face_fields(m, grid)
     vals, shift = zakai_advance(np.stack(rows), ff, substeps_for(ff, 0.5 * dt),
                                 observation_values(m, grid), dy, dt)
     assert shift.shape == (3,)

@@ -148,6 +148,12 @@ class TestDeBruijn:
                                 n_cells=1024)
         assert finer["max_deviation"] <= res["max_deviation"] + 1e-9
 
+    def test_coarse_grid_at_start(self):
+        # a backward explicit step would drive a tail cell negative here
+        res = de_bruijn_check(v0=0.25, t_grid=[0.0, 0.2], sigma_sq=2.0,
+                              n_cells=64)
+        assert res["max_deviation"] <= 1e-3
+
 
 # ---------------------------------------------------------------------------
 # Monte-Carlo estimators
@@ -206,8 +212,7 @@ class TestFisherConditional:
 
     def test_blind_matches_unconditional(self, blind_run):
         j, se = fisher_trace_conditional(blind_run, 0.5)
-        rho = GridDensity(blind_run.grid, blind_run.prior_fp[-1],
-                          normalized=True)
+        rho = GridDensity(blind_run.grid, blind_run.prior_fp[-1])
         j_rho = fisher_trace_unconditional(blind_run.model, rho)
         assert abs(j - j_rho) <= 3.0 * se + 1e-3
 
@@ -221,8 +226,9 @@ class TestDissipatedRate:
         assert abs(df - closed) <= 3.0 * dfse + 1e-3
         assert abs(dg - closed) <= 3.0 * dgse + 1e-3
 
-    def test_blind_is_zero(self, blind_run):
-        (df, dfse), (dg, dgse) = dissipated_rate(blind_run, 0.5)
+    @pytest.mark.parametrize("prior", ("fp", "mixture"))
+    def test_blind_is_zero(self, blind_run, prior):
+        (df, dfse), (dg, dgse) = dissipated_rate(blind_run, 0.5, prior)
         assert abs(df) <= 3.0 * dfse + 1e-5
         assert abs(dg) <= 3.0 * dgse + 1e-5
         assert dg >= 0.0
@@ -267,8 +273,9 @@ class TestResiduals:
             r, se = mwz_residual(run, t)
             assert abs(r) <= 3.0 * se + 1e-4
 
-    def test_blind_balance(self, blind_run):
-        r, se = mwz_residual(blind_run, 0.3)
+    @pytest.mark.parametrize("prior", ("fp", "mixture"))
+    def test_blind_balance(self, blind_run, prior):
+        r, se = mwz_residual(blind_run, 0.3, prior)
         assert abs(r) <= 3.0 * se + 1e-5
 
     def test_conditional_entropy_rate_lqg(self, lqg_run):
@@ -288,8 +295,7 @@ class TestResiduals:
     def test_conditional_entropy_blind_matches_unconditional(self, blind_run):
         # no information channel: conditional rate equals entropy production
         val, se = conditional_entropy_rate(blind_run, 0.5)
-        rho = GridDensity(blind_run.grid, blind_run.prior_fp[-1],
-                          normalized=True)
+        rho = GridDensity(blind_run.grid, blind_run.prior_fp[-1])
         rate = entropy_production_rate(blind_run.model, rho)
         assert abs(val - rate) <= 3.0 * se + 1e-3
 
