@@ -1,26 +1,37 @@
 """Finite-volume solvers on a 1-d grid: Fokker-Planck evolution, the Zakai
 and Kushner-Stratonovich filter updates, entropy and KL divergence.
 
-The update is the conservative flux form
+The transport update is the conservative flux form
 
-    rho_i <- rho_i - (dt/dx) (J_{i+1/2} - J_{i-1/2}),
+    rho_i <- rho_i - (h/dx) (J_{i+1/2} - J_{i-1/2}),
     J = v rho - (1/2) d(sigma rho)/dx,
 
-with zero-flux boundaries, so total mass telescopes exactly.  Advection uses
-centered face averages, diffusion a centered difference of sigma*rho, both
-second order in dx.  Explicit stepping is guarded by the stability limit
+with zero-flux boundaries.  Advection uses centered face averages, diffusion
+a centered difference of sigma*rho, both second order in dx.  Each face flux
+is linear in its two cells, (h/dx) J = p rho_i + q rho_{i+1}, so one substep
+is the tridiagonal product
+
+    rho_i <- lower_i rho_{i-1} + diag_i rho_i + upper_i rho_{i+1},
+    lower_i = p_{i-1/2},  diag_i = 1 - p_{i+1/2} + q_{i-1/2},
+    upper_i = -q_{i+1/2},
+
+whose columns sum to one, so total mass is conserved to roundoff.  Explicit
+stepping is guarded by the stability limit
 dt <= safety / (sigma_max/dx^2 + v_max/dx).
 
 The Zakai update is Strang split: half a step of the dual generator, the
 multiplicative observation factor exp(h dY - |h|^2 dt / 2) applied in the
-log domain, half a step again.  All kernels accept value arrays of shape
-(..., n_cells) so whole ensembles advance in one call.
+log domain, half a step again.  A batch of densities is advanced in place,
+one block of ``ROW_BLOCK`` rows at a time, so a block stays in cache through
+all three stages.  The transport kernel accepts value arrays of shape
+(..., n_cells) and the Zakai step an (N, n_cells) batch, so whole ensembles
+advance in one call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -34,6 +45,7 @@ DENSITY_FLOOR = 1e-300       # log-domain floor
 SCORE_GATE = 1e-12           # score integrands gated at this fraction of max
 NEGATIVITY_TOL = -1e-14
 EXPONENT_LIMIT = 700.0
+ROW_BLOCK = 64               # densities per Strang block: 128 KB at 256 cells
 
 
 @dataclass(frozen=True)
@@ -103,6 +115,7 @@ class FaceFields:
     v_face: np.ndarray
     sigma_centers: np.ndarray
     dx: float
+    _last: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def cfl_limit(self) -> float:
         vmax = float(np.max(np.abs(self.v_face))) if self.v_face.size else 0.0
@@ -111,6 +124,32 @@ class FaceFields:
         if denom <= 0:
             return math.inf
         return 1.0 / denom
+
+    def coefficients(self, h: float):
+        """(lower, diag, upper) of one transport substep of length ``h``.
+
+        Shaped (..., n_cells) like the drift rows; ``lower[..., 0]`` and
+        ``upper[..., -1]`` are zero because the walls carry no flux.  The
+        arrays of the last ``h`` are kept and returned read-only.
+        """
+        if self._last and self._last[0] == h:
+            return self._last[1]
+        c = h / self.dx
+        sd = self.sigma_centers / (2.0 * self.dx)
+        half_v = 0.5 * self.v_face
+        shape = half_v.shape[:-1] + (half_v.shape[-1] + 1,)
+        lower, diag, upper = np.zeros(shape), np.ones(shape), np.zeros(shape)
+        p, minus_q = lower[..., 1:], upper[..., :-1]
+        np.add(half_v, sd[:-1], out=p)
+        p *= c                                  # p = c (v/2 + sd_i)
+        np.subtract(sd[1:], half_v, out=minus_q)
+        minus_q *= c                            # -q = c (sd_{i+1} - v/2)
+        diag[..., :-1] -= p
+        diag[..., 1:] -= minus_q
+        for arr in (lower, diag, upper):
+            arr.flags.writeable = False
+        self._last = (h, (lower, diag, upper))
+        return lower, diag, upper
 
 
 def face_fields(model: DiffusionModel, grid: Grid1D) -> FaceFields:
@@ -126,31 +165,34 @@ def face_fields(model: DiffusionModel, grid: Grid1D) -> FaceFields:
                       dx=grid.dx)
 
 
-def _one_step(values: np.ndarray, ff: FaceFields, dt: float) -> np.ndarray:
-    """One conservative explicit step; negative cells beyond tolerance abort."""
-    dx = ff.dx
-    srho = ff.sigma_centers * values
-    j_int = (ff.v_face * 0.5 * (values[..., :-1] + values[..., 1:])
-             - 0.5 * (srho[..., 1:] - srho[..., :-1]) / dx)
-    out = values.copy()
-    out[..., 0] -= (dt / dx) * j_int[..., 0]
-    out[..., 1:-1] -= (dt / dx) * (j_int[..., 1:] - j_int[..., :-1])
-    out[..., -1] -= (dt / dx) * (-j_int[..., -1])
-    mn = float(np.min(out))
-    if mn < NEGATIVITY_TOL:
-        idx = np.unravel_index(int(np.argmin(out)), out.shape)
-        raise UnstableStepError(
-            f"unstable step: density reached {mn:.3e} at cell {idx[-1]}")
-    if mn < 0.0:
-        np.clip(out, 0.0, None, out=out)
-    return out
-
-
 def advance_values(values: np.ndarray, ff: FaceFields, duration: float,
                    n_substeps: int) -> np.ndarray:
-    h = duration / n_substeps
+    """Advance ``values`` (..., n_cells) in place by ``duration`` in
+    ``n_substeps`` explicit substeps and return it.
+
+    A substep that drives any cell below -1e-14 raises UnstableStepError;
+    cells in [-1e-14, 0) are set to zero.
+    """
+    lower, diag, upper = ff.coefficients(duration / n_substeps)
+    lower, upper = lower[..., 1:], upper[..., :-1]
+    x, y = values, np.empty_like(values)
+    tmp = np.empty_like(values[..., 1:])
     for _ in range(n_substeps):
-        values = _one_step(values, ff, h)
+        np.multiply(diag, x, out=y)
+        np.multiply(lower, x[..., :-1], out=tmp)
+        y[..., 1:] += tmp
+        np.multiply(upper, x[..., 1:], out=tmp)
+        y[..., :-1] += tmp
+        mn = float(np.min(y))
+        if mn < NEGATIVITY_TOL:
+            idx = np.unravel_index(int(np.argmin(y)), y.shape)
+            raise UnstableStepError(
+                f"unstable step: density reached {mn:.3e} at cell {idx[-1]}")
+        if mn < 0.0:
+            np.clip(y, 0.0, None, out=y)
+        x, y = y, x
+    if x is not values:
+        values[...] = x
     return values
 
 
@@ -180,7 +222,8 @@ def fp_step(model: DiffusionModel, rho: GridDensity, dt: float) -> GridDensity:
     UnstableStepError if the update drives any cell below -1e-14.
     """
     ff = face_fields(model, rho.grid)
-    vals = advance_values(rho.values, ff, dt, substeps_for(ff, dt, n_substeps=1))
+    vals = advance_values(rho.values.copy(), ff, dt,
+                          substeps_for(ff, dt, n_substeps=1))
     return GridDensity(rho.grid, vals, rho.log_norm)
 
 
@@ -188,7 +231,7 @@ def fp_evolve(model: DiffusionModel, rho: GridDensity, duration: float,
               safety: float = 0.9) -> GridDensity:
     """Evolve over a finite horizon with automatic CFL substepping."""
     ff = face_fields(model, rho.grid)
-    vals = advance_values(rho.values, ff, duration,
+    vals = advance_values(rho.values.copy(), ff, duration,
                           substeps_for(ff, duration, safety))
     return GridDensity(rho.grid, vals, rho.log_norm)
 
@@ -216,26 +259,42 @@ def _increments(delta_y, values: np.ndarray) -> np.ndarray:
 
 def zakai_advance(values: np.ndarray, ff: FaceFields, n_half: int,
                   h_vals: np.ndarray, delta_y, dt: float):
-    """One Strang-split Zakai step of one density (M,) or a batch (N, M).
+    """One Strang-split Zakai step of one density (M,) or a batch (N, M),
+    in place.
 
     Half a transport step, the factor exp(h dY - |h|^2 dt / 2), half a
-    transport step, with one increment per density in ``delta_y``.  Each
-    row's factor is divided by its maximum, returned as ``shift`` for the
-    caller's log-normalization ledger.
+    transport step, with one increment per density in ``delta_y``, run on
+    one block of ``ROW_BLOCK`` rows at a time.  Each row's factor is divided
+    by its maximum, returned as ``shift`` for the caller's log-normalization
+    ledger.  Returns (values, shift); after an error ``values`` is left
+    partly advanced.
     """
+    if values.ndim > 2:
+        raise ConfigError("zakai_advance takes one density or an (N, M) batch")
     dy = _increments(delta_y, values)
-    values = advance_values(values, ff, 0.5 * dt, n_half)
-    expo = h_vals * dy[..., None] - 0.5 * h_vals * h_vals * dt
-    peak = float(np.max(np.abs(expo)))
-    if peak > EXPONENT_LIMIT:
-        raise UnstableStepError(
-            f"observation update overflow: max |h dY - h^2 dt/2| = {peak:.3e}, "
-            f"max |h dY| = {float(np.max(np.abs(h_vals * dy[..., None]))):.3e}")
-    shift = np.max(expo, axis=-1)
-    values = values * np.exp(expo - shift[..., None])
-    del expo  # the caller still holds the input: free an (N, M) array here
-    values = advance_values(values, ff, 0.5 * dt, n_half)
-    return values, shift
+    rows = values[None, :] if values.ndim == 1 else values
+    dy_rows = dy.reshape(-1)
+    half_h2dt = 0.5 * h_vals * h_vals * dt
+    shift = np.empty(rows.shape[0])
+    for r0 in range(0, rows.shape[0], ROW_BLOCK):
+        block = slice(r0, r0 + ROW_BLOCK)
+        vals = rows[block]
+        ff_block = ff if ff.v_face.ndim == 1 else FaceFields(
+            ff.v_face[block], ff.sigma_centers, ff.dx)
+        advance_values(vals, ff_block, 0.5 * dt, n_half)
+        h_dy = h_vals * dy_rows[block, None]
+        expo = h_dy - half_h2dt
+        peak = float(np.max(np.abs(expo)))
+        if peak > EXPONENT_LIMIT:
+            raise UnstableStepError(
+                f"observation update overflow: max |h dY - h^2 dt/2| = "
+                f"{peak:.3e}, max |h dY| = {float(np.max(np.abs(h_dy))):.3e}")
+        top = np.max(expo, axis=-1)
+        expo -= top[:, None]
+        vals *= np.exp(expo, out=expo)
+        shift[block] = top
+        advance_values(vals, ff_block, 0.5 * dt, n_half)
+    return values, shift.reshape(dy.shape)
 
 
 def zakai_step(model: DiffusionModel, zeta: GridDensity, delta_y, dt: float,
@@ -250,7 +309,8 @@ def zakai_step(model: DiffusionModel, zeta: GridDensity, delta_y, dt: float,
     ff = face_fields(model, zeta.grid)
     n_sub = substeps_for(ff, 0.5 * dt, n_substeps=n_substeps_half)
     h_vals = observation_values(model, zeta.grid, y_current)
-    vals, shift = zakai_advance(zeta.values, ff, n_sub, h_vals, delta_y, dt)
+    vals, shift = zakai_advance(zeta.values.copy(), ff, n_sub, h_vals,
+                                delta_y, dt)
     return GridDensity(zeta.grid, vals, log_norm=zeta.log_norm + float(shift))
 
 
@@ -268,7 +328,7 @@ def ks_step(model: DiffusionModel, rho_hat: GridDensity, delta_y, dt: float,
     dy = float(_increments(delta_y, rho_hat.values))
     ff = face_fields(model, grid)
     n_sub = substeps_for(ff, 0.5 * dt, n_substeps=n_substeps_half)
-    vals = advance_values(rho_hat.values, ff, 0.5 * dt, n_sub)
+    vals = advance_values(rho_hat.values.copy(), ff, 0.5 * dt, n_sub)
     h_vals = observation_values(model, grid)
     mass = np.sum(vals, axis=-1) * grid.dx
     pi_h = np.sum(vals * h_vals, axis=-1) * grid.dx / mass

@@ -6,8 +6,6 @@ The double-well ensemble behind criteria 6 and 7 is computed once and
 shared.
 """
 
-import pytest
-
 from infoflow import checks
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infoflow import gaussian, models
+from infoflow import models
 from infoflow.errors import CovarianceError, NonHurwitzError
 from infoflow.gaussian import (GaussianBelief, LinearModel, gaussian_kl,
                                kalman_bucy_run, kb_identity_scan,

@@ -11,7 +11,8 @@ from infoflow.grid import (Grid1D, GridDensity, advance_values, entropy,
                            face_fields, fp_evolve, fp_step, gaussian_density,
                            kl_divergence, ks_step, normalize, score_values,
                            steady_state_grid, zakai_step)
-from infoflow.grid import observation_values, substeps_for, zakai_advance
+from infoflow.grid import (ROW_BLOCK, FaceFields, observation_values,
+                           substeps_for, zakai_advance)
 from infoflow.models import simulate_joint
 
 
@@ -328,3 +329,79 @@ def test_batched_zakai_rows_match_single_density():
         single = zakai_step(m, GridDensity(grid, row), dy[i], dt)
         assert np.array_equal(vals[i], single.values)
         assert shift[i] == single.log_norm
+
+
+def test_zakai_advance_block_boundaries():
+    # rows on both sides of every block edge, with per-row face drifts
+    m = models.double_well()
+    grid = Grid1D(-2.5, 2.5, 96)
+    dt = 1e-3
+    n_rows = 2 * ROW_BLOCK + 3
+    rng = np.random.default_rng(7)
+    base = face_fields(m, grid)
+    v_rows = base.v_face + rng.uniform(-1.0, 1.0, size=(n_rows, 1))
+    ff = FaceFields(v_rows, base.sigma_centers, grid.dx)
+    n_half = substeps_for(ff, 0.5 * dt)
+    h_vals = observation_values(m, grid)
+    start = np.stack([gaussian_density(grid, mean, 0.3).values
+                      for mean in rng.uniform(-1.0, 1.0, size=n_rows)])
+    dy = rng.normal(0.0, 0.05, size=n_rows)
+    vals, shift = zakai_advance(start.copy(), ff, n_half, h_vals, dy, dt)
+    for i in range(n_rows):
+        ff_i = FaceFields(v_rows[i], base.sigma_centers, grid.dx)
+        row, row_shift = zakai_advance(start[i].copy(), ff_i, n_half, h_vals,
+                                       dy[i], dt)
+        assert np.array_equal(vals[i], row)
+        assert shift[i] == row_shift
+
+
+def test_zakai_advance_rejects_nested_batches():
+    m = models.double_well()
+    grid = Grid1D(-2.5, 2.5, 64)
+    vals = np.tile(gaussian_density(grid, 0.0, 0.3).values, (2, 2, 1))
+    with pytest.raises(ConfigError):
+        zakai_advance(vals, face_fields(m, grid), 1,
+                      observation_values(m, grid), np.zeros((2, 2)), 1e-3)
+
+
+def test_zakai_step_leaves_input_unchanged():
+    m = models.double_well()
+    zeta = gaussian_density(Grid1D(-2.5, 2.5, 128), 0.2, 0.3)
+    before = zeta.values.copy()
+    out = zakai_step(m, zeta, 0.07, 1e-3)
+    assert np.array_equal(zeta.values, before)
+    assert not np.array_equal(out.values, before)
+
+
+def _flux_form_step(values, v_face, sigma, dx, h):
+    """Oracle: rho - (h/dx) (J_{i+1/2} - J_{i-1/2}),
+    J = v avg - d(sigma rho)/(2 dx)."""
+    srho = sigma * values
+    flux = (v_face * 0.5 * (values[:, :-1] + values[:, 1:])
+            - 0.5 * (srho[:, 1:] - srho[:, :-1]) / dx)
+    wall = np.zeros((values.shape[0], 1))
+    return values - (h / dx) * np.diff(np.hstack([wall, flux, wall]), axis=1)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), peclet=st.floats(0.0, 1.99),
+       cfl=st.floats(0.05, 0.9))
+@settings(max_examples=50, deadline=None)
+def test_transport_substep_properties(seed, peclet, cfl):
+    # per-row drifts with mesh Peclet |v| dx / (sigma/2) < 2 at every face
+    rng = np.random.default_rng(seed)
+    n_rows, n_cells = 5, 40
+    grid = Grid1D(-1.0, 1.0, n_cells)
+    sigma = rng.uniform(0.2, 2.0, size=n_cells)
+    v_max = peclet * 0.5 * np.minimum(sigma[:-1], sigma[1:]) / grid.dx
+    v_face = v_max * rng.uniform(-1.0, 1.0, size=(n_rows, n_cells - 1))
+    ff = FaceFields(v_face, sigma, grid.dx)
+    h = cfl * ff.cfl_limit()
+    values = rng.uniform(0.0, 1.0, size=(n_rows, n_cells))
+    values[rng.uniform(size=values.shape) < 0.2] = 0.0
+    expected = _flux_form_step(values, v_face, sigma, grid.dx, h)
+    out = advance_values(values.copy(), ff, h, 1)
+    assert float(np.min(out)) >= 0.0
+    mass = np.sum(values, axis=1)
+    np.testing.assert_allclose(np.sum(out, axis=1), mass, rtol=1e-12)
+    scale = np.max(np.abs(expected), axis=1, keepdims=True)
+    assert float(np.max(np.abs(out - expected) / scale)) <= 1e-13

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from infoflow import metrics, models
+from infoflow import models
 from infoflow.ensemble import EnsembleConfig, run_filter_ensemble
 from infoflow.errors import NumericalError
 from infoflow.gaussian import LinearModel, lyapunov_series, riccati_series
