@@ -208,14 +208,9 @@ def _double_well_run(seed: int, n_trajectories: int,
     return controlled.ledger, run
 
 
-_DW_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _double_well_cached(seed: int, n_trajectories: int):
-    key = (seed, n_trajectories)
-    if key not in _DW_CACHE:
-        _DW_CACHE[key] = _double_well_run(seed, n_trajectories)
-    return _DW_CACHE[key]
+    return _double_well_run(seed, n_trajectories)
 
 
 MWZ_SAMPLE_INDICES = (4, 8, 12, 16, 20, 24, 28, 32, 36, 38)

@@ -15,6 +15,7 @@ so results do not depend on evaluation order.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -119,25 +120,32 @@ class EnsembleRun:
 
 
 def interp_rows(values: np.ndarray, grid: Grid1D, x: np.ndarray) -> np.ndarray:
-    """Linear interpolation of per-row cell values at per-row points.
+    """Linear interpolation of cell values at one point per trajectory.
 
-    ``values`` is (M,) shared or (N, M) per trajectory; ``x`` is (N,).
-    Returns 0 outside the grid box, edge-clamped inside the half cells.
+    ``values`` is (M,) shared or (M, N) with one trajectory per column;
+    ``x`` is (N,).  Returns 0 outside the grid box, edge-clamped inside the
+    half cells.
     """
     x = np.asarray(x, dtype=float)
     pos = (x - grid.x_min) / grid.dx - 0.5
     i0 = np.clip(np.floor(pos).astype(int), 0, grid.n_cells - 2)
     w = np.clip(pos - i0, 0.0, 1.0)
-    if values.ndim == 1:
-        left = values[i0]
-        right = values[i0 + 1]
-    else:
-        rows = np.arange(values.shape[0])
-        left = values[rows, i0]
-        right = values[rows, i0 + 1]
-    out = (1.0 - w) * left + w * right
+    cols = () if values.ndim == 1 else (np.arange(values.shape[1]),)
+    out = (1.0 - w) * values[(i0,) + cols] + w * values[(i0 + 1,) + cols]
     inside = (x >= grid.x_min) & (x <= grid.x_max)
     return np.where(inside, out, 0.0)
+
+
+def _column_sums(values: np.ndarray) -> np.ndarray:
+    """Sums down axis 0 (at least 8 rows) in numpy's pairwise order for a
+    contiguous 1-d sum, so each column's sum equals ``np.sum`` of it alone."""
+    n = values.shape[0]
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _column_sums(values[:half]) + _column_sums(values[half:])
+    r = np.add.reduce(values[:n - n % 8].reshape((-1, 8) + values.shape[1:]))
+    out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return functools.reduce(np.add, values[n - n % 8:], out)
 
 
 def _eval_log_and_score(values, grid, x):
@@ -177,21 +185,18 @@ def apply_policy(policy, t: float, posterior_summary):
 
 
 def mean_drift(model, xs, beta) -> np.ndarray:
-    """Ensemble-mean drift field v_bar(x) = mean_k v(x, beta_k) at ``xs``.
+    """Ensemble-mean drift field v_bar(x) = v(x) + mean_k beta_k at ``xs``
+    for the additive control drift(x, beta) = drift(x, None) + beta.
 
-    Identical controls short-circuit to a single evaluation so that a
+    Identical controls add that control itself, not their mean, so a
     zero-gain policy reproduces the uncontrolled arithmetic bit for bit.
     """
     xs = np.asarray(xs, dtype=float)
+    v = np.broadcast_to(np.asarray(model.drift(xs, None), dtype=float), xs.shape)
     if beta is None:
-        v = np.asarray(model.drift(xs, None), dtype=float)
-        return np.broadcast_to(v, xs.shape).astype(float) if v.ndim == 0 else v
+        return v.astype(float)
     beta = np.asarray(beta, dtype=float)
-    if np.all(beta == beta.flat[0]):
-        v = np.asarray(model.drift(xs, float(beta.flat[0])), dtype=float)
-        return np.broadcast_to(v, xs.shape).astype(float) if v.ndim == 0 else v
-    return np.mean(np.asarray(model.drift(xs[None, :], beta[:, None]),
-                              dtype=float), axis=0)
+    return v + (beta.flat[0] if np.all(beta == beta.flat[0]) else np.mean(beta))
 
 
 def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
@@ -212,33 +217,37 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
             f"mean-drift estimation from only {config.n_trajectories} "
             f"trajectories is noisy and contaminates the shared prior "
             f"density; use at least 100", stacklevel=2)
-    dt, n_traj, seed = config.dt, config.n_trajectories, config.seed
-    n_steps = config.n_steps
+    dt, n_traj, n_steps = config.dt, config.n_trajectories, config.n_steps
     sample_steps = np.arange(0, n_steps + 1, config.sample_stride)
     n_samples = sample_steps.size
     xc = grid.centers
     xf = grid.interior_faces
     dx = grid.dx
 
-    base = face_fields(model, grid)
+    # one for the run, so its control-term scratch persists; beta is set per step
+    ff_post = face_fields(model, grid)
     bound = float(getattr(policy, "bound", 0.0))
-    budget = FaceFields(v_face=np.abs(base.v_face) + abs(bound),
-                        sigma_centers=base.sigma_centers, dx=dx)
+    budget = FaceFields(ff_post.v_face, ff_post.sigma_centers, dx,
+                        beta=np.array([abs(bound)]))
     n_half = substeps_for(budget, 0.5 * dt)
     n_full = substeps_for(budget, dt)
+    if policy is not None:
+        unit = np.asarray(model.drift(xf, 1.0), dtype=float) - ff_post.v_face
+        if float(np.max(np.abs(unit - 1.0))) > 1e-12:
+            raise ConfigError("feedback needs an additive control: "
+                              "drift(x, beta) = drift(x, None) + beta")
 
     h_c = observation_values(model, grid)
 
     rho0 = gaussian_density(grid, config.x0_mean, config.x0_var)
     prior_vals = rho0.values.copy()
-    post_vals = np.tile(rho0.values, (n_traj, 1))
+    post_vals = np.tile(rho0.values[:, None], (1, n_traj))    # (M, N)
     ledger = np.zeros(n_traj)
     int_pi2 = np.zeros(n_traj)
 
-    dw, du, x0n = _draw_increments(seed, n_traj, n_steps, dt)
+    dw, du, x0n = _draw_increments(config.seed, n_traj, n_steps, dt)
     x = config.x0_mean + math.sqrt(config.x0_var) * x0n
-    lo, hi = _blowup_bounds(model)
-    lo, hi = float(lo[0]), float(hi[0])
+    lo, hi = (float(edge[0]) for edge in _blowup_bounds(model))
 
     shape = (n_samples, n_traj)
     rec = {name: np.empty(shape) for name in
@@ -259,13 +268,14 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
     s_idx = 0
     for k in range(n_steps + 1):
         t = k * dt
-        mass = np.sum(post_vals, axis=1) * dx
+        mass = _column_sums(post_vals) * dx
         if not np.all(np.isfinite(mass)) or np.any(mass <= 0.0):
             raise FilterCollapseError(
                 f"filter collapse at t={t:.6g} "
                 f"(min mass {float(np.min(mass)):.3e})")
-        pi_mean = post_vals @ xc * dx / mass
-        pi_h = post_vals @ h_c * dx / mass
+        # column moments by einsum, not BLAS: independent of its thread count
+        pi_mean = np.einsum("i,ij->j", xc, post_vals) * dx / mass
+        pi_h = np.einsum("i,ij->j", h_c, post_vals) * dx / mass
 
         beta = None
         if policy is not None:
@@ -279,26 +289,22 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
             # first moment recorded exactly as the policy saw it
             rec["post_mean"][s_idx] = pi_mean
             rec["post_var"][s_idx] = \
-                post_vals @ (xc * xc) * dx / mass - pi_mean * pi_mean
-            post_vals /= mass[:, None]
+                np.einsum("i,ij->j", xc * xc, post_vals) * dx / mass - pi_mean ** 2
+            post_vals /= mass
             ledger = ledger + np.log(mass)
             post_at_x, log_post, score_post = _eval_log_and_score(post_vals, grid, x)
             prior_at_x, log_prior, score_prior = _eval_log_and_score(prior_vals, grid, x)
-            mix_vals = np.mean(post_vals, axis=0)
+            mix_vals = np.mean(post_vals, axis=1)
             mix_at_x, log_mix, score_mix = _eval_log_and_score(mix_vals, grid, x)
 
-            rec["states"][s_idx] = x
-            rec["pi_h"][s_idx] = pi_h
-            rec["h_at_x"][s_idx] = np.asarray(model.observation_map(x, None), dtype=float)
-            rec["sigma_at_x"][s_idx] = model.sigma_profile(x)
-            rec["log_post_at_x"][s_idx] = log_post
-            rec["score_post_at_x"][s_idx] = score_post
-            rec["log_sigma1"][s_idx] = ledger
-            rec["int_pi_h_sq"][s_idx] = int_pi2
-            rec["log_prior_fp_at_x"][s_idx] = log_prior
-            rec["score_prior_fp_at_x"][s_idx] = score_prior
-            rec["log_prior_mix_at_x"][s_idx] = log_mix
-            rec["score_prior_mix_at_x"][s_idx] = score_mix
+            for name, val in dict(
+                    states=x, pi_h=pi_h, sigma_at_x=model.sigma_profile(x),
+                    h_at_x=np.asarray(model.observation_map(x, None), dtype=float),
+                    log_post_at_x=log_post, score_post_at_x=score_post,
+                    log_sigma1=ledger, int_pi_h_sq=int_pi2,
+                    log_prior_fp_at_x=log_prior, score_prior_fp_at_x=score_prior,
+                    log_prior_mix_at_x=log_mix, score_prior_mix_at_x=score_mix).items():
+                rec[name][s_idx] = val
             excluded[s_idx] = ((x < grid.x_min) | (x > grid.x_max)
                                | (post_at_x <= DENSITY_FLOOR)
                                | (prior_at_x <= DENSITY_FLOOR))
@@ -308,7 +314,7 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
                 controls_rec[s_idx] = beta
                 v_bar_rec[s_idx] = mean_drift(model, xc, beta)
             if k == n_steps:
-                posterior_final = post_vals.copy()
+                posterior_final = post_vals.T.copy()
             s_idx += 1
 
         if k == n_steps:
@@ -331,25 +337,21 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
             pi_seq[:, k] = pi_h
 
         # --- per-trajectory Zakai step (Strang split)
-        if beta is None:
-            v_face_post = base.v_face
-        else:
-            v_face_post = np.asarray(model.drift(xf[None, :], beta[:, None]),
-                                     dtype=float)
-        ff_post = FaceFields(v_face=v_face_post, sigma_centers=base.sigma_centers,
-                             dx=dx)
+        ff_prior = ff_post
+        if beta is not None:
+            ff_post.beta = beta
+            substeps_for(ff_post, 0.5 * dt, n_substeps=n_half)
+            ff_prior = FaceFields(mean_drift(model, xf, beta),
+                                  ff_post.sigma_centers, dx)
         post_vals, shift = zakai_advance(post_vals, ff_post, n_half, h_c, dy, dt)
         ledger = ledger + shift
-        new_mass = np.sum(post_vals, axis=1) * dx
+        new_mass = _column_sums(post_vals) * dx
         if np.any(new_mass < _MASS_FOLD_LO) or np.any(new_mass > _MASS_FOLD_HI):
             safe = np.maximum(new_mass, DENSITY_FLOOR)
-            post_vals = post_vals / safe[:, None]
+            post_vals = post_vals / safe
             ledger = ledger + np.log(safe)
 
         # --- shared prior with the ensemble-mean drift
-        v_bar_face = mean_drift(model, xf, beta)
-        ff_prior = FaceFields(v_face=v_bar_face, sigma_centers=base.sigma_centers,
-                              dx=dx)
         prior_vals = advance_values(prior_vals, ff_prior, dt, n_full)
 
     return EnsembleRun(

@@ -9,7 +9,7 @@ The transport update is the conservative flux form
 with zero-flux boundaries.  Advection uses centered face averages, diffusion
 a centered difference of sigma*rho, both second order in dx.  Each face flux
 is linear in its two cells, (h/dx) J = p rho_i + q rho_{i+1}, so one substep
-is the tridiagonal product
+is the product with the tridiagonal matrix T,
 
     rho_i <- lower_i rho_{i-1} + diag_i rho_i + upper_i rho_{i+1},
     lower_i = p_{i-1/2},  diag_i = 1 - p_{i+1/2} + q_{i-1/2},
@@ -19,22 +19,25 @@ whose columns sum to one, so total mass is conserved to roundoff.  Explicit
 stepping is guarded by the stability limit
 dt <= safety / (sigma_max/dx^2 + v_max/dx).
 
+Densities are stored cell-major, a bank of N as an (n_cells, N) array, so
+a substep of all of them is one compiled sparse product ``T @ X``.  A
+control beta_r added to the drift of column r adds (h/2dx) beta_r D(X_r),
+with D the centered difference, to that shared product.
+
 The Zakai update is Strang split: half a step of the dual generator, the
 multiplicative observation factor exp(h dY - |h|^2 dt / 2) applied in the
-log domain, half a step again.  A batch of densities is advanced in place,
-one block of ``ROW_BLOCK`` rows at a time, so a block stays in cache through
-all three stages.  The transport kernel accepts value arrays of shape
-(..., n_cells) and the Zakai step an (N, n_cells) batch, so whole ensembles
-advance in one call.
+log domain, half a step again.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import cumulative_trapezoid
 
 from .errors import (CflError, ConfigError, FilterCollapseError,
@@ -45,7 +48,6 @@ DENSITY_FLOOR = 1e-300       # log-domain floor
 SCORE_GATE = 1e-12           # score integrands gated at this fraction of max
 NEGATIVITY_TOL = -1e-14
 EXPONENT_LIMIT = 700.0
-ROW_BLOCK = 64               # densities per Strang block: 128 KB at 256 cells
 
 
 @dataclass(frozen=True)
@@ -105,51 +107,54 @@ def gaussian_density(grid: Grid1D, mean: float, var: float) -> GridDensity:
 # Face fields and the conservative kernel
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _tridiagonal_pattern(m: int):
+    """CSR (indices, indptr) of an m x m tridiagonal matrix, rows in order."""
+    indices = (np.arange(m)[:, None] + np.arange(-1, 2)).ravel()[1:-1].astype(np.int32)
+    indptr = np.r_[0, 2:3 * m - 1:3, 3 * m - 2].astype(np.int32)
+    indices.flags.writeable = indptr.flags.writeable = False   # shared by all
+    return indices, indptr
+
+
+@functools.lru_cache(maxsize=64)
+def _substep_operator(h: float, dx: float, v_face: bytes, sigma: bytes):
+    """(T, nonneg): one uncontrolled substep of length ``h`` as an
+    (n_cells, n_cells) ``csr_array``, and whether every entry is >= 0.
+    Keyed on the fields' bytes, so equal fields share one build."""
+    v, sig = np.frombuffer(v_face), np.frombuffer(sigma)
+    c, m = h / dx, sig.size
+    sd = sig / (2.0 * dx)
+    bands = np.zeros((m, 3))                    # rows (lower_i, diag_i, upper_i)
+    p, minus_q, diag = bands[1:, 0], bands[:-1, 2], bands[:, 1]
+    np.multiply(0.5 * v + sd[:-1], c, out=p)            # c (v/2 + sd_i)
+    np.multiply(sd[1:] - 0.5 * v, c, out=minus_q)       # c (sd_{i+1} - v/2)
+    diag[:] = 1.0
+    diag[:-1] -= p
+    diag[1:] -= minus_q
+    data = bands.ravel()[1:-1]                  # the walls carry no flux
+    op = sp.csr_array((data, *_tridiagonal_pattern(m)), shape=(m, m))
+    return op, bool(np.min(data) >= 0.0)
+
+
 @dataclass
 class FaceFields:
-    """Precomputed drift at interior faces and sigma at cell centers.
-
-    ``v_face`` may be (n_faces,) or (N, n_faces) for per-trajectory drifts.
-    """
+    """Drift at interior faces, sigma at cell centers, and an optional control
+    ``beta`` (N,) added to the drift of each density column; the scratch of
+    the control term is kept."""
 
     v_face: np.ndarray
     sigma_centers: np.ndarray
     dx: float
-    _last: tuple = field(default=(), init=False, repr=False, compare=False)
+    beta: Optional[np.ndarray] = None
+    _scratch: Optional[np.ndarray] = field(default=None, init=False,
+                                           repr=False, compare=False)
 
     def cfl_limit(self) -> float:
-        vmax = float(np.max(np.abs(self.v_face))) if self.v_face.size else 0.0
-        smax = float(np.max(self.sigma_centers))
-        denom = smax / self.dx ** 2 + vmax / self.dx
-        if denom <= 0:
-            return math.inf
-        return 1.0 / denom
-
-    def coefficients(self, h: float):
-        """(lower, diag, upper) of one transport substep of length ``h``.
-
-        Shaped (..., n_cells) like the drift rows; ``lower[..., 0]`` and
-        ``upper[..., -1]`` are zero because the walls carry no flux.  The
-        arrays of the last ``h`` are kept and returned read-only.
-        """
-        if self._last and self._last[0] == h:
-            return self._last[1]
-        c = h / self.dx
-        sd = self.sigma_centers / (2.0 * self.dx)
-        half_v = 0.5 * self.v_face
-        shape = half_v.shape[:-1] + (half_v.shape[-1] + 1,)
-        lower, diag, upper = np.zeros(shape), np.ones(shape), np.zeros(shape)
-        p, minus_q = lower[..., 1:], upper[..., :-1]
-        np.add(half_v, sd[:-1], out=p)
-        p *= c                                  # p = c (v/2 + sd_i)
-        np.subtract(sd[1:], half_v, out=minus_q)
-        minus_q *= c                            # -q = c (sd_{i+1} - v/2)
-        diag[..., :-1] -= p
-        diag[..., 1:] -= minus_q
-        for arr in (lower, diag, upper):
-            arr.flags.writeable = False
-        self._last = (h, (lower, diag, upper))
-        return lower, diag, upper
+        vmax = float(np.max(np.abs(self.v_face), initial=0.0))
+        if self.beta is not None:
+            vmax += float(np.max(np.abs(self.beta), initial=0.0))
+        denom = float(np.max(self.sigma_centers)) / self.dx ** 2 + vmax / self.dx
+        return 1.0 / denom if denom > 0 else math.inf
 
 
 def face_fields(model: DiffusionModel, grid: Grid1D) -> FaceFields:
@@ -167,32 +172,40 @@ def face_fields(model: DiffusionModel, grid: Grid1D) -> FaceFields:
 
 def advance_values(values: np.ndarray, ff: FaceFields, duration: float,
                    n_substeps: int) -> np.ndarray:
-    """Advance ``values`` (..., n_cells) in place by ``duration`` in
-    ``n_substeps`` explicit substeps and return it.
+    """Advance cell values, (n_cells,) or (n_cells, N) with one density per
+    column, in place by ``duration`` in ``n_substeps`` substeps; return them.
 
-    A substep that drives any cell below -1e-14 raises UnstableStepError;
-    cells in [-1e-14, 0) are set to zero.
-    """
-    lower, diag, upper = ff.coefficients(duration / n_substeps)
-    lower, upper = lower[..., 1:], upper[..., :-1]
-    x, y = values, np.empty_like(values)
-    tmp = np.empty_like(values[..., 1:])
+    Each substep is one product T @ X, plus (h/2dx) beta D(X) per column
+    when ``ff.beta`` is set.  When every entry of T and every input cell is
+    >= 0, each output is a sum of products of non-negative numbers and so
+    is >= 0 exactly; otherwise a substep that drives any cell below -1e-14
+    raises UnstableStepError and cells in [-1e-14, 0) are set to zero."""
+    h = duration / n_substeps
+    op, nonneg = _substep_operator(h, ff.dx, np.asarray(ff.v_face, float).tobytes(),
+                                   np.asarray(ff.sigma_centers, float).tobytes())
+    beta = ff.beta
+    if beta is not None:
+        cb = (h / (2.0 * ff.dx)) * np.asarray(beta)
+        if ff._scratch is None or ff._scratch.shape != values.shape:
+            ff._scratch = np.empty_like(values)
+        diff = ff._scratch
+    guarded = beta is not None or not nonneg or float(np.min(values)) < 0.0
     for _ in range(n_substeps):
-        np.multiply(diag, x, out=y)
-        np.multiply(lower, x[..., :-1], out=tmp)
-        y[..., 1:] += tmp
-        np.multiply(upper, x[..., 1:], out=tmp)
-        y[..., :-1] += tmp
-        mn = float(np.min(y))
-        if mn < NEGATIVITY_TOL:
-            idx = np.unravel_index(int(np.argmin(y)), y.shape)
-            raise UnstableStepError(
-                f"unstable step: density reached {mn:.3e} at cell {idx[-1]}")
-        if mn < 0.0:
-            np.clip(y, 0.0, None, out=y)
-        x, y = y, x
-    if x is not values:
-        values[...] = x
+        if beta is None:
+            values[...] = op @ values
+        else:                                   # cb D(X) of the old values
+            np.subtract(values[:-2], values[2:], out=diff[1:-1])
+            diff[0], diff[-1] = -(values[0] + values[1]), values[-2] + values[-1]
+            diff *= cb
+            np.add(op @ values, diff, out=values)
+        if guarded:
+            mn = float(np.min(values))
+            if mn < NEGATIVITY_TOL:
+                idx = np.unravel_index(int(np.argmin(values)), values.shape)
+                raise UnstableStepError(
+                    f"unstable step: density reached {mn:.3e} at cell {idx[0]}")
+            if mn < 0.0:
+                np.clip(values, 0.0, None, out=values)
     return values
 
 
@@ -207,8 +220,9 @@ def substeps_for(ff: FaceFields, duration: float, safety: float = 0.9,
     if n_substeps is not None:
         step = abs(duration) / n_substeps
         if step > limit:
+            controls = "" if ff.beta is None else f", max|beta|={np.max(np.abs(ff.beta)):.3e}"
             raise CflError(f"step {step:.3e} exceeds the explicit stability "
-                           f"limit {limit:.3e} (grid dx={ff.dx:.3e})")
+                           f"limit {limit:.3e} (grid dx={ff.dx:.3e}{controls})")
         return n_substeps
     if not math.isfinite(limit) or limit <= 0:
         return 1
@@ -249,52 +263,40 @@ def observation_values(model: DiffusionModel, grid: Grid1D, y_current=None) -> n
 
 
 def _increments(delta_y, values: np.ndarray) -> np.ndarray:
-    """Observation increments, one per density row of ``values``."""
+    """Observation increments, one per density column of ``values``."""
     dy = np.asarray(delta_y, dtype=float)
-    if dy.shape != values.shape[:-1]:
+    if dy.shape != values.shape[1:]:
         raise ConfigError(f"dY has shape {dy.shape}; one increment per density "
-                          f"needs shape {values.shape[:-1]}")
+                          f"needs shape {values.shape[1:]}")
     return dy
 
 
 def zakai_advance(values: np.ndarray, ff: FaceFields, n_half: int,
                   h_vals: np.ndarray, delta_y, dt: float):
-    """One Strang-split Zakai step of one density (M,) or a batch (N, M),
-    in place.
-
-    Half a transport step, the factor exp(h dY - |h|^2 dt / 2), half a
-    transport step, with one increment per density in ``delta_y``, run on
-    one block of ``ROW_BLOCK`` rows at a time.  Each row's factor is divided
-    by its maximum, returned as ``shift`` for the caller's log-normalization
-    ledger.  Returns (values, shift); after an error ``values`` is left
-    partly advanced.
+    """One Strang-split Zakai step of one density (M,) or a bank (M, N), in
+    place.  Half a transport step, the factor exp(h dY - |h|^2 dt / 2), half a
+    transport step, with one increment per density in ``delta_y``.  Each
+    column's factor is divided by its maximum, returned as ``shift`` for the
+    caller's log-normalization ledger.  Returns (values, shift); after an
+    error ``values`` is left partly advanced.
     """
     if values.ndim > 2:
-        raise ConfigError("zakai_advance takes one density or an (N, M) batch")
+        raise ConfigError("zakai_advance takes one density or an (M, N) bank")
     dy = _increments(delta_y, values)
-    rows = values[None, :] if values.ndim == 1 else values
-    dy_rows = dy.reshape(-1)
-    half_h2dt = 0.5 * h_vals * h_vals * dt
-    shift = np.empty(rows.shape[0])
-    for r0 in range(0, rows.shape[0], ROW_BLOCK):
-        block = slice(r0, r0 + ROW_BLOCK)
-        vals = rows[block]
-        ff_block = ff if ff.v_face.ndim == 1 else FaceFields(
-            ff.v_face[block], ff.sigma_centers, ff.dx)
-        advance_values(vals, ff_block, 0.5 * dt, n_half)
-        h_dy = h_vals * dy_rows[block, None]
-        expo = h_dy - half_h2dt
-        peak = float(np.max(np.abs(expo)))
-        if peak > EXPONENT_LIMIT:
-            raise UnstableStepError(
-                f"observation update overflow: max |h dY - h^2 dt/2| = "
-                f"{peak:.3e}, max |h dY| = {float(np.max(np.abs(h_dy))):.3e}")
-        top = np.max(expo, axis=-1)
-        expo -= top[:, None]
-        vals *= np.exp(expo, out=expo)
-        shift[block] = top
-        advance_values(vals, ff_block, 0.5 * dt, n_half)
-    return values, shift.reshape(dy.shape)
+    advance_values(values, ff, 0.5 * dt, n_half)
+    expo = np.multiply.outer(h_vals, dy)                # h dY, built in place
+    np.subtract(expo.T, 0.5 * h_vals * h_vals * dt, out=expo.T)
+    shift = np.max(expo, axis=0)
+    peak = max(float(np.max(shift)), -float(np.min(expo)))   # max |expo|
+    if peak > EXPONENT_LIMIT:
+        h_dy = float(np.max(np.abs(h_vals))) * float(np.max(np.abs(dy)))
+        raise UnstableStepError(
+            f"observation update overflow: max |h dY - h^2 dt/2| = "
+            f"{peak:.3e}, max |h dY| = {h_dy:.3e}")
+    expo -= shift
+    values *= np.exp(expo, out=expo)
+    del expo                                  # freed before the second half
+    return advance_values(values, ff, 0.5 * dt, n_half), shift
 
 
 def zakai_step(model: DiffusionModel, zeta: GridDensity, delta_y, dt: float,
@@ -340,8 +342,7 @@ def ks_step(model: DiffusionModel, rho_hat: GridDensity, delta_y, dt: float,
     if np.min(factor) <= 0.0:
         raise UnstableStepError("Kushner-Stratonovich factor lost positivity; "
                                 "reduce dt")
-    vals = vals * factor
-    vals = advance_values(vals, ff, 0.5 * dt, n_sub)
+    vals = advance_values(vals * factor, ff, 0.5 * dt, n_sub)
     vals = vals / (np.sum(vals, axis=-1) * grid.dx)
     return GridDensity(grid, vals, log_norm=rho_hat.log_norm)
 
@@ -370,12 +371,13 @@ def _log_values(values: np.ndarray) -> np.ndarray:
 
 
 def score_values(values: np.ndarray, dx: float) -> np.ndarray:
-    """d ln rho / dx by central differences (one-sided at the ends)."""
+    """d ln rho / dx along the cell axis 0, by central differences
+    (one-sided at the ends)."""
     logs = _log_values(values)
     out = np.empty_like(logs)
-    out[..., 1:-1] = (logs[..., 2:] - logs[..., :-2]) / (2.0 * dx)
-    out[..., 0] = (logs[..., 1] - logs[..., 0]) / dx
-    out[..., -1] = (logs[..., -1] - logs[..., -2]) / dx
+    out[1:-1] = (logs[2:] - logs[:-2]) / (2.0 * dx)
+    out[0] = (logs[1] - logs[0]) / dx
+    out[-1] = (logs[-1] - logs[-2]) / dx
     return out
 
 

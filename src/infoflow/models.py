@@ -74,7 +74,8 @@ class DiffusionModel:
 
     Fields
     ------
-    drift : callable (x, beta_or_None) -> velocity, same shape as x
+    drift : callable (x, beta_or_None) -> velocity, same shape as x, with
+        an additive control: drift(x, beta) = drift(x, None) + beta
     diffusion_factor : callable x -> noise factor B; for elementwise 1-d
         models an array shaped like x, otherwise an (n, r) matrix
     observation_map : callable (x, y_or_None) -> observation drift h

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +73,59 @@ def test_rerun_is_byte_identical(tmp_path):
     r1.pop("wall_clock_s"), r2.pop("wall_clock_s")
     r1.pop("config_echo"), r2.pop("config_echo")  # echoes differ in outdir
     assert r1 == r2
+
+
+FEEDBACK_CONFIG = """
+[scenario]
+name = dw_feedback_small
+
+[model]
+preset = double_well
+
+[grid]
+x_min = -2.5
+x_max = 2.5
+n_cells = 128
+
+[time]
+dt = 1e-3
+horizon = 0.1
+sample_stride = 20
+
+[ensemble]
+n_trajectories = 200
+seed = 5
+x0_mean = 0.0
+x0_var = 0.25
+
+[policy]
+name = linear_gain
+gain = 0.5
+bound = 5.0
+
+[output]
+directory = {outdir}
+"""
+
+
+def test_ledger_independent_of_blas_threads(tmp_path):
+    # the per-trajectory reductions of the (M, N) filter bank must not
+    # depend on how many threads the BLAS library uses
+    root = Path(__file__).resolve().parents[1]
+    ledgers = []
+    for threads in ("1", "2"):
+        cfg, outdir = write_config(tmp_path, FEEDBACK_CONFIG, f"t{threads}.ini",
+                                   tmp_path / f"out{threads}")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "infoflow.cli", "run",
+                               str(cfg)], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        ledgers.append((outdir / "ledger.csv").read_bytes())
+    assert ledgers[0] == ledgers[1]
 
 
 def test_bad_dt_exits_2_without_output(tmp_path):

@@ -9,7 +9,7 @@ from infoflow.control import (apply_policy, bang_bang_policy,
                               make_policy, mean_drift,
                               run_controlled_experiment, zero_policy)
 from infoflow.ensemble import EnsembleConfig, run_filter_ensemble
-from infoflow.errors import ConfigError
+from infoflow.errors import CflError, ConfigError
 from infoflow.gaussian import GaussianBelief, LinearModel, kalman_bucy_run
 from infoflow.grid import Grid1D, steady_state_grid
 from infoflow.models import simulate_joint
@@ -142,6 +142,30 @@ class TestControlledEnsemble:
         assert controlled.v_bar.shape == (run.n_samples, grid.n_cells)
         assert controlled.mean_control.shape == (run.n_samples,)
         assert controlled.ledger.metadata["mwz_control_correction"] is True
+
+    def test_non_additive_control_rejected(self):
+        _, grid, cfg, _ = self._setup()
+        model = models.DiffusionModel(
+            1, 1, 1,
+            drift=lambda x, beta=None: -np.asarray(x, dtype=float) * (
+                1.0 if beta is None else 1.0 - beta),
+            diffusion_factor=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+            observation_map=lambda x, y=None: np.asarray(x, dtype=float),
+            domain_box=[[-2.5, 2.5]])
+        with pytest.raises(ConfigError, match="additive"):
+            run_filter_ensemble(model, grid, cfg, linear_gain_policy(0.5))
+
+    def test_unbounded_controls_checked_against_cfl(self):
+        # gain 20 on posterior means near 2 asks for |beta| near 40, past
+        # the stability limit that an unbounded policy's budget assumed
+        model = models.double_well()
+        grid = Grid1D(-2.5, 2.5, 256)
+        cfg = EnsembleConfig(dt=1e-3, horizon=0.05, n_trajectories=100,
+                             seed=20260809, sample_stride=50, x0_mean=2.0,
+                             x0_var=0.25)
+        policy = linear_gain_policy(gain=20.0, bound=0.0)
+        with pytest.raises(CflError, match=r"max\|beta\|"):
+            run_filter_ensemble(model, grid, cfg, policy)
 
     def test_small_ensemble_warns(self):
         model, grid, cfg, rho_ss = self._setup()

@@ -110,6 +110,17 @@ def test_interp_rows_matches_numpy():
     np.testing.assert_allclose(mine, ref, atol=1e-14)
 
 
+def test_interp_rows_reads_columns():
+    # a cell-major bank: trajectory r interpolates column r at its own point
+    grid = Grid1D(-2, 2, 32)
+    rng = np.random.default_rng(1)
+    values = rng.uniform(0.1, 1.0, size=(grid.n_cells, 6))
+    xs = rng.uniform(-1.9, 1.9, size=6)
+    mine = interp_rows(values, grid, xs)
+    for r in range(6):
+        assert mine[r] == interp_rows(values[:, r], grid, xs[r:r + 1])[0]
+
+
 def test_config_steps_and_stride_contract():
     # 0.0104 is not a whole number of 1e-3 steps
     with pytest.raises(ConfigError):

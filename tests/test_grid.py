@@ -11,8 +11,8 @@ from infoflow.grid import (Grid1D, GridDensity, advance_values, entropy,
                            face_fields, fp_evolve, fp_step, gaussian_density,
                            kl_divergence, ks_step, normalize, score_values,
                            steady_state_grid, zakai_step)
-from infoflow.grid import (ROW_BLOCK, FaceFields, observation_values,
-                           substeps_for, zakai_advance)
+from infoflow.grid import (FaceFields, observation_values, substeps_for,
+                           zakai_advance)
 from infoflow.models import simulate_joint
 
 
@@ -322,37 +322,63 @@ def test_batched_zakai_rows_match_single_density():
             for mean, var in ((-0.8, 0.2), (0.1, 0.5), (0.9, 0.3))]
     dy = np.array([0.05, -0.12, 0.31])
     ff = face_fields(m, grid)
-    vals, shift = zakai_advance(np.stack(rows), ff, substeps_for(ff, 0.5 * dt),
+    vals, shift = zakai_advance(np.stack(rows, axis=1), ff,
+                                substeps_for(ff, 0.5 * dt),
                                 observation_values(m, grid), dy, dt)
+    assert vals.shape == (grid.n_cells, 3)
     assert shift.shape == (3,)
     for i, row in enumerate(rows):
         single = zakai_step(m, GridDensity(grid, row), dy[i], dt)
-        assert np.array_equal(vals[i], single.values)
+        assert np.array_equal(vals[:, i], single.values)
         assert shift[i] == single.log_norm
 
 
-def test_zakai_advance_block_boundaries():
-    # rows on both sides of every block edge, with per-row face drifts
+def test_zakai_advance_per_column_controls():
+    # each column equals its density stepped alone under its own control,
+    # and the shared-operator correction matches the per-column drift v + beta
     m = models.double_well()
     grid = Grid1D(-2.5, 2.5, 96)
     dt = 1e-3
-    n_rows = 2 * ROW_BLOCK + 3
+    n_cols = 9
     rng = np.random.default_rng(7)
     base = face_fields(m, grid)
-    v_rows = base.v_face + rng.uniform(-1.0, 1.0, size=(n_rows, 1))
-    ff = FaceFields(v_rows, base.sigma_centers, grid.dx)
+    beta = rng.uniform(-1.0, 1.0, size=n_cols)
+    ff = FaceFields(base.v_face, base.sigma_centers, grid.dx, beta=beta)
     n_half = substeps_for(ff, 0.5 * dt)
     h_vals = observation_values(m, grid)
     start = np.stack([gaussian_density(grid, mean, 0.3).values
-                      for mean in rng.uniform(-1.0, 1.0, size=n_rows)])
-    dy = rng.normal(0.0, 0.05, size=n_rows)
+                      for mean in rng.uniform(-1.0, 1.0, size=n_cols)], axis=1)
+    dy = rng.normal(0.0, 0.05, size=n_cols)
     vals, shift = zakai_advance(start.copy(), ff, n_half, h_vals, dy, dt)
-    for i in range(n_rows):
-        ff_i = FaceFields(v_rows[i], base.sigma_centers, grid.dx)
-        row, row_shift = zakai_advance(start[i].copy(), ff_i, n_half, h_vals,
-                                       dy[i], dt)
-        assert np.array_equal(vals[i], row)
-        assert shift[i] == row_shift
+    for r in range(n_cols):
+        ff_r = FaceFields(base.v_face, base.sigma_centers, grid.dx,
+                          beta=beta[r])
+        col, col_shift = zakai_advance(start[:, r].copy(), ff_r, n_half,
+                                       h_vals, dy[r], dt)
+        assert np.array_equal(vals[:, r], col)
+        assert shift[r] == col_shift
+        ff_v = FaceFields(base.v_face + beta[r], base.sigma_centers, grid.dx)
+        ref, _ = zakai_advance(start[:, r].copy(), ff_v, n_half, h_vals,
+                               dy[r], dt)
+        assert float(np.max(np.abs(col - ref))) <= 1e-13 * float(np.max(ref))
+
+
+def test_zero_controls_match_uncontrolled_step():
+    m = models.double_well()
+    grid = Grid1D(-2.5, 2.5, 128)
+    dt = 1e-3
+    base = face_fields(m, grid)
+    zero = FaceFields(base.v_face, base.sigma_centers, grid.dx,
+                      beta=np.zeros(4))
+    n_half = substeps_for(zero, 0.5 * dt)
+    h_vals = observation_values(m, grid)
+    start = np.stack([gaussian_density(grid, mean, 0.2).values
+                      for mean in (-0.9, -0.2, 0.4, 1.1)], axis=1)
+    dy = np.array([0.03, -0.07, 0.0, 0.11])
+    plain, plain_shift = zakai_advance(start.copy(), base, n_half, h_vals, dy, dt)
+    ctrl, ctrl_shift = zakai_advance(start.copy(), zero, n_half, h_vals, dy, dt)
+    assert np.array_equal(plain, ctrl)
+    assert np.array_equal(plain_shift, ctrl_shift)
 
 
 def test_zakai_advance_rejects_nested_batches():
@@ -375,33 +401,75 @@ def test_zakai_step_leaves_input_unchanged():
 
 def _flux_form_step(values, v_face, sigma, dx, h):
     """Oracle: rho - (h/dx) (J_{i+1/2} - J_{i-1/2}),
-    J = v avg - d(sigma rho)/(2 dx)."""
-    srho = sigma * values
-    flux = (v_face * 0.5 * (values[:, :-1] + values[:, 1:])
-            - 0.5 * (srho[:, 1:] - srho[:, :-1]) / dx)
-    wall = np.zeros((values.shape[0], 1))
-    return values - (h / dx) * np.diff(np.hstack([wall, flux, wall]), axis=1)
+    J = v avg - d(sigma rho)/(2 dx); cells on axis 0, v_face per column."""
+    srho = sigma[:, None] * values
+    flux = (v_face * 0.5 * (values[:-1] + values[1:])
+            - 0.5 * (srho[1:] - srho[:-1]) / dx)
+    wall = np.zeros((1, values.shape[1]))
+    return values - (h / dx) * np.diff(np.vstack([wall, flux, wall]), axis=0)
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), peclet=st.floats(0.0, 1.99),
        cfl=st.floats(0.05, 0.9))
 @settings(max_examples=50, deadline=None)
 def test_transport_substep_properties(seed, peclet, cfl):
-    # per-row drifts with mesh Peclet |v| dx / (sigma/2) < 2 at every face
+    # a shared face drift plus per-column controls, with mesh Peclet
+    # |v + beta| dx / (sigma/2) < 2 at every face
     rng = np.random.default_rng(seed)
-    n_rows, n_cells = 5, 40
+    n_cols, n_cells = 5, 40
     grid = Grid1D(-1.0, 1.0, n_cells)
     sigma = rng.uniform(0.2, 2.0, size=n_cells)
     v_max = peclet * 0.5 * np.minimum(sigma[:-1], sigma[1:]) / grid.dx
-    v_face = v_max * rng.uniform(-1.0, 1.0, size=(n_rows, n_cells - 1))
-    ff = FaceFields(v_face, sigma, grid.dx)
+    b_max = 0.5 * float(np.min(v_max))
+    v_face = (v_max - b_max) * rng.uniform(-1.0, 1.0, size=n_cells - 1)
+    beta = b_max * rng.uniform(-1.0, 1.0, size=n_cols)
+    ff = FaceFields(v_face, sigma, grid.dx, beta=beta)
     h = cfl * ff.cfl_limit()
-    values = rng.uniform(0.0, 1.0, size=(n_rows, n_cells))
+    values = rng.uniform(0.0, 1.0, size=(n_cells, n_cols))
     values[rng.uniform(size=values.shape) < 0.2] = 0.0
-    expected = _flux_form_step(values, v_face, sigma, grid.dx, h)
+    expected = _flux_form_step(values, v_face[:, None] + beta, sigma,
+                               grid.dx, h)
     out = advance_values(values.copy(), ff, h, 1)
     assert float(np.min(out)) >= 0.0
-    mass = np.sum(values, axis=1)
-    np.testing.assert_allclose(np.sum(out, axis=1), mass, rtol=1e-12)
-    scale = np.max(np.abs(expected), axis=1, keepdims=True)
+    mass = np.sum(values, axis=0)
+    np.testing.assert_allclose(np.sum(out, axis=0), mass, rtol=1e-12)
+    scale = np.max(np.abs(expected), axis=0)
     assert float(np.max(np.abs(out - expected) / scale)) <= 1e-13
+
+
+@pytest.mark.parametrize("spike", [1.0, 1e-15])
+def test_negative_coefficients_take_the_guard(spike):
+    # mesh Peclet > 2 makes upper < 0: a spike drives the cell below it
+    # negative; below -1e-14 that raises, in [-1e-14, 0) it is clipped
+    grid = Grid1D(-1.0, 1.0, 32)
+    sigma = np.full(grid.n_cells, 0.1)
+    v_face = np.full(grid.n_cells - 1, 3.0 * 0.5 * 0.1 / grid.dx)
+    ff = FaceFields(v_face, sigma, grid.dx)
+    h = 0.5 * ff.cfl_limit()
+    values = np.zeros((grid.n_cells, 2))
+    values[10, 1] = spike
+    expected = _flux_form_step(values, np.tile(v_face[:, None], (1, 2)),
+                               sigma, grid.dx, h)
+    assert expected[9, 1] < 0.0
+    if expected[9, 1] < -1e-14:
+        with pytest.raises(UnstableStepError, match="at cell 9$"):
+            advance_values(values.copy(), ff, h, 1)
+    else:
+        out = advance_values(values.copy(), ff, h, 1)
+        assert out[9, 1] == 0.0
+        assert float(np.max(np.abs(out - np.maximum(expected, 0.0)))) <= 1e-28
+
+
+def test_negative_input_takes_the_guard():
+    m = models.ou()
+    grid = Grid1D(-6, 6, 64)
+    ff = face_fields(m, grid)
+    h = 0.5 * ff.cfl_limit()
+    values = np.zeros(grid.n_cells)
+    values[:8] = 1.0
+    values[40] = -5e-15               # stays in [-1e-14, 0): clipped
+    out = advance_values(values.copy(), ff, h, 1)
+    assert out[40] == 0.0 and float(np.min(out)) == 0.0
+    values[40] = -1e-13
+    with pytest.raises(UnstableStepError, match="at cell 40$"):
+        advance_values(values.copy(), ff, h, 1)
