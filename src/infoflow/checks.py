@@ -349,7 +349,7 @@ def _random_field(rng, dim: int) -> SmoothField:
 def _random_model(rng, dim: int, b_mat: np.ndarray) -> DiffusionModel:
     return DiffusionModel(
         dim_state=dim, dim_noise=b_mat.shape[1], dim_obs=1,
-        drift=lambda x, beta=None: np.zeros(dim),
+        drift=lambda x: np.zeros(dim),
         diffusion_factor=lambda x: b_mat,
         observation_map=lambda x, y=None: np.zeros(1),
         domain_box=[[-5.0, 5.0]] * dim)

@@ -56,7 +56,7 @@ from .control import ControlPolicy, make_policy
 from .ensemble import EnsembleConfig
 from .errors import ConfigError
 from .grid import Grid1D
-from .models import DiffusionModel, preset
+from .models import DiffusionModel, preset, step_count
 
 
 @dataclass
@@ -86,19 +86,17 @@ def build_model(options: dict) -> DiffusionModel:
     name = options.pop("preset", None)
     if name is None:
         raise ConfigError("missing 'preset' in [model]")
-    if name == "lqg":
-        # flat scalar spelling: a, b, c
-        keys = set(options)
-        if keys and not keys <= {"a", "b", "c"}:
-            raise ConfigError(f"lqg accepts keys a, b, c; got {sorted(keys)}")
-        a = float(options.get("a", -1.0))
-        b = float(options.get("b", math.sqrt(2.0)))
-        c = float(options.get("c", 1.0))
-        return preset("lqg", A=[[a]], B=[[b]], C=[[c]])
     try:
         params = {key: float(value) for key, value in options.items()}
     except ValueError as exc:
         raise ConfigError(f"non-numeric model parameter: {exc}") from exc
+    if name == "lqg":
+        # flat scalar spelling: a, b, c
+        if not set(params) <= {"a", "b", "c"}:
+            raise ConfigError(f"lqg accepts keys a, b, c; got {sorted(params)}")
+        return preset("lqg", A=[[params.get("a", -1.0)]],
+                      B=[[params.get("b", math.sqrt(2.0))]],
+                      C=[[params.get("c", 1.0)]])
     return preset(name, **params)
 
 
@@ -133,14 +131,16 @@ def load_scenario(path) -> ScenarioConfig:
         raise ConfigError("dt must be positive")
     if horizon < 10.0 * dt:
         raise ConfigError("horizon must be at least 10*dt")
-    n_steps = int(round(horizon / dt))
+    n_steps = step_count(horizon, dt)
     stride_default = max(1, n_steps // 40)
     while n_steps % stride_default != 0:
         stride_default -= 1
-    stride = int(parser["time"].get("sample_stride", str(stride_default)))
-
-    x0_mean = float(parser["ensemble"].get("x0_mean", "0.0"))
-    x0_var = float(parser["ensemble"].get("x0_var", "0.25"))
+    try:
+        stride = int(parser["time"].get("sample_stride", str(stride_default)))
+        x0_mean = float(parser["ensemble"].get("x0_mean", "0.0"))
+        x0_var = float(parser["ensemble"].get("x0_var", "0.25"))
+    except ValueError as exc:
+        raise ConfigError(f"bad numeric value: {exc}") from exc
 
     if parser.has_section("grid"):
         try:

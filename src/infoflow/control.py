@@ -4,7 +4,7 @@ and the controlled filtering experiment.
 A policy maps (time, posterior summary) to a control value; because the
 summary is a functional of the trajectory's own filter state, adaptedness to
 the observation filtration holds by construction.  The true state and the
-filter then share the controlled drift v(x, beta), while the shared prior
+filter then share the controlled drift v(x) + beta, while the shared prior
 density evolves under the ensemble-mean drift.
 """
 
@@ -22,8 +22,7 @@ from .errors import ConfigError
 from .gaussian import LinearModel, riccati_series
 from .grid import Grid1D, GridDensity
 from .metrics import InfoLedger, assemble_info_ledger
-from .rng import (CHANNEL_DYNAMICS, CHANNEL_INITIAL, CHANNEL_OBSERVATION,
-                  substream)
+from .models import draw_increments, euler_maruyama, lqg, step_count
 
 
 @dataclass
@@ -123,28 +122,26 @@ def controlled_kb_experiment(model: LinearModel, gain: float, x0_mean: float,
     if model.n != 1:
         raise ConfigError("the controlled Kalman-Bucy experiment is scalar")
     a = float(model.A[0, 0])
-    b = float(model.B[0, 0])
     c = float(model.C[0, 0])
-    n_steps = int(round(horizon / dt))
+    n_steps = step_count(horizon, dt)
     times = dt * np.arange(n_steps + 1)
     vhat = riccati_series(model, np.array([[x0_var]]), times)[:, 0, 0]
 
-    dw = substream(seed, trajectory_index, CHANNEL_DYNAMICS).normal(
-        size=n_steps) * math.sqrt(dt)
-    du = substream(seed, trajectory_index, CHANNEL_OBSERVATION).normal(
-        size=n_steps) * math.sqrt(dt)
-    x0 = x0_mean + math.sqrt(x0_var) * substream(
-        seed, trajectory_index, CHANNEL_INITIAL).normal()
+    index = [trajectory_index]
+    step = euler_maruyama(lqg(A=model.A, B=model.B, C=model.C), dt, index)
+    x0_sd = math.sqrt(x0_var)
+    dw, du, x0 = draw_increments(seed, index, n_steps, dt,
+                                 lambda rng: x0_mean + x0_sd * rng.normal())
 
     x = np.empty(n_steps + 1)
     xhat = np.empty(n_steps + 1)
     innov = np.empty(n_steps)
-    x[0], xhat[0] = x0, x0_mean
+    x[0], xhat[0] = x0[0], x0_mean
     for k in range(n_steps):
         beta = -gain * xhat[k]
-        dy = c * x[k] * dt + du[k]
-        di = dy - c * xhat[k] * dt
+        x_next, dy = step(x[k:k + 1], beta, dw[k], du[k], times[k + 1])
+        di = dy[0] - c * xhat[k] * dt
         innov[k] = di
-        x[k + 1] = x[k] + (a * x[k] + beta) * dt + b * dw[k]
+        x[k + 1] = x_next[0]
         xhat[k + 1] = xhat[k] + (a * xhat[k] + beta) * dt + vhat[k] * c * di
     return dict(times=times, x=x, xhat=xhat, vhat=vhat, innovations=innov)

@@ -9,8 +9,9 @@ log-densities and scores evaluated at the true state, the filtered
 observation estimate pi_t(h), and the running log-normalization and
 integrated |pi(h)|^2 ledgers.
 
-All randomness is drawn from per-trajectory substreams of the master seed,
-so results do not depend on evaluation order.
+The true states take the Euler-Maruyama step of :mod:`infoflow.models`, and
+all randomness is drawn there from per-trajectory substreams of the master
+seed, so results do not depend on evaluation order.
 """
 
 from __future__ import annotations
@@ -23,13 +24,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, FilterCollapseError, SimulationBlowupError
+from .errors import ConfigError, FilterCollapseError
 from .grid import (DENSITY_FLOOR, FaceFields, Grid1D, advance_values,
                    face_fields, gaussian_density, observation_values,
                    score_values, substeps_for, zakai_advance)
-from .models import DiffusionModel, _blowup_bounds
-from .rng import (CHANNEL_DYNAMICS, CHANNEL_INITIAL, CHANNEL_OBSERVATION,
-                  substream)
+from .models import DiffusionModel, euler_maruyama, step_count
+from .models import draw_increments as _draw_increments
 
 _MASS_FOLD_LO, _MASS_FOLD_HI = 1e-12, 1e12
 
@@ -46,10 +46,6 @@ class EnsembleConfig:
     keep_sequences: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0 or self.horizon < self.dt:
-            raise ConfigError("require dt > 0 and horizon >= dt")
-        if abs(self.n_steps * self.dt - self.horizon) > 1e-9 * max(1.0, self.horizon):
-            raise ConfigError("horizon must be an integer multiple of dt")
         if self.sample_stride < 1 or self.n_steps % self.sample_stride != 0:
             raise ConfigError("sample_stride must divide horizon/dt")
         if self.n_trajectories < 1:
@@ -59,7 +55,7 @@ class EnsembleConfig:
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.horizon / self.dt))
+        return step_count(self.horizon, self.dt)
 
 
 @dataclass
@@ -156,18 +152,6 @@ def _eval_log_and_score(values, grid, x):
     return dens, logs, score
 
 
-def _draw_increments(seed, n_traj, n_steps, dt):
-    sq = math.sqrt(dt)
-    dw = np.empty((n_traj, n_steps))
-    du = np.empty((n_traj, n_steps))
-    x0n = np.empty(n_traj)
-    for j in range(n_traj):
-        dw[j] = substream(seed, j, CHANNEL_DYNAMICS).normal(size=n_steps) * sq
-        du[j] = substream(seed, j, CHANNEL_OBSERVATION).normal(size=n_steps) * sq
-        x0n[j] = substream(seed, j, CHANNEL_INITIAL).normal()
-    return dw, du, x0n
-
-
 def apply_policy(policy, t: float, posterior_summary):
     """Evaluate a policy, one control per summary, and clamp to its bound.
 
@@ -185,14 +169,13 @@ def apply_policy(policy, t: float, posterior_summary):
 
 
 def mean_drift(model, xs, beta) -> np.ndarray:
-    """Ensemble-mean drift field v_bar(x) = v(x) + mean_k beta_k at ``xs``
-    for the additive control drift(x, beta) = drift(x, None) + beta.
+    """Ensemble-mean drift field v_bar(x) = v(x) + mean_k beta_k at ``xs``.
 
     Identical controls add that control itself, not their mean, so a
     zero-gain policy reproduces the uncontrolled arithmetic bit for bit.
     """
     xs = np.asarray(xs, dtype=float)
-    v = np.broadcast_to(np.asarray(model.drift(xs, None), dtype=float), xs.shape)
+    v = np.broadcast_to(np.asarray(model.drift(xs), dtype=float), xs.shape)
     if beta is None:
         return v.astype(float)
     beta = np.asarray(beta, dtype=float)
@@ -209,9 +192,8 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
     evaluated as h(x, None); use :func:`infoflow.grid.zakai_step` directly
     for observation maps that depend on the running observation value.
     """
-    if model.dim_state != 1 or model.dim_obs != 1:
-        raise ConfigError("the ensemble runner supports scalar state and "
-                          "observation models")
+    # the truth's step; it refuses a non-scalar model before any set-up
+    truth_step = euler_maruyama(model, config.dt, range(config.n_trajectories))
     if policy is not None and config.n_trajectories < 100:
         warnings.warn(
             f"mean-drift estimation from only {config.n_trajectories} "
@@ -231,11 +213,6 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
                         beta=np.array([abs(bound)]))
     n_half = substeps_for(budget, 0.5 * dt)
     n_full = substeps_for(budget, dt)
-    if policy is not None:
-        unit = np.asarray(model.drift(xf, 1.0), dtype=float) - ff_post.v_face
-        if float(np.max(np.abs(unit - 1.0))) > 1e-12:
-            raise ConfigError("feedback needs an additive control: "
-                              "drift(x, beta) = drift(x, None) + beta")
 
     h_c = observation_values(model, grid)
 
@@ -245,9 +222,9 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
     ledger = np.zeros(n_traj)
     int_pi2 = np.zeros(n_traj)
 
-    dw, du, x0n = _draw_increments(config.seed, n_traj, n_steps, dt)
-    x = config.x0_mean + math.sqrt(config.x0_var) * x0n
-    lo, hi = (float(edge[0]) for edge in _blowup_bounds(model))
+    x0_sd = math.sqrt(config.x0_var)
+    dw, du, x = _draw_increments(config.seed, range(n_traj), n_steps, dt,
+                                 lambda rng: config.x0_mean + x0_sd * rng.normal())
 
     shape = (n_samples, n_traj)
     rec = {name: np.empty(shape) for name in
@@ -322,16 +299,7 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
 
         int_pi2 = int_pi2 + pi_h * pi_h * dt
 
-        # --- true states and observations (Euler-Maruyama)
-        h_states = np.asarray(model.observation_map(x, None), dtype=float)
-        dy = h_states * dt + du[:, k]
-        v_states = np.asarray(model.drift(x, beta), dtype=float)
-        b_states = np.asarray(model.diffusion_factor(x), dtype=float)
-        x = x + v_states * dt + b_states * dw[:, k]
-        if not np.all(np.isfinite(x)) or np.any(x < lo) or np.any(x > hi):
-            bad = int(np.argmax(~np.isfinite(x) | (x < lo) | (x > hi)))
-            raise SimulationBlowupError(
-                f"trajectory {bad} left 10x the domain box at t={t + dt:.6g}")
+        x, dy = truth_step(x, beta, dw[k], du[k], t + dt)
         if config.keep_sequences:
             obs_seq[:, k] = dy
             pi_seq[:, k] = pi_h

@@ -162,7 +162,7 @@ def face_fields(model: DiffusionModel, grid: Grid1D) -> FaceFields:
     if model.dim_state != 1:
         raise ConfigError("grid solvers support 1-d state models only")
     xf = grid.interior_faces
-    v = np.asarray(model.drift(xf, None), dtype=float)
+    v = np.asarray(model.drift(xf), dtype=float)
     if v.ndim == 0:
         v = np.full(xf.shape, float(v))
     sig = model.sigma_profile(grid.centers)
@@ -415,7 +415,7 @@ def steady_state_grid(model: DiffusionModel, grid: Grid1D,
     xc = grid.centers
     sig = model.sigma_profile(xc)
     if float(np.ptp(sig)) <= 1e-14 * float(np.max(np.abs(sig))):
-        v = np.asarray(model.drift(xc, None), dtype=float)
+        v = np.asarray(model.drift(xc), dtype=float)
         log_w = cumulative_trapezoid(2.0 * v / sig, xc, initial=0.0)
         log_w -= np.max(log_w)
         vals = np.exp(log_w)

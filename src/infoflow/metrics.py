@@ -66,7 +66,7 @@ def u_values_on_grid(model: DiffusionModel, grid: Grid1D,
     """u = v - (1/2) d sigma/dx at the cell centers."""
     xc = grid.centers
     v = drift_values if drift_values is not None else \
-        np.asarray(model.drift(xc, None), dtype=float)
+        np.asarray(model.drift(xc), dtype=float)
     if model.sigma_divergence is not None:
         dsig = np.asarray(model.sigma_divergence(xc), dtype=float)
         if dsig.shape != xc.shape:

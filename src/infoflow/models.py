@@ -4,15 +4,16 @@ A :class:`DiffusionModel` bundles the drift ``v``, the noise factor ``B``
 (diffusion tensor ``sigma = B B^T``) and the observation map ``h`` of the
 state/observation pair
 
-    dX = v(X, beta) dt + B(X) dW,      dY = h(X, Y) dt + dU,
+    dX = (v(X) + beta) dt + B(X) dW,      dY = h(X, Y) dt + dU,
 
-with ``W`` and ``U`` independent Wiener processes.  The control argument
-``beta`` and the observation argument of ``h`` are optional (pass ``None``
-for the plain autonomous model).
+with ``W`` and ``U`` independent Wiener processes.  The model knows nothing
+of the control ``beta``: the simulators add an observation-adapted control
+to ``v(X)``.  The observation argument of ``h`` is optional (pass ``None``
+when h depends on the state alone).
 
-For one-dimensional models that feed the grid solvers, ``drift``,
-``diffusion_factor`` and ``observation_map`` must broadcast elementwise over
-numpy arrays of states; all shipped presets do.
+For one-dimensional models, which feed the path simulator and the grid
+solvers, ``drift``, ``diffusion_factor`` and ``observation_map`` must
+broadcast elementwise over numpy arrays of states; all shipped presets do.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ class DiffusionModel:
 
     Fields
     ------
-    drift : callable (x, beta_or_None) -> velocity, same shape as x, with
-        an additive control: drift(x, beta) = drift(x, None) + beta
+    drift : callable x -> velocity v(x), same shape as x; a control adds
+        to it, v(x) + beta
     diffusion_factor : callable x -> noise factor B; for elementwise 1-d
         models an array shaped like x, otherwise an (n, r) matrix
     observation_map : callable (x, y_or_None) -> observation drift h
@@ -128,14 +129,15 @@ class DiffusionModel:
 
 @dataclass
 class JointPath:
-    """One Euler-Maruyama realization of the state/observation pair."""
+    """Euler-Maruyama realizations of the state/observation pair, one column
+    per trajectory."""
 
     times: np.ndarray          # (K+1,)
-    states: np.ndarray         # (K+1, n)
-    observations: np.ndarray   # (K+1, p), Y(0) = 0
-    obs_increments: np.ndarray  # (K, p)
+    states: np.ndarray         # (K+1, N)
+    observations: np.ndarray   # (K+1, N), Y(0) = 0
+    obs_increments: np.ndarray  # (K, N)
     seed: int
-    trajectory_index: int
+    trajectory_index: object   # the int or index array simulated
 
     @property
     def dt(self) -> float:
@@ -174,7 +176,7 @@ def u_field(model: DiffusionModel, x) -> np.ndarray:
     J = rho u - (1/2) sigma grad rho.  For constant sigma, u == v.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    v = np.atleast_1d(np.asarray(model.drift(x, None), dtype=float))
+    v = np.atleast_1d(np.asarray(model.drift(x), dtype=float))
     if model.sigma_divergence is not None:
         div = np.atleast_1d(np.asarray(model.sigma_divergence(x), dtype=float))
         return v - 0.5 * div
@@ -190,58 +192,93 @@ def u_field(model: DiffusionModel, x) -> np.ndarray:
     return v - 0.5 * div
 
 
-def _blowup_bounds(model: DiffusionModel):
-    center = 0.5 * (model.domain_box[:, 0] + model.domain_box[:, 1])
-    half = 0.5 * (model.domain_box[:, 1] - model.domain_box[:, 0])
-    return center - 10.0 * half, center + 10.0 * half
+def step_count(horizon: float, dt: float) -> int:
+    """Number of Euler-Maruyama steps: ``horizon`` must be a whole number of
+    ``dt > 0`` steps, at least one."""
+    if not (dt > 0 and horizon >= dt):
+        raise ConfigError("require dt > 0 and horizon >= dt")
+    n_steps = int(round(horizon / dt))
+    if abs(n_steps * dt - horizon) > 1e-9 * max(1.0, horizon):
+        raise ConfigError("horizon must be an integer multiple of dt")
+    return n_steps
+
+
+def draw_increments(seed: int, indices, n_steps: int, dt: float,
+                    x0_sampler: Callable):
+    """Noise of a batch of trajectories: dW and dU as (K, N), and X(0) as (N,).
+
+    Trajectory ``j`` draws dW, dU and ``x0_sampler(rng)`` (one state, a
+    scalar or a one-element array) from its own substreams, so each column
+    depends on its index alone.  Each trajectory's draws fill one contiguous
+    row; the (K, N) arrays are transposed views.
+    """
+    sq = math.sqrt(dt)
+    dw = np.empty((len(indices), n_steps))
+    du = np.empty((len(indices), n_steps))
+    x0 = np.empty(len(indices))
+    for col, j in enumerate(indices):
+        dw[col] = substream(seed, j, CHANNEL_DYNAMICS).normal(size=n_steps) * sq
+        du[col] = substream(seed, j, CHANNEL_OBSERVATION).normal(size=n_steps) * sq
+        x0[col:col + 1] = x0_sampler(substream(seed, j, CHANNEL_INITIAL))
+    return dw.T, du.T, x0
+
+
+def euler_maruyama(model: DiffusionModel, dt: float, indices) -> Callable:
+    """The Euler-Maruyama step of a batch of scalar trajectories.
+
+    Returns ``step(x, beta, dw, du, t)`` -> ``(x', dy)`` with
+
+        x' = x + (v(x) + beta) dt + B(x) dw,    dy = h(x, None) dt + du,
+
+    ``beta`` an optional control per trajectory (Kloeden & Platen 1992,
+    Numerical Solution of SDEs, section 10).  A new state outside ten times
+    the domain box, or non-finite, raises :class:`SimulationBlowupError`
+    naming its trajectory index and the time ``t`` it was reached.
+    """
+    if (model.dim_state, model.dim_noise, model.dim_obs) != (1, 1, 1):
+        raise ConfigError("the path simulator supports scalar models only")
+    (low, high), = model.domain_box
+    center, half = 0.5 * (low + high), 0.5 * (high - low)
+    lo, hi = center - 10.0 * half, center + 10.0 * half
+
+    def step(x, beta, dw, du, t):
+        dy = np.asarray(model.observation_map(x, None), dtype=float) * dt + du
+        v = np.asarray(model.drift(x), dtype=float)
+        if beta is not None:
+            v = v + beta
+        x = x + v * dt + np.asarray(model.diffusion_factor(x), dtype=float) * dw
+        if not np.all(np.isfinite(x)) or np.any(x < lo) or np.any(x > hi):
+            bad = int(np.argmax(~np.isfinite(x) | (x < lo) | (x > hi)))
+            raise SimulationBlowupError(
+                f"trajectory {indices[bad]} left 10x the domain box at "
+                f"t={t:.6g}: state={x[bad]}")
+        return x, dy
+
+    return step
 
 
 def simulate_joint(model: DiffusionModel, x0_sampler: Callable, horizon: float,
-                   dt: float, seed: int, trajectory_index: int = 0) -> JointPath:
-    """Euler-Maruyama simulation of one (X, Y) trajectory.
+                   dt: float, seed: int, trajectory_index=0) -> JointPath:
+    """Euler-Maruyama simulation of (X, Y) trajectories, one column each.
 
-    ``x0_sampler(rng)`` draws the initial state.  The observation increment
-    over [t_k, t_k + dt] is h(X(t_k)) dt + dU_k with dU_k ~ N(0, dt I).
-    Fully deterministic given (seed, trajectory_index); the dynamics, the
-    observation noise and the initial state use independent substreams.
+    ``trajectory_index`` is an int or an array of indices; ``x0_sampler(rng)``
+    draws one initial state.  The observation increment over
+    [t_k, t_k + dt] is h(X(t_k)) dt + dU_k with dU_k ~ N(0, dt).  Each
+    column is fully determined by (seed, its index), bit for bit, whatever
+    the batch it is simulated in.
     """
-    if dt <= 0 or horizon < dt:
-        raise ConfigError("require dt > 0 and horizon >= dt")
-    n_steps = int(round(horizon / dt))
-    n, r, p = model.dim_state, model.dim_noise, model.dim_obs
-
-    rng_x0 = substream(seed, trajectory_index, CHANNEL_INITIAL)
-    x0 = np.atleast_1d(np.asarray(x0_sampler(rng_x0), dtype=float))
-    dw = substream(seed, trajectory_index, CHANNEL_DYNAMICS).normal(
-        size=(n_steps, r)) * math.sqrt(dt)
-    du = substream(seed, trajectory_index, CHANNEL_OBSERVATION).normal(
-        size=(n_steps, p)) * math.sqrt(dt)
-
-    lo, hi = _blowup_bounds(model)
+    n_steps = step_count(horizon, dt)
+    indices = np.atleast_1d(trajectory_index)
+    step = euler_maruyama(model, dt, indices)
+    dw, du, x0 = draw_increments(seed, indices, n_steps, dt, x0_sampler)
     times = dt * np.arange(n_steps + 1)
-    states = np.empty((n_steps + 1, n))
-    obs = np.zeros((n_steps + 1, p))
-    incs = np.empty((n_steps, p))
-    x = x0.copy()
-    y = np.zeros(p)
-    states[0] = x
+    states = np.empty((n_steps + 1, indices.size))
+    obs = np.zeros((n_steps + 1, indices.size))
+    incs = np.empty((n_steps, indices.size))
+    states[0] = x0
     for k in range(n_steps):
-        if not np.all(np.isfinite(x)) or np.any(x < lo) or np.any(x > hi):
-            raise SimulationBlowupError(
-                f"trajectory {trajectory_index} left 10x the domain box at "
-                f"t={times[k]:.6g}: state={x}")
-        v = np.atleast_1d(np.asarray(model.drift(x, None), dtype=float))
-        b = np.asarray(model.diffusion_factor(x), dtype=float).reshape(n, r)
-        h = np.atleast_1d(np.asarray(model.observation_map(x, y), dtype=float))
-        dy = h * dt + du[k]
-        x = x + v * dt + b @ dw[k]
-        y = y + dy
-        states[k + 1] = x
-        obs[k + 1] = y
-        incs[k] = dy
-    if not np.all(np.isfinite(x)):
-        raise SimulationBlowupError(
-            f"trajectory {trajectory_index} became non-finite at t={horizon:.6g}")
+        states[k + 1], incs[k] = step(states[k], None, dw[k], du[k], times[k + 1])
+        obs[k + 1] = obs[k] + incs[k]
     return JointPath(times=times, states=states, observations=obs,
                      obs_increments=incs, seed=seed,
                      trajectory_index=trajectory_index)
@@ -251,16 +288,12 @@ def simulate_joint(model: DiffusionModel, x0_sampler: Callable, horizon: float,
 # Model presets
 # ---------------------------------------------------------------------------
 
-def _affine(base, beta):
-    return base if beta is None else base + beta
-
-
 def brownian(sigma_sq: float = 1.0, obs_gain: float = 0.0) -> DiffusionModel:
     """Pure diffusion: v = 0, constant sigma.  No steady state."""
     b = math.sqrt(sigma_sq)
     return DiffusionModel(
         dim_state=1, dim_noise=1, dim_obs=1,
-        drift=lambda x, beta=None: _affine(np.zeros_like(np.asarray(x, dtype=float)), beta),
+        drift=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         diffusion_factor=lambda x: np.full_like(np.asarray(x, dtype=float), b),
         observation_map=lambda x, y=None: obs_gain * np.asarray(x, dtype=float),
         domain_box=[[-20.0, 20.0]],
@@ -277,7 +310,7 @@ def ou(rate: float = 1.0, sigma_sq: float = 2.0, obs_gain: float = 1.0) -> Diffu
     sd = math.sqrt(sigma_sq / (2.0 * rate))
     return DiffusionModel(
         dim_state=1, dim_noise=1, dim_obs=1,
-        drift=lambda x, beta=None: _affine(-rate * np.asarray(x, dtype=float), beta),
+        drift=lambda x: -rate * np.asarray(x, dtype=float),
         diffusion_factor=lambda x: np.full_like(np.asarray(x, dtype=float), b),
         observation_map=lambda x, y=None: obs_gain * np.asarray(x, dtype=float),
         domain_box=[[-6.0 * sd, 6.0 * sd]],
@@ -287,23 +320,12 @@ def ou(rate: float = 1.0, sigma_sq: float = 2.0, obs_gain: float = 1.0) -> Diffu
 
 
 def lqg(A=(-1.0,), B=(1.4142135623730951,), C=(1.0,)) -> DiffusionModel:
-    """Linear model dX = (A X + beta) dt + B dW, dY = C X dt + dU."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    n = A.shape[0]
-    B = np.asarray(B, dtype=float).reshape(n, -1)
-    C = np.asarray(C, dtype=float).reshape(-1, n)
-    if n == 1:
-        a, bb, cc = A[0, 0], B[0, 0], C[0, 0]
-        drift = lambda x, beta=None: _affine(a * np.asarray(x, dtype=float), beta)
-        diff = lambda x: np.full_like(np.asarray(x, dtype=float), bb)
-        obsm = lambda x, y=None: cc * np.asarray(x, dtype=float)
-        sig1d = lambda xs: np.full_like(np.asarray(xs, dtype=float), bb * bb)
-    else:
-        drift = lambda x, beta=None: _affine(A @ np.asarray(x, dtype=float), beta)
-        diff = lambda x: B
-        obsm = lambda x, y=None: C @ np.asarray(x, dtype=float)
-        sig1d = None
-    box = np.array([[-10.0, 10.0]] * n)
+    """Scalar linear model dX = A X dt + B dW, dY = C X dt + dU (1x1 A, B, C)."""
+    A, B, C = (np.atleast_2d(np.asarray(m, dtype=float)) for m in (A, B, C))
+    if any(m.shape != (1, 1) for m in (A, B, C)):
+        raise ConfigError("the lqg preset is scalar: A, B and C must be 1x1")
+    a, bb, cc = A[0, 0], B[0, 0], C[0, 0]
+    box = np.array([[-10.0, 10.0]])
     eig = np.linalg.eigvals(A)
     if np.all(eig.real < 0):
         from scipy.linalg import solve_continuous_lyapunov
@@ -311,10 +333,13 @@ def lqg(A=(-1.0,), B=(1.4142135623730951,), C=(1.0,)) -> DiffusionModel:
         sd = np.sqrt(np.maximum(np.diag(vss), 1e-12))
         box = np.stack([-6.0 * sd, 6.0 * sd], axis=1)
     return DiffusionModel(
-        dim_state=n, dim_noise=B.shape[1], dim_obs=C.shape[0],
-        drift=drift, diffusion_factor=diff, observation_map=obsm,
-        domain_box=box, sigma_divergence=lambda x: np.zeros(n),
-        sigma_1d=sig1d, name="lqg", params=dict(A=A, B=B, C=C))
+        dim_state=1, dim_noise=1, dim_obs=1,
+        drift=lambda x: a * np.asarray(x, dtype=float),
+        diffusion_factor=lambda x: np.full_like(np.asarray(x, dtype=float), bb),
+        observation_map=lambda x, y=None: cc * np.asarray(x, dtype=float),
+        domain_box=box, sigma_divergence=lambda x: np.zeros(1),
+        sigma_1d=lambda xs: np.full_like(np.asarray(xs, dtype=float), bb * bb),
+        name="lqg", params=dict(A=A, B=B, C=C))
 
 
 def double_well(scale: float = 1.0, sigma_sq: float = 0.5,
@@ -323,8 +348,8 @@ def double_well(scale: float = 1.0, sigma_sq: float = 0.5,
     b = math.sqrt(sigma_sq)
     return DiffusionModel(
         dim_state=1, dim_noise=1, dim_obs=1,
-        drift=lambda x, beta=None: _affine(
-            scale * (np.asarray(x, dtype=float) - np.asarray(x, dtype=float) ** 3), beta),
+        drift=lambda x: scale * (np.asarray(x, dtype=float)
+                                 - np.asarray(x, dtype=float) ** 3),
         diffusion_factor=lambda x: np.full_like(np.asarray(x, dtype=float), b),
         observation_map=lambda x, y=None: obs_gain * np.asarray(x, dtype=float),
         # +-2.5 leaves < 1e-11 steady-state mass outside while keeping the

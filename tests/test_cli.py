@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from infoflow import cli
+from infoflow.config import build_model
+from infoflow.errors import ConfigError
 from infoflow.metrics import LEDGER_COLUMNS
 
 OU_CONFIG = """
@@ -133,6 +135,21 @@ def test_bad_dt_exits_2_without_output(tmp_path):
     cfg, outdir = write_config(tmp_path, text)
     assert cli.main(["run", str(cfg)]) == 2
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("line", ["sample_stride = 40", "x0_mean = 0.0",
+                                  "x0_var = 0.5"])
+def test_non_numeric_value_exits_2(tmp_path, capsys, line):
+    key = line.split(" = ")[0]
+    cfg, outdir = write_config(tmp_path, OU_CONFIG.replace(line, f"{key} = ten"))
+    assert cli.main(["run", str(cfg)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_non_numeric_lqg_coefficient_is_config_error():
+    with pytest.raises(ConfigError, match="non-numeric"):
+        build_model({"preset": "lqg", "a": "ten"})
 
 
 def test_missing_seed_exits_2(tmp_path):

@@ -58,7 +58,7 @@ class TestMeanDrift:
         m = models.double_well()
         xs = np.linspace(-2, 2, 11)
         same = np.full(7, 0.3)
-        expected = m.drift(xs, 0.3)
+        expected = m.drift(xs) + 0.3
         np.testing.assert_array_equal(mean_drift(m, xs, same), expected)
 
     def test_affine_average(self):
@@ -86,7 +86,7 @@ class TestControlledKalman:
         path = simulate_joint(diff,
                               lambda r: np.array([0.5 + 0.5 * r.normal()]),
                               1.0, 1e-3, seed=21, trajectory_index=0)
-        np.testing.assert_allclose(res["x"], path.states[:, 0], atol=1e-12)
+        np.testing.assert_array_equal(res["x"], path.states[:, 0])
         kb = kalman_bucy_run(model, path, GaussianBelief([0.5], [[0.25]]))
         np.testing.assert_allclose(res["xhat"], kb.means[:, 0], atol=1e-12)
         np.testing.assert_allclose(res["vhat"], kb.covs[:, 0, 0], atol=1e-14)
@@ -98,6 +98,14 @@ class TestControlledKalman:
         b = controlled_kb_experiment(model, gain=0.0, **kw)
         assert float(np.max(np.abs(a["vhat"] - b["vhat"]))) == 0.0
         assert float(np.max(np.abs(a["xhat"] - b["xhat"]))) > 1e-2
+
+    @pytest.mark.parametrize("horizon, dt", [(1.0, -1e-3), (0.0104, 1e-3)])
+    def test_time_grid_contract(self, horizon, dt):
+        # a whole number of dt > 0 steps, as EnsembleConfig requires
+        model = LinearModel([[-1.0]], [[SQRT2]], [[1.0]])
+        with pytest.raises(ConfigError):
+            controlled_kb_experiment(model, gain=0.5, x0_mean=0.0, x0_var=0.25,
+                                     horizon=horizon, dt=dt, seed=0)
 
 
 @pytest.mark.filterwarnings("ignore:mean-drift estimation")
@@ -142,18 +150,6 @@ class TestControlledEnsemble:
         assert controlled.v_bar.shape == (run.n_samples, grid.n_cells)
         assert controlled.mean_control.shape == (run.n_samples,)
         assert controlled.ledger.metadata["mwz_control_correction"] is True
-
-    def test_non_additive_control_rejected(self):
-        _, grid, cfg, _ = self._setup()
-        model = models.DiffusionModel(
-            1, 1, 1,
-            drift=lambda x, beta=None: -np.asarray(x, dtype=float) * (
-                1.0 if beta is None else 1.0 - beta),
-            diffusion_factor=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-            observation_map=lambda x, y=None: np.asarray(x, dtype=float),
-            domain_box=[[-2.5, 2.5]])
-        with pytest.raises(ConfigError, match="additive"):
-            run_filter_ensemble(model, grid, cfg, linear_gain_policy(0.5))
 
     def test_unbounded_controls_checked_against_cfl(self):
         # gain 20 on posterior means near 2 asks for |beta| near 40, past

@@ -27,19 +27,17 @@ def test_config_validation():
 
 
 def test_states_match_per_trajectory_simulator():
-    # vectorized stepping uses the same substreams as simulate_joint
+    # the ensemble's truth is simulate_joint's, trajectory for trajectory
     model = models.ou()
     grid = Grid1D(-6, 6, 64)
     cfg = small_config()
     run = run_filter_ensemble(model, grid, cfg)
-    for j in (0, 3, 7):
-        path = simulate_joint(model,
-                              lambda r: np.array([r.normal(0.0, 0.5)]),
-                              cfg.horizon, cfg.dt, seed=cfg.seed,
-                              trajectory_index=j)
-        np.testing.assert_array_equal(run.states[-1, j], path.states[-1, 0])
-        np.testing.assert_array_equal(run.obs_increments[j],
-                                      path.obs_increments[:, 0])
+    path = simulate_joint(model, lambda r: np.array([r.normal(0.0, 0.5)]),
+                          cfg.horizon, cfg.dt, seed=cfg.seed,
+                          trajectory_index=np.arange(cfg.n_trajectories))
+    np.testing.assert_array_equal(run.states,
+                                  path.states[::cfg.sample_stride])
+    np.testing.assert_array_equal(run.obs_increments, path.obs_increments.T)
 
 
 def test_deterministic_repeat():
@@ -88,7 +86,7 @@ def test_excluded_trajectories_counted():
 def test_blowup_aborts():
     model = models.DiffusionModel(
         1, 1, 1,
-        drift=lambda x, beta=None: 1e4 * np.ones_like(np.asarray(x, dtype=float)),
+        drift=lambda x: 1e4 * np.ones_like(np.asarray(x, dtype=float)),
         diffusion_factor=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         observation_map=lambda x, y=None: np.zeros_like(np.asarray(x, dtype=float)),
         domain_box=[[-1.0, 1.0]],

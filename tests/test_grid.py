@@ -87,7 +87,7 @@ class TestSteadyState:
         # non-constant sigma forces the relaxation path
         m = models.DiffusionModel(
             1, 1, 1,
-            drift=lambda x, beta=None: -np.asarray(x, dtype=float),
+            drift=lambda x: -np.asarray(x, dtype=float),
             diffusion_factor=lambda x: np.sqrt(1.0 + 0.1 * np.asarray(x, dtype=float) ** 2),
             observation_map=lambda x, y=None: np.asarray(x, dtype=float),
             domain_box=[[-6.0, 6.0]],
@@ -134,7 +134,7 @@ class TestZakai:
         # h(x, y) = x - y: the multiplicative update shifts with y
         m = models.DiffusionModel(
             1, 1, 1,
-            drift=lambda x, beta=None: -np.asarray(x, dtype=float),
+            drift=lambda x: -np.asarray(x, dtype=float),
             diffusion_factor=lambda x: np.ones_like(np.asarray(x, dtype=float)),
             observation_map=lambda x, y=None: np.asarray(x, dtype=float)
             - (0.0 if y is None else float(y)),

@@ -45,7 +45,7 @@ class TestEntropyProduction:
         # with B = 0 the rate reduces to the mean divergence of the drift
         m = models.DiffusionModel(
             1, 1, 1,
-            drift=lambda x, beta=None: -np.asarray(x, dtype=float),
+            drift=lambda x: -np.asarray(x, dtype=float),
             diffusion_factor=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             observation_map=lambda x, y=None: np.asarray(x, dtype=float),
             domain_box=[[-6.0, 6.0]],
@@ -86,7 +86,7 @@ class TestFreeSurpriseRate:
     def test_singular_sigma_rejected(self):
         m = models.DiffusionModel(
             1, 1, 1,
-            drift=lambda x, beta=None: -np.asarray(x, dtype=float),
+            drift=lambda x: -np.asarray(x, dtype=float),
             diffusion_factor=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             observation_map=lambda x, y=None: np.asarray(x, dtype=float),
             domain_box=[[-6.0, 6.0]],

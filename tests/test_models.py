@@ -14,7 +14,7 @@ def constant_b_model(b_matrix, dim):
     b_matrix = np.asarray(b_matrix, dtype=float)
     return DiffusionModel(
         dim_state=dim, dim_noise=b_matrix.shape[1], dim_obs=1,
-        drift=lambda x, beta=None: np.zeros(dim),
+        drift=lambda x: np.zeros(dim),
         diffusion_factor=lambda x: b_matrix,
         observation_map=lambda x, y=None: np.zeros(1),
         domain_box=[[-5.0, 5.0]] * dim)
@@ -95,7 +95,7 @@ class TestUField:
         # v = 0, sigma(x) = x^2  ->  u = -x
         m = DiffusionModel(
             1, 1, 1,
-            drift=lambda x, beta=None: np.zeros_like(np.asarray(x, dtype=float)),
+            drift=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             diffusion_factor=lambda x: np.asarray(x, dtype=float),
             observation_map=lambda x, y=None: np.zeros_like(np.asarray(x, dtype=float)),
             domain_box=[[-5.0, 5.0]])
@@ -110,7 +110,7 @@ class TestSimulateJoint:
     def test_degenerate_dynamics(self):
         m = DiffusionModel(
             1, 1, 1,
-            drift=lambda x, beta=None: np.zeros_like(np.asarray(x, dtype=float)),
+            drift=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             diffusion_factor=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             observation_map=lambda x, y=None: np.zeros_like(np.asarray(x, dtype=float)),
             domain_box=[[-5.0, 5.0]])
@@ -135,19 +135,16 @@ class TestSimulateJoint:
         # ensemble variance of X(T) matches T within 3 standard errors
         m = models.brownian(sigma_sq=1.0)
         n, horizon, dt = 100_000, 0.5, 0.05
-        finals = np.empty(n)
-        for j in range(n):
-            path = simulate_joint(m, lambda r: np.zeros(1), horizon, dt,
-                                  seed=123, trajectory_index=j)
-            finals[j] = path.states[-1, 0]
-        var = float(np.var(finals))
+        path = simulate_joint(m, lambda r: np.zeros(1), horizon, dt,
+                              seed=123, trajectory_index=np.arange(n))
+        var = float(np.var(path.states[-1]))
         se = horizon * math.sqrt(2.0 / n)
         assert abs(var - horizon) <= 3.0 * se
 
     def test_blowup_contract(self):
         m = DiffusionModel(
             1, 1, 1,
-            drift=lambda x, beta=None: 1e4 * np.ones_like(np.asarray(x, dtype=float)),
+            drift=lambda x: 1e4 * np.ones_like(np.asarray(x, dtype=float)),
             diffusion_factor=lambda x: np.ones_like(np.asarray(x, dtype=float)),
             observation_map=lambda x, y=None: np.zeros_like(np.asarray(x, dtype=float)),
             domain_box=[[-1.0, 1.0]])
@@ -155,9 +152,28 @@ class TestSimulateJoint:
             simulate_joint(m, lambda r: np.zeros(1), 1.0, 0.01, seed=0)
 
     def test_bad_arguments(self):
+        # a whole number of dt > 0 steps, as EnsembleConfig requires
         m = models.ou()
-        with pytest.raises(ConfigError):
-            simulate_joint(m, lambda r: np.zeros(1), 0.5, -0.1, seed=0)
+        for horizon, dt in ((0.5, -0.1), (0.0104, 1e-3)):
+            with pytest.raises(ConfigError):
+                simulate_joint(m, lambda r: np.zeros(1), horizon, dt, seed=0)
+
+    @pytest.mark.parametrize("name", ["ou", "double_well", "lqg", "brownian"])
+    def test_batch_split_is_bitwise(self, name):
+        # results do not depend on the batch a trajectory is simulated in
+        m = preset(name)
+        kw = dict(horizon=0.5, dt=0.01, seed=31)
+        sampler = lambda r: r.normal(0.0, 0.5, size=1)
+        whole = simulate_joint(m, sampler, trajectory_index=np.arange(16), **kw)
+        halves = [simulate_joint(m, sampler, trajectory_index=np.arange(lo, lo + 8),
+                                 **kw) for lo in (0, 8)]
+        for field in ("states", "observations", "obs_increments"):
+            np.testing.assert_array_equal(
+                getattr(whole, field),
+                np.hstack([getattr(p, field) for p in halves]), err_msg=field)
+        assert whole.states.shape == (51, 16)
+        single = simulate_joint(m, sampler, trajectory_index=11, **kw)
+        np.testing.assert_array_equal(single.states, whole.states[:, 11:12])
 
 
 def test_preset_registry():
@@ -167,3 +183,13 @@ def test_preset_registry():
         preset("ou", rate=-1.0)
     m = preset("double_well", scale=2.0)
     assert m.params["scale"] == 2.0
+
+
+@pytest.mark.parametrize("A, B, C", [
+    ([[-1.0, 0.0], [0.0, -1.0]], [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0]]),
+    ([[-1.0]], [[1.0, 0.5]], [[1.0]]),
+    ([[-1.0]], [[1.0]], [[1.0], [2.0]]),
+])
+def test_lqg_is_scalar(A, B, C):
+    with pytest.raises(ConfigError):
+        preset("lqg", A=A, B=B, C=C)
