@@ -243,9 +243,9 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
     pi_seq = np.empty((n_traj, n_steps)) if config.keep_sequences else None
 
     s_idx = 0
+    mass = _column_sums(post_vals) * dx
     for k in range(n_steps + 1):
         t = k * dt
-        mass = _column_sums(post_vals) * dx
         if not np.all(np.isfinite(mass)) or np.any(mass <= 0.0):
             raise FilterCollapseError(
                 f"filter collapse at t={t:.6g} "
@@ -313,11 +313,12 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
                                   ff_post.sigma_centers, dx)
         post_vals, shift = zakai_advance(post_vals, ff_post, n_half, h_c, dy, dt)
         ledger = ledger + shift
-        new_mass = _column_sums(post_vals) * dx
-        if np.any(new_mass < _MASS_FOLD_LO) or np.any(new_mass > _MASS_FOLD_HI):
-            safe = np.maximum(new_mass, DENSITY_FLOOR)
+        mass = _column_sums(post_vals) * dx       # the next step's masses
+        if np.any(mass < _MASS_FOLD_LO) or np.any(mass > _MASS_FOLD_HI):
+            safe = np.maximum(mass, DENSITY_FLOOR)
             post_vals = post_vals / safe
             ledger = ledger + np.log(safe)
+            mass = _column_sums(post_vals) * dx
 
         # --- shared prior with the ensemble-mean drift
         prior_vals = advance_values(prior_vals, ff_prior, dt, n_full)

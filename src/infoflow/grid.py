@@ -316,25 +316,24 @@ def zakai_step(model: DiffusionModel, zeta: GridDensity, delta_y, dt: float,
     return GridDensity(zeta.grid, vals, log_norm=zeta.log_norm + float(shift))
 
 
-def ks_step(model: DiffusionModel, rho_hat: GridDensity, delta_y, dt: float,
-            n_substeps_half: Optional[int] = None) -> GridDensity:
-    """One step of the normalized (Kushner-Stratonovich) density equation.
+def ks_advance(values: np.ndarray, ff: FaceFields, n_half: int,
+               h_vals: np.ndarray, delta_y, dt: float) -> np.ndarray:
+    """One step of the normalized (Kushner-Stratonovich) density equation on
+    one density (M,), in place; returns it.
 
     Nonlinear: the innovation dI = dY - pi(h) dt multiplies the centered
     observation fluctuation h - pi(h).  The scalar innovation admits the
     Milstein second-order term, so the pathwise gap to the normalized Zakai
     solution is O(dt).  Renormalizes afterwards (the grid update preserves
-    mass only to O(dt^2)).
+    mass only to O(dt^2)).  After an error ``values`` is left partly advanced.
     """
-    grid = rho_hat.grid
-    dy = float(_increments(delta_y, rho_hat.values))
-    ff = face_fields(model, grid)
-    n_sub = substeps_for(ff, 0.5 * dt, n_substeps=n_substeps_half)
-    vals = advance_values(rho_hat.values.copy(), ff, 0.5 * dt, n_sub)
-    h_vals = observation_values(model, grid)
-    mass = np.sum(vals, axis=-1) * grid.dx
-    pi_h = np.sum(vals * h_vals, axis=-1) * grid.dx / mass
-    pi_h2 = np.sum(vals * h_vals * h_vals, axis=-1) * grid.dx / mass
+    if values.ndim != 1:
+        raise ConfigError("ks_advance takes one density")
+    dy = float(_increments(delta_y, values))
+    advance_values(values, ff, 0.5 * dt, n_half)
+    mass = np.sum(values) * ff.dx
+    pi_h = np.sum(values * h_vals) * ff.dx / mass
+    pi_h2 = np.sum(values * h_vals * h_vals) * ff.dx / mass
     var_h = pi_h2 - pi_h * pi_h
     di = dy - pi_h * dt
     fluct = h_vals - pi_h
@@ -342,9 +341,21 @@ def ks_step(model: DiffusionModel, rho_hat: GridDensity, delta_y, dt: float,
     if np.min(factor) <= 0.0:
         raise UnstableStepError("Kushner-Stratonovich factor lost positivity; "
                                 "reduce dt")
-    vals = advance_values(vals * factor, ff, 0.5 * dt, n_sub)
-    vals = vals / (np.sum(vals, axis=-1) * grid.dx)
-    return GridDensity(grid, vals, log_norm=rho_hat.log_norm)
+    values *= factor
+    advance_values(values, ff, 0.5 * dt, n_half)
+    values /= np.sum(values) * ff.dx
+    return values
+
+
+def ks_step(model: DiffusionModel, rho_hat: GridDensity, delta_y, dt: float,
+            n_substeps_half: Optional[int] = None) -> GridDensity:
+    """One Kushner-Stratonovich step (:func:`ks_advance`) of a copy of
+    ``rho_hat``; raises CflError before stepping."""
+    ff = face_fields(model, rho_hat.grid)
+    n_sub = substeps_for(ff, 0.5 * dt, n_substeps=n_substeps_half)
+    vals = ks_advance(rho_hat.values.copy(), ff, n_sub,
+                      observation_values(model, rho_hat.grid), delta_y, dt)
+    return GridDensity(rho_hat.grid, vals, log_norm=rho_hat.log_norm)
 
 
 def normalize(zeta: GridDensity):

@@ -158,10 +158,24 @@ def test_missing_seed_exits_2(tmp_path):
     assert cli.main(["run", str(cfg)]) == 2
 
 
-def test_short_horizon_exits_2(tmp_path):
-    text = OU_CONFIG.replace("horizon = 0.2", "horizon = 5e-3")
-    cfg, _ = write_config(tmp_path, text)
-    assert cli.main(["run", str(cfg)]) == 2
+def test_short_horizon_exits_2(tmp_path, capsys):
+    # the one time-grid rule: a whole number of dt steps, at least one
+    for horizon, reason in (("5e-4", "horizon >= dt"),
+                            ("0.0104", "integer multiple of dt")):
+        text = OU_CONFIG.replace("horizon = 0.2", f"horizon = {horizon}") \
+                        .replace("sample_stride = 40\n", "")
+        cfg, outdir = write_config(tmp_path, text)
+        assert cli.main(["run", str(cfg)]) == 2
+        assert reason in capsys.readouterr().err
+        assert not outdir.exists()
+
+
+def test_five_step_horizon_runs(tmp_path):
+    text = OU_CONFIG.replace("horizon = 0.2", "horizon = 5e-3") \
+                    .replace("sample_stride = 40\n", "")
+    cfg, outdir = write_config(tmp_path, text)
+    assert cli.main(["run", str(cfg)]) == 0
+    assert len((outdir / "ledger.csv").read_text().splitlines()) == 1 + 6
 
 
 def test_brownian_run_refused(tmp_path):

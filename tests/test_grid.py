@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infoflow import models
+from infoflow import checks, models
 from infoflow.errors import (CflError, ConfigError, FilterCollapseError,
                              UnstableStepError)
 from infoflow.grid import (Grid1D, GridDensity, advance_values, entropy,
                            face_fields, fp_evolve, fp_step, gaussian_density,
                            kl_divergence, ks_step, normalize, score_values,
                            steady_state_grid, zakai_step)
-from infoflow.grid import (FaceFields, observation_values, substeps_for,
-                           zakai_advance)
+from infoflow.grid import (FaceFields, ks_advance, observation_values,
+                           substeps_for, zakai_advance)
 from infoflow.models import simulate_joint
 
 
@@ -293,6 +293,80 @@ def test_ks_factor_positivity_guard():
     rho = gaussian_density(grid, 0.0, 1.0)
     with pytest.raises(UnstableStepError):
         ks_step(m, rho, 3.0, 1e-2, n_substeps_half=1)
+
+
+def test_ks_advance_positivity_guard():
+    m = models.lqg(A=[[-1.0]], B=[[1.0]], C=[[5.0]])
+    grid = Grid1D(-6, 6, 128)
+    with pytest.raises(UnstableStepError, match="lost positivity"):
+        ks_advance(gaussian_density(grid, 0.0, 1.0).values, face_fields(m, grid),
+                   1, observation_values(m, grid), 3.0, 1e-2)
+
+
+def test_ks_advance_rejects_a_bank():
+    m = models.double_well()
+    grid = Grid1D(-2.5, 2.5, 64)
+    vals = np.tile(gaussian_density(grid, 0.0, 0.3).values[:, None], (1, 2))
+    with pytest.raises(ConfigError):
+        ks_advance(vals, face_fields(m, grid), 1, observation_values(m, grid),
+                   np.zeros(2), 1e-3)
+
+
+def _ks_reference(m, grid, vals, dy, dt, n_half):
+    """Oracle: the KS step written out, half transport, Milstein factor,
+    half transport, renormalization."""
+    ff = face_fields(m, grid)
+    h = observation_values(m, grid)
+    vals = advance_values(vals.copy(), ff, 0.5 * dt, n_half)
+    mass = np.sum(vals) * grid.dx
+    pi_h = np.sum(vals * h) * grid.dx / mass
+    var_h = np.sum(vals * h * h) * grid.dx / mass - pi_h * pi_h
+    di = dy - pi_h * dt
+    fluct = h - pi_h
+    vals = advance_values(vals * (1.0 + fluct * di + 0.5 * (fluct * fluct - var_h)
+                                  * (di * di - dt)), ff, 0.5 * dt, n_half)
+    return vals / (np.sum(vals) * grid.dx)
+
+
+@pytest.mark.parametrize("name, half", [("ou", 6.0), ("double_well", 2.5),
+                                        ("lqg", 6.0)])
+def test_ks_step_matches_ks_advance(name, half):
+    m = models.preset(name)
+    grid = Grid1D(-half, half, 128)
+    dt = 1e-3
+    ff = face_fields(m, grid)
+    n_half = substeps_for(ff, 0.5 * dt)
+    h_vals = observation_values(m, grid)
+    rho = gaussian_density(grid, 0.3, 0.4)
+    vals = rho.values.copy()
+    for dy in np.random.default_rng(3).normal(0.0, 0.05, size=20):
+        before = rho.values.copy()
+        stepped = ks_step(m, rho, dy, dt)
+        assert np.array_equal(rho.values, before)
+        ref = _ks_reference(m, grid, before, float(dy), dt, n_half)
+        assert ks_advance(vals, ff, n_half, h_vals, dy, dt) is vals
+        assert np.array_equal(stepped.values, ref)
+        assert np.array_equal(vals, ref)
+        rho = stepped
+
+
+@pytest.mark.parametrize("dt", [5e-4, 1e-3])
+@pytest.mark.parametrize("m, half", [
+    (models.lqg(A=[[-1.0]], B=[[math.sqrt(2.0)]], C=[[1.0]]), 6.0),
+    (models.double_well(), 2.5)], ids=["lqg", "double_well"])
+def test_ks_zakai_gap_matches_per_step_loop(m, half, dt):
+    # the criterion-9d gap, hoisted, equals the per-step zakai_step/ks_step loop
+    grid = Grid1D(-half, half, 256)
+    horizon = 0.2                                   # 400 and 200 steps
+    fine = simulate_joint(m, lambda r: r.normal(0.0, 0.5, size=1), horizon,
+                          2.5e-4, 11, 0).obs_increments[:, 0]
+    zak = gaussian_density(grid, 0.0, 0.25)
+    ks = zak.copy()
+    for dy in fine.reshape(int(round(horizon / dt)), -1).sum(axis=1):
+        zak = zakai_step(m, zak, dy, dt)
+        ks = ks_step(m, ks, dy, dt)
+    ref = float(np.sum(np.abs(normalize(zak)[0].values - ks.values)) * grid.dx)
+    assert checks._ks_zakai_gap(m, grid, dt, horizon, fine) == ref
 
 
 def test_multi_element_increment_rejected():
