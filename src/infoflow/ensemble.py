@@ -206,8 +206,9 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
     xf = grid.interior_faces
     dx = grid.dx
 
-    # one for the run, so its control-term scratch persists; beta is set per step
+    # one per density array, each keeping its workspace; controls set per step
     ff_post = face_fields(model, grid)
+    ff_prior = FaceFields(ff_post.v_face, ff_post.sigma_centers, dx)
     bound = float(getattr(policy, "bound", 0.0))
     budget = FaceFields(ff_post.v_face, ff_post.sigma_centers, dx,
                         beta=np.array([abs(bound)]))
@@ -305,12 +306,10 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
             pi_seq[:, k] = pi_h
 
         # --- per-trajectory Zakai step (Strang split)
-        ff_prior = ff_post
         if beta is not None:
             ff_post.beta = beta
             substeps_for(ff_post, 0.5 * dt, n_substeps=n_half)
-            ff_prior = FaceFields(mean_drift(model, xf, beta),
-                                  ff_post.sigma_centers, dx)
+            ff_prior.v_face = mean_drift(model, xf, beta)
         post_vals, shift = zakai_advance(post_vals, ff_post, n_half, h_c, dy, dt)
         ledger = ledger + shift
         mass = _column_sums(post_vals) * dx       # the next step's masses

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_continuous_lyapunov
 
 from .errors import CovarianceError, NonHurwitzError
-from .models import JointPath
+from .models import JointPath, step_count
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -320,7 +320,7 @@ def gaussian_relax_series(a: float, sigma_sq: float, v0: float, mu0: float,
     if a >= 0:
         raise NonHurwitzError("scalar relaxation requires a < 0")
     v_ss = -sigma_sq / (2.0 * a)
-    n_steps = int(round(horizon / dt))
+    n_steps = step_count(horizon, dt)
     times = dt * np.arange(n_steps + 1)
     # exact-step propagation factors would hide integrator error; keep RK4
     dev = np.empty(n_steps + 1)
@@ -411,7 +411,7 @@ def kb_identity_scan(a: float, sigma_sq: float, c: float, v0: float,
         raise NonHurwitzError("identity scan requires a < 0")
     v_ss = -sigma_sq / (2.0 * a)
     vhat_ss = (a + math.sqrt(a * a + c * c * sigma_sq)) / (c * c)
-    n_steps = int(round(horizon / dt))
+    n_steps = step_count(horizon, dt)
     times = dt * np.arange(n_steps + 1)
 
     dev = np.empty(n_steps + 1)    # V - V_ss

@@ -20,9 +20,10 @@ stepping is guarded by the stability limit
 dt <= safety / (sigma_max/dx^2 + v_max/dx).
 
 Densities are stored cell-major, a bank of N as an (n_cells, N) array, so
-a substep of all of them is one compiled sparse product ``T @ X``.  A
+a substep of all of them is one compiled sparse product T X, accumulated
+into a workspace of the bank's shape; the two swap roles each substep.  A
 control beta_r added to the drift of column r adds (h/2dx) beta_r D(X_r),
-with D the centered difference, to that shared product.
+with D the centered difference, written into the workspace before T X.
 
 The Zakai update is Strang split: half a step of the dual generator, the
 multiplicative observation factor exp(h dY - |h|^2 dt / 2) applied in the
@@ -39,6 +40,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import cumulative_trapezoid
+from scipy.sparse import _sparsetools
 
 from .errors import (CflError, ConfigError, FilterCollapseError,
                      NumericalError, UnstableStepError)
@@ -139,8 +141,8 @@ def _substep_operator(h: float, dx: float, v_face: bytes, sigma: bytes):
 @dataclass
 class FaceFields:
     """Drift at interior faces, sigma at cell centers, and an optional control
-    ``beta`` (N,) added to the drift of each density column; the scratch of
-    the control term is kept."""
+    ``beta`` (N,) added to the drift of each density column.  It also owns
+    the step's one work array, kept between calls (:meth:`workspace`)."""
 
     v_face: np.ndarray
     sigma_centers: np.ndarray
@@ -156,6 +158,12 @@ class FaceFields:
         denom = float(np.max(self.sigma_centers)) / self.dx ** 2 + vmax / self.dx
         return 1.0 / denom if denom > 0 else math.inf
 
+    def workspace(self, shape) -> np.ndarray:
+        """Scratch of this ``shape``, reused while the shape holds."""
+        if self._scratch is None or self._scratch.shape != shape:
+            self._scratch = np.empty(shape)
+        return self._scratch
+
 
 def face_fields(model: DiffusionModel, grid: Grid1D) -> FaceFields:
     """Uncontrolled drift at the interior faces and sigma at the centers."""
@@ -170,42 +178,60 @@ def face_fields(model: DiffusionModel, grid: Grid1D) -> FaceFields:
                       dx=grid.dx)
 
 
+def _add_product(op, x: np.ndarray, y: np.ndarray) -> None:
+    """y += op @ x in place, by the scipy kernels ``op @ x`` runs on a fresh
+    zero-filled result: csr_matvec for one vector, csr_matvecs for columns.
+    They write through flat views: x, y must be C-contiguous float64."""
+    m = op.shape[0]
+    for a in (x, y):
+        if a.dtype != np.float64 or not a.flags.c_contiguous \
+                or a.shape[:1] != (m,) or a.shape != x.shape:
+            raise ConfigError(f"transport needs C-contiguous float64 cell "
+                              f"values with {m} rows, got {a.dtype} {a.shape}")
+    if x.ndim == 1:
+        _sparsetools.csr_matvec(m, m, op.indptr, op.indices, op.data, x, y)
+    else:
+        _sparsetools.csr_matvecs(m, m, x.size // m, op.indptr, op.indices,
+                                 op.data, x.reshape(-1), y.reshape(-1))
+
+
 def advance_values(values: np.ndarray, ff: FaceFields, duration: float,
                    n_substeps: int) -> np.ndarray:
     """Advance cell values, (n_cells,) or (n_cells, N) with one density per
     column, in place by ``duration`` in ``n_substeps`` substeps; return them.
 
-    Each substep is one product T @ X, plus (h/2dx) beta D(X) per column
-    when ``ff.beta`` is set.  When every entry of T and every input cell is
+    Each substep accumulates T X into ``ff.workspace``, onto zeros or onto
+    (h/2dx) beta D(X) per column when ``ff.beta`` is set, and the two
+    arrays swap roles.  Values that are not C-contiguous float64 raise
+    ConfigError unchanged.  When every entry of T and every input cell is
     >= 0, each output is a sum of products of non-negative numbers and so
     is >= 0 exactly; otherwise a substep that drives any cell below -1e-14
     raises UnstableStepError and cells in [-1e-14, 0) are set to zero."""
     h = duration / n_substeps
     op, nonneg = _substep_operator(h, ff.dx, np.asarray(ff.v_face, float).tobytes(),
                                    np.asarray(ff.sigma_centers, float).tobytes())
-    beta = ff.beta
-    if beta is not None:
-        cb = (h / (2.0 * ff.dx)) * np.asarray(beta)
-        if ff._scratch is None or ff._scratch.shape != values.shape:
-            ff._scratch = np.empty_like(values)
-        diff = ff._scratch
-    guarded = beta is not None or not nonneg or float(np.min(values)) < 0.0
+    cb = None if ff.beta is None else (h / (2.0 * ff.dx)) * np.asarray(ff.beta)
+    guarded = cb is not None or not nonneg or float(np.min(values)) < 0.0
+    src, dst = values, ff.workspace(values.shape)
     for _ in range(n_substeps):
-        if beta is None:
-            values[...] = op @ values
+        if cb is None:
+            dst.fill(0.0)
         else:                                   # cb D(X) of the old values
-            np.subtract(values[:-2], values[2:], out=diff[1:-1])
-            diff[0], diff[-1] = -(values[0] + values[1]), values[-2] + values[-1]
-            diff *= cb
-            np.add(op @ values, diff, out=values)
+            np.subtract(src[:-2], src[2:], out=dst[1:-1])
+            dst[0], dst[-1] = -(src[0] + src[1]), src[-2] + src[-1]
+            dst *= cb
+        _add_product(op, src, dst)
         if guarded:
-            mn = float(np.min(values))
+            mn = float(np.min(dst))
             if mn < NEGATIVITY_TOL:
-                idx = np.unravel_index(int(np.argmin(values)), values.shape)
+                idx = np.unravel_index(int(np.argmin(dst)), dst.shape)
                 raise UnstableStepError(
                     f"unstable step: density reached {mn:.3e} at cell {idx[0]}")
             if mn < 0.0:
-                np.clip(values, 0.0, None, out=values)
+                np.clip(dst, 0.0, None, out=dst)
+        src, dst = dst, src
+    if src is not values:                       # an odd count ends in the workspace
+        values[...] = src
     return values
 
 
@@ -284,7 +310,7 @@ def zakai_advance(values: np.ndarray, ff: FaceFields, n_half: int,
         raise ConfigError("zakai_advance takes one density or an (M, N) bank")
     dy = _increments(delta_y, values)
     advance_values(values, ff, 0.5 * dt, n_half)
-    expo = np.multiply.outer(h_vals, dy)                # h dY, built in place
+    expo = np.multiply.outer(h_vals, dy, out=ff.workspace(values.shape))  # h dY
     np.subtract(expo.T, 0.5 * h_vals * h_vals * dt, out=expo.T)
     shift = np.max(expo, axis=0)
     peak = max(float(np.max(shift)), -float(np.min(expo)))   # max |expo|
@@ -295,7 +321,6 @@ def zakai_advance(values: np.ndarray, ff: FaceFields, n_half: int,
             f"{peak:.3e}, max |h dY| = {h_dy:.3e}")
     expo -= shift
     values *= np.exp(expo, out=expo)
-    del expo                                  # freed before the second half
     return advance_values(values, ff, 0.5 * dt, n_half), shift
 
 
@@ -386,7 +411,8 @@ def score_values(values: np.ndarray, dx: float) -> np.ndarray:
     (one-sided at the ends)."""
     logs = _log_values(values)
     out = np.empty_like(logs)
-    out[1:-1] = (logs[2:] - logs[:-2]) / (2.0 * dx)
+    np.subtract(logs[2:], logs[:-2], out=out[1:-1])
+    out[1:-1] /= 2.0 * dx
     out[0] = (logs[1] - logs[0]) / dx
     out[-1] = (logs[-1] - logs[-2]) / dx
     return out

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from infoflow import models
-from infoflow.errors import CovarianceError, NonHurwitzError
+from infoflow.errors import ConfigError, CovarianceError, NonHurwitzError
 from infoflow.gaussian import (GaussianBelief, LinearModel, gaussian_kl,
-                               kalman_bucy_run, kb_identity_scan,
-                               kb_info_rates, lyapunov_series,
-                               lyapunov_steady, propagate_gaussian,
-                               riccati_series, surprise_ledger)
+                               gaussian_relax_series, kalman_bucy_run,
+                               kb_identity_scan, kb_info_rates,
+                               lyapunov_series, lyapunov_steady,
+                               propagate_gaussian, riccati_series,
+                               surprise_ledger)
 from infoflow.rng import (CHANNEL_DYNAMICS, CHANNEL_INITIAL,
                           CHANNEL_OBSERVATION, substream)
 
@@ -210,3 +211,12 @@ class TestInfoRates:
         rates = kb_info_rates([[1.0]], [[0.5]], [[2.0]], [[1.0]])
         assert rates.I_closed == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
         assert rates.I_rate == pytest.approx(rates.S_rate - rates.D_rate)
+
+
+@pytest.mark.parametrize("horizon, dt", [(0.0104, 1e-3), (1.0, -1e-3)])
+def test_scalar_scans_share_the_time_grid_rule(horizon, dt):
+    # models.step_count: a whole number of dt > 0 steps, or ConfigError
+    with pytest.raises(ConfigError):
+        gaussian_relax_series(-1.0, 2.0, 0.5, 0.0, horizon, dt)
+    with pytest.raises(ConfigError):
+        kb_identity_scan(-1.0, 2.0, 1.0, 0.25, 0.25, horizon, dt)

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import _sparsetools
 
 from infoflow import checks, models
+from infoflow import grid as grid_module
 from infoflow.errors import (CflError, ConfigError, FilterCollapseError,
                              UnstableStepError)
 from infoflow.grid import (Grid1D, GridDensity, advance_values, entropy,
@@ -514,24 +517,29 @@ def test_transport_substep_properties(seed, peclet, cfl):
 @pytest.mark.parametrize("spike", [1.0, 1e-15])
 def test_negative_coefficients_take_the_guard(spike):
     # mesh Peclet > 2 makes upper < 0: a spike drives the cell below it
-    # negative; below -1e-14 that raises, in [-1e-14, 0) it is clipped
+    # negative; below -1e-14 that raises, in [-1e-14, 0) it is clipped.
+    # Substep 1 lands in the workspace, substep 2 back in the values.
     grid = Grid1D(-1.0, 1.0, 32)
     sigma = np.full(grid.n_cells, 0.1)
     v_face = np.full(grid.n_cells - 1, 3.0 * 0.5 * 0.1 / grid.dx)
+    drift = np.tile(v_face[:, None], (1, 2))
     ff = FaceFields(v_face, sigma, grid.dx)
     h = 0.5 * ff.cfl_limit()
     values = np.zeros((grid.n_cells, 2))
     values[10, 1] = spike
-    expected = _flux_form_step(values, np.tile(v_face[:, None], (1, 2)),
-                               sigma, grid.dx, h)
+    expected = _flux_form_step(values, drift, sigma, grid.dx, h)
     assert expected[9, 1] < 0.0
-    if expected[9, 1] < -1e-14:
-        with pytest.raises(UnstableStepError, match="at cell 9$"):
-            advance_values(values.copy(), ff, h, 1)
-    else:
-        out = advance_values(values.copy(), ff, h, 1)
+    for n in (1, 2):
+        if expected[9, 1] < -1e-14:
+            with pytest.raises(UnstableStepError, match="at cell 9$"):
+                advance_values(values.copy(), ff, n * h, n)
+            continue
+        out = advance_values(values.copy(), ff, n * h, n)
         assert out[9, 1] == 0.0
         assert float(np.max(np.abs(out - np.maximum(expected, 0.0)))) <= 1e-28
+        expected = _flux_form_step(np.maximum(expected, 0.0), drift, sigma,
+                                   grid.dx, h)
+        assert float(np.min(expected)) < 0.0       # substep 2 clips too
 
 
 def test_negative_input_takes_the_guard():
@@ -547,3 +555,94 @@ def test_negative_input_takes_the_guard():
     values[40] = -1e-13
     with pytest.raises(UnstableStepError, match="at cell 40$"):
         advance_values(values.copy(), ff, h, 1)
+
+
+def _transport_case(shape, beta=None):
+    """OU face fields on 64 cells and random non-negative values."""
+    grid = Grid1D(-2.5, 2.5, 64)
+    base = face_fields(models.ou(), grid)
+    ff = FaceFields(base.v_face, base.sigma_centers, grid.dx, beta=beta)
+    values = np.random.default_rng(11).uniform(0.0, 1.0, size=(64,) + shape)
+    return ff, values, 0.5 * ff.cfl_limit()
+
+
+def _operator(ff, h):
+    return grid_module._substep_operator(
+        h, ff.dx, ff.v_face.tobytes(), ff.sigma_centers.tobytes())[0]
+
+
+def test_csr_kernels_add_the_product():
+    # the compiled kernels advance_values calls: Y += A X, in place;
+    # csr_matvec takes one vector, csr_matvecs any number of columns
+    rng = np.random.default_rng(3)
+    a = sp.csr_array(np.array([[2.0, -1.0, 0.0, 0.0], [1.0, 3.0, 4.0, 0.0],
+                               [0.0, 0.0, 5.0, -2.0], [0.0, 6.0, 0.0, 1.0]]))
+
+    def matvec(x, y):
+        _sparsetools.csr_matvec(4, 4, a.indptr, a.indices, a.data, x, y)
+
+    def matvecs(x, y):
+        _sparsetools.csr_matvecs(4, 4, x.size // 4, a.indptr, a.indices,
+                                 a.data, x.reshape(-1), y.reshape(-1))
+
+    for kernel, shape in ((matvec, (4,)), (matvecs, (4,)), (matvecs, (4, 3))):
+        x = rng.integers(-9, 10, size=shape).astype(float)
+        y0 = rng.integers(-9, 10, size=shape).astype(float)
+        y = y0.copy()
+        kernel(x, y)
+        assert np.array_equal(y, y0 + a @ x)       # small integers: exact
+        x = rng.uniform(-1.0, 1.0, size=shape)
+        y = np.zeros(shape)
+        kernel(x, y)
+        assert np.array_equal(y, a @ x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(), (5,)])
+def test_uncontrolled_advance_is_repeated_product(shape, n):
+    ff, values, h = _transport_case(shape)
+    op = _operator(ff, h)
+    expected = values
+    for _ in range(n):
+        expected = op @ expected
+    out = advance_values(values.copy(), ff, n * h, n)
+    assert np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(), (5,)])
+def test_controlled_advance_adds_the_correction(shape, n):
+    # per substep T X + (h/2dx) beta D(X), as one shared product plus a
+    # per-column centered difference, up to the order of the additions
+    beta = np.linspace(-1.5, 1.5, 5) if shape else 0.7
+    ff, values, h = _transport_case(shape, beta=beta)
+    op, cb = _operator(ff, h), h / (2.0 * ff.dx) * np.asarray(beta)
+    expected = values
+    for _ in range(n):
+        diff = np.empty_like(expected)
+        diff[1:-1] = expected[:-2] - expected[2:]
+        diff[0] = -(expected[0] + expected[1])
+        diff[-1] = expected[-2] + expected[-1]
+        expected = op @ expected + cb * diff
+    out = advance_values(values.copy(), ff, n * h, n)
+    scale = np.max(np.abs(expected), axis=0)
+    assert float(np.max(np.abs(out - expected) / scale)) <= 1e-15
+
+
+@pytest.mark.parametrize("bad", ["column", "float32"])
+def test_advance_rejects_values_it_cannot_write(bad):
+    ff, bank, h = _transport_case((4,))
+    values = bank[:, 1] if bad == "column" else bank.astype(np.float32)
+    before = values.copy()
+    with pytest.raises(ConfigError, match="C-contiguous float64"):
+        advance_values(values, ff, h, 1)
+    assert np.array_equal(values, before)
+
+
+def test_advance_reuses_its_workspace():
+    for beta in (None, np.full(3, 0.2)):
+        ff, values, h = _transport_case((3,), beta=beta)
+        advance_values(values, ff, h, 1)
+        work = ff.workspace(values.shape)
+        advance_values(values, ff, 2 * h, 2)
+        assert ff.workspace(values.shape) is work
