@@ -115,7 +115,7 @@ def _entropy_rate_scan(n_cells: int, dt: float) -> float:
     t_now = 0.0
     vals = rho.values
     for ts in sample_times:
-        n = int(round((ts - t_now) / dt))
+        n = step_count(ts - t_now, dt)
         vals = advance_values(vals, ff, ts - t_now, n)
         t_now = ts
         dens = GridDensity(grid, vals)

@@ -19,15 +19,15 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigError, FilterCollapseError
-from .grid import (DENSITY_FLOOR, FaceFields, Grid1D, advance_values,
-                   face_fields, gaussian_density, observation_values,
-                   score_values, substeps_for, zakai_advance)
+from .grid import (DENSITY_FLOOR, Grid1D, advance_values, face_fields,
+                   gaussian_density, observation_values, score_values,
+                   substeps_for, zakai_advance)
 from .models import DiffusionModel, euler_maruyama, step_count
 from .models import draw_increments as _draw_increments
 
@@ -206,12 +206,11 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
     xf = grid.interior_faces
     dx = grid.dx
 
-    # one per density array, each keeping its workspace; controls set per step
+    # one per density array, each owning its workspace; under a policy each
+    # step's controls and the prior's mean drift are new instances
     ff_post = face_fields(model, grid)
-    ff_prior = FaceFields(ff_post.v_face, ff_post.sigma_centers, dx)
-    bound = float(getattr(policy, "bound", 0.0))
-    budget = FaceFields(ff_post.v_face, ff_post.sigma_centers, dx,
-                        beta=np.array([abs(bound)]))
+    ff_prior = replace(ff_post)
+    budget = replace(ff_post, beta=np.array([abs(getattr(policy, "bound", 0.0))]))
     n_half = substeps_for(budget, 0.5 * dt)
     n_full = substeps_for(budget, dt)
 
@@ -307,9 +306,9 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
 
         # --- per-trajectory Zakai step (Strang split)
         if beta is not None:
-            ff_post.beta = beta
+            ff_post = replace(ff_post, beta=beta)
             substeps_for(ff_post, 0.5 * dt, n_substeps=n_half)
-            ff_prior.v_face = mean_drift(model, xf, beta)
+            ff_prior = replace(ff_prior, v_face=mean_drift(model, xf, beta))
         post_vals, shift = zakai_advance(post_vals, ff_post, n_half, h_c, dy, dt)
         ledger = ledger + shift
         mass = _column_sums(post_vals) * dx       # the next step's masses

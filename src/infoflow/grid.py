@@ -20,9 +20,10 @@ stepping is guarded by the stability limit
 dt <= safety / (sigma_max/dx^2 + v_max/dx).
 
 Densities are stored cell-major, a bank of N as an (n_cells, N) array, so
-a substep of all of them is one compiled sparse product T X, accumulated
-into a workspace of the bank's shape; the two swap roles each substep.  A
-control beta_r added to the drift of column r adds (h/2dx) beta_r D(X_r),
+a substep of all of them is one compiled sparse product T X.  The immutable
+face fields build T for their substep length and own a workspace of the
+bank's shape that T X accumulates into; the two swap roles each substep.
+A control beta_r added to the drift of column r adds (h/2dx) beta_r D(X_r),
 with D the centered difference, written into the workspace before T X.
 
 The Zakai update is Strang split: half a step of the dual generator, the
@@ -118,38 +119,28 @@ def _tridiagonal_pattern(m: int):
     return indices, indptr
 
 
-@functools.lru_cache(maxsize=64)
-def _substep_operator(h: float, dx: float, v_face: bytes, sigma: bytes):
-    """(T, nonneg): one uncontrolled substep of length ``h`` as an
-    (n_cells, n_cells) ``csr_array``, and whether every entry is >= 0.
-    Keyed on the fields' bytes, so equal fields share one build."""
-    v, sig = np.frombuffer(v_face), np.frombuffer(sigma)
-    c, m = h / dx, sig.size
-    sd = sig / (2.0 * dx)
-    bands = np.zeros((m, 3))                    # rows (lower_i, diag_i, upper_i)
-    p, minus_q, diag = bands[1:, 0], bands[:-1, 2], bands[:, 1]
-    np.multiply(0.5 * v + sd[:-1], c, out=p)            # c (v/2 + sd_i)
-    np.multiply(sd[1:] - 0.5 * v, c, out=minus_q)       # c (sd_{i+1} - v/2)
-    diag[:] = 1.0
-    diag[:-1] -= p
-    diag[1:] -= minus_q
-    data = bands.ravel()[1:-1]                  # the walls carry no flux
-    op = sp.csr_array((data, *_tridiagonal_pattern(m)), shape=(m, m))
-    return op, bool(np.min(data) >= 0.0)
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class FaceFields:
     """Drift at interior faces, sigma at cell centers, and an optional control
-    ``beta`` (N,) added to the drift of each density column.  It also owns
-    the step's one work array, kept between calls (:meth:`workspace`)."""
+    ``beta`` (N,) added to the drift of each density column, all kept as
+    read-only copies: a new drift or control is a new instance
+    (``dataclasses.replace``).  It builds its substep operator on first use
+    (:meth:`operator`) and owns the step's one work array (:meth:`workspace`)."""
 
     v_face: np.ndarray
     sigma_centers: np.ndarray
     dx: float
     beta: Optional[np.ndarray] = None
-    _scratch: Optional[np.ndarray] = field(default=None, init=False,
-                                           repr=False, compare=False)
+    _substep: Optional[tuple] = field(default=None, init=False, repr=False)
+    _scratch: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("v_face", "sigma_centers", "beta"):
+            value = getattr(self, name)
+            if value is not None:
+                value = np.array(value, dtype=float)
+                value.flags.writeable = False
+                object.__setattr__(self, name, value)
 
     def cfl_limit(self) -> float:
         vmax = float(np.max(np.abs(self.v_face), initial=0.0))
@@ -158,10 +149,30 @@ class FaceFields:
         denom = float(np.max(self.sigma_centers)) / self.dx ** 2 + vmax / self.dx
         return 1.0 / denom if denom > 0 else math.inf
 
+    def operator(self, h: float) -> tuple:
+        """(T, nonneg): one uncontrolled substep of length ``h`` as an
+        (n_cells, n_cells) ``csr_array``, and whether every entry is >= 0.
+        Built on first use and kept for the last ``h`` asked for."""
+        if self._substep is not None and self._substep[0] == h:
+            return self._substep[1]
+        v, c, m = self.v_face, h / self.dx, self.sigma_centers.size
+        sd = self.sigma_centers / (2.0 * self.dx)
+        bands = np.tile([0.0, 1.0, 0.0], (m, 1))   # rows (lower_i, diag_i, upper_i)
+        p, minus_q, diag = bands[1:, 0], bands[:-1, 2], bands[:, 1]
+        np.multiply(0.5 * v + sd[:-1], c, out=p)            # c (v/2 + sd_i)
+        np.multiply(sd[1:] - 0.5 * v, c, out=minus_q)       # c (sd_{i+1} - v/2)
+        diag[:-1] -= p
+        diag[1:] -= minus_q
+        data = bands.ravel()[1:-1]              # the walls carry no flux
+        pair = (sp.csr_array((data, *_tridiagonal_pattern(m)), shape=(m, m)),
+                bool(np.min(data) >= 0.0))
+        object.__setattr__(self, "_substep", (h, pair))
+        return pair
+
     def workspace(self, shape) -> np.ndarray:
         """Scratch of this ``shape``, reused while the shape holds."""
         if self._scratch is None or self._scratch.shape != shape:
-            self._scratch = np.empty(shape)
+            object.__setattr__(self, "_scratch", np.empty(shape))
         return self._scratch
 
 
@@ -170,29 +181,8 @@ def face_fields(model: DiffusionModel, grid: Grid1D) -> FaceFields:
     if model.dim_state != 1:
         raise ConfigError("grid solvers support 1-d state models only")
     xf = grid.interior_faces
-    v = np.asarray(model.drift(xf), dtype=float)
-    if v.ndim == 0:
-        v = np.full(xf.shape, float(v))
-    sig = model.sigma_profile(grid.centers)
-    return FaceFields(v_face=v, sigma_centers=np.asarray(sig, dtype=float),
-                      dx=grid.dx)
-
-
-def _add_product(op, x: np.ndarray, y: np.ndarray) -> None:
-    """y += op @ x in place, by the scipy kernels ``op @ x`` runs on a fresh
-    zero-filled result: csr_matvec for one vector, csr_matvecs for columns.
-    They write through flat views: x, y must be C-contiguous float64."""
-    m = op.shape[0]
-    for a in (x, y):
-        if a.dtype != np.float64 or not a.flags.c_contiguous \
-                or a.shape[:1] != (m,) or a.shape != x.shape:
-            raise ConfigError(f"transport needs C-contiguous float64 cell "
-                              f"values with {m} rows, got {a.dtype} {a.shape}")
-    if x.ndim == 1:
-        _sparsetools.csr_matvec(m, m, op.indptr, op.indices, op.data, x, y)
-    else:
-        _sparsetools.csr_matvecs(m, m, x.size // m, op.indptr, op.indices,
-                                 op.data, x.reshape(-1), y.reshape(-1))
+    v = np.broadcast_to(np.asarray(model.drift(xf), dtype=float), xf.shape)
+    return FaceFields(v, model.sigma_profile(grid.centers), grid.dx)
 
 
 def advance_values(values: np.ndarray, ff: FaceFields, duration: float,
@@ -202,15 +192,21 @@ def advance_values(values: np.ndarray, ff: FaceFields, duration: float,
 
     Each substep accumulates T X into ``ff.workspace``, onto zeros or onto
     (h/2dx) beta D(X) per column when ``ff.beta`` is set, and the two
-    arrays swap roles.  Values that are not C-contiguous float64 raise
-    ConfigError unchanged.  When every entry of T and every input cell is
-    >= 0, each output is a sum of products of non-negative numbers and so
-    is >= 0 exactly; otherwise a substep that drives any cell below -1e-14
-    raises UnstableStepError and cells in [-1e-14, 0) are set to zero."""
+    arrays swap roles.  scipy's compiled CSR kernels write through flat
+    views, so values that are not C-contiguous float64 raise ConfigError
+    unchanged.  When every entry of T and every input cell is >= 0, each
+    output is a sum of products of non-negative numbers and so is >= 0
+    exactly; otherwise a substep that drives any cell below -1e-14 raises
+    UnstableStepError and cells in [-1e-14, 0) are set to zero."""
+    m = ff.sigma_centers.size
+    if values.dtype != np.float64 or not values.flags.c_contiguous \
+            or values.shape[:1] != (m,):
+        raise ConfigError(f"transport needs C-contiguous float64 cell "
+                          f"values with {m} rows, got {values.dtype} {values.shape}")
     h = duration / n_substeps
-    op, nonneg = _substep_operator(h, ff.dx, np.asarray(ff.v_face, float).tobytes(),
-                                   np.asarray(ff.sigma_centers, float).tobytes())
-    cb = None if ff.beta is None else (h / (2.0 * ff.dx)) * np.asarray(ff.beta)
+    op, nonneg = ff.operator(h)
+    csr = (op.indptr, op.indices, op.data)
+    cb = None if ff.beta is None else (h / (2.0 * ff.dx)) * ff.beta
     guarded = cb is not None or not nonneg or float(np.min(values)) < 0.0
     src, dst = values, ff.workspace(values.shape)
     for _ in range(n_substeps):
@@ -220,7 +216,11 @@ def advance_values(values: np.ndarray, ff: FaceFields, duration: float,
             np.subtract(src[:-2], src[2:], out=dst[1:-1])
             dst[0], dst[-1] = -(src[0] + src[1]), src[-2] + src[-1]
             dst *= cb
-        _add_product(op, src, dst)
+        if values.ndim == 1:                    # dst += T src
+            _sparsetools.csr_matvec(m, m, *csr, src, dst)
+        else:
+            _sparsetools.csr_matvecs(m, m, values.size // m, *csr,
+                                     src.reshape(-1), dst.reshape(-1))
         if guarded:
             mn = float(np.min(dst))
             if mn < NEGATIVITY_TOL:

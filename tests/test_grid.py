@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse import _sparsetools
 
 from infoflow import checks, models
-from infoflow import grid as grid_module
 from infoflow.errors import (CflError, ConfigError, FilterCollapseError,
                              UnstableStepError)
 from infoflow.grid import (Grid1D, GridDensity, advance_values, entropy,
@@ -567,8 +567,7 @@ def _transport_case(shape, beta=None):
 
 
 def _operator(ff, h):
-    return grid_module._substep_operator(
-        h, ff.dx, ff.v_face.tobytes(), ff.sigma_centers.tobytes())[0]
+    return ff.operator(h)[0]
 
 
 def test_csr_kernels_add_the_product():
@@ -646,3 +645,23 @@ def test_advance_reuses_its_workspace():
         work = ff.workspace(values.shape)
         advance_values(values, ff, 2 * h, 2)
         assert ff.workspace(values.shape) is work
+
+
+def test_face_fields_are_immutable():
+    grid = Grid1D(-2.5, 2.5, 64)
+    base = face_fields(models.ou(), grid)
+    v = base.v_face.copy()
+    ff = FaceFields(v, base.sigma_centers, grid.dx)
+    h = 0.5 * ff.cfl_limit()
+    for name in ("beta", "v_face"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(ff, name, np.zeros(3))
+    with pytest.raises(ValueError):
+        ff.v_face[0] = 1.0
+    v[0] += 1.0                       # the caller's array is not ff's
+    assert ff.v_face[0] == base.v_face[0]
+    assert ff.operator(h) is ff.operator(h)
+    doubled = replace(ff, v_face=2 * v)
+    fresh = FaceFields(2 * v, base.sigma_centers, grid.dx)
+    assert np.array_equal(doubled.operator(h)[0].data, fresh.operator(h)[0].data)
+    assert not np.array_equal(doubled.operator(h)[0].data, ff.operator(h)[0].data)
