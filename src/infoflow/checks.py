@@ -23,13 +23,15 @@ from .control import (ControlPolicy, controlled_kb_experiment,
                       zero_policy)
 from .ensemble import EnsembleConfig, run_filter_ensemble
 from .errors import ConfigError
-from .gaussian import (LinearModel, gaussian_relax_series, kb_identity_scan,
-                       kb_info_rates, lyapunov_series, riccati_series)
+from .gaussian import (GaussianBelief, KalmanRun, LinearModel,
+                       gaussian_relax_series, kalman_bucy_run,
+                       kb_identity_scan, kb_info_rates, lyapunov_series)
 from .grid import (Grid1D, GridDensity, advance_values, face_fields,
                    gaussian_density, ks_advance, normalize, observation_values,
                    steady_state_grid, substeps_for, zakai_advance, zakai_step)
 from .models import (DiffusionModel, SmoothField, double_well, gamma, lqg,
                      ou, product_field, simulate_joint, step_count)
+from .rng import check_seed
 
 DEFAULT_SEED = 20260809
 SQRT2 = math.sqrt(2.0)
@@ -152,6 +154,18 @@ def check_de_bruijn(seed: int = DEFAULT_SEED) -> CheckResult:
 # Criterion 5: Gaussian-oracle filter equivalence
 # ---------------------------------------------------------------------------
 
+def _kalman_oracle(model, cfg: EnsembleConfig) -> KalmanRun:
+    """Kalman-Bucy filter of an lqg ensemble's observation paths, which
+    ``simulate_joint`` reproduces from its seed, indices and x0 sampler."""
+    x0_sd = math.sqrt(cfg.x0_var)
+    path = simulate_joint(model, lambda rng: cfg.x0_mean + x0_sd * rng.normal(),
+                          cfg.horizon, cfg.dt, cfg.seed,
+                          np.arange(cfg.n_trajectories))
+    lin = LinearModel(model.params["A"], model.params["B"], model.params["C"])
+    return kalman_bucy_run(lin, path,
+                           GaussianBelief([cfg.x0_mean], [[cfg.x0_var]]))
+
+
 @_timed
 def check_lqg_grid_filter(seed: int = DEFAULT_SEED,
                           n_trajectories: int = 100) -> CheckResult:
@@ -160,26 +174,14 @@ def check_lqg_grid_filter(seed: int = DEFAULT_SEED,
     grid = Grid1D(-6.0, 6.0, 512)
     cfg = EnsembleConfig(dt=dt, horizon=3.0, n_trajectories=n_trajectories,
                          seed=seed, sample_stride=400, x0_mean=0.0,
-                         x0_var=0.5, keep_sequences=True)
+                         x0_var=0.5)
     run = run_filter_ensemble(model, grid, cfg)
-    n_steps = cfg.n_steps
-    times = dt * np.arange(n_steps + 1)
-    lin = LinearModel([[-1.0]], [[SQRT2]], [[1.0]])
-    vhat = riccati_series(lin, [[cfg.x0_var]], times)[:, 0, 0]
-    xh = np.full(n_trajectories, cfg.x0_mean)
+    kb = _kalman_oracle(model, cfg)
     sample_steps = (run.times / dt).round().astype(int)
-    xh_at = np.empty((sample_steps.size, n_trajectories))
-    xh_at[0] = xh
-    s_idx = 1
-    for k in range(n_steps):
-        di = run.obs_increments[:, k] - xh * dt
-        xh = xh - xh * dt + vhat[k] * di
-        if s_idx < sample_steps.size and k + 1 == sample_steps[s_idx]:
-            xh_at[s_idx] = xh
-            s_idx += 1
-    var_err = float(np.max(np.abs(run.post_var - vhat[sample_steps][:, None])))
-    mean_err = float(np.max(np.abs(run.post_mean - xh_at)
-                            / np.sqrt(vhat[sample_steps])[:, None]))
+    vhat = kb.covs[sample_steps, 0, 0][:, None]
+    var_err = float(np.max(np.abs(run.post_var - vhat)))
+    mean_err = float(np.max(np.abs(run.post_mean - kb.means[sample_steps])
+                            / np.sqrt(vhat)))
     ok = var_err <= 5e-3 and mean_err <= 5e-3
     return CheckResult(
         "5 lqg_grid_filter", ok, max(var_err, mean_err), 5e-3,
@@ -502,6 +504,7 @@ def run_suite(suite: str, seed: int = DEFAULT_SEED,
               scale: str = "full") -> list:
     if scale not in ("small", "full"):
         raise ConfigError("scale must be 'small' or 'full'")
+    check_seed(seed)
     n_big = 2000 if scale == "full" else 300
     n_mid = 100 if scale == "full" else 20
     suites = {

@@ -127,12 +127,14 @@ def load_scenario(path) -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError(f"bad numeric value: {exc}") from exc
 
-    n_steps = step_count(horizon, dt)
-    stride_default = max(1, n_steps // 40)
-    while n_steps % stride_default != 0:
-        stride_default -= 1
     try:
-        stride = int(parser["time"].get("sample_stride", str(stride_default)))
+        if "sample_stride" in parser["time"]:
+            stride = int(parser["time"]["sample_stride"])
+        else:
+            n_steps = step_count(horizon, dt)
+            stride = max(1, n_steps // 40)
+            while n_steps % stride != 0:
+                stride -= 1
         x0_mean = float(parser["ensemble"].get("x0_mean", "0.0"))
         x0_var = float(parser["ensemble"].get("x0_var", "0.25"))
     except ValueError as exc:

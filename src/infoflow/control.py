@@ -30,14 +30,20 @@ class ControlPolicy:
     """Bounded map (t, posterior summary) -> control.
 
     ``fn`` must act elementwise on an array of posterior summaries (one per
-    trajectory).  ``bound`` declares the largest |control| the policy may
-    emit; the runner clamps anything beyond it and counts the clamps, and
-    uses the bound to budget the grid stability limit.
+    trajectory).  ``bound`` (finite, >= 0) declares the largest |control|
+    the policy may emit; the runner clamps anything beyond it and counts
+    the clamps, and uses the bound to budget the grid stability limit.  A
+    bound of 0 means unclamped.
     """
 
     name: str
     fn: Callable
     bound: float = 0.0
+
+    def __post_init__(self):
+        if not (self.bound >= 0 and math.isfinite(self.bound)):
+            raise ConfigError("policy bound must be finite and >= 0 "
+                              f"(0: unclamped), got {self.bound}")
 
     def __call__(self, t, summary):
         return self.fn(t, np.asarray(summary, dtype=float))

@@ -30,6 +30,7 @@ from .grid import (DENSITY_FLOOR, Grid1D, advance_values, face_fields,
                    substeps_for, zakai_advance)
 from .models import DiffusionModel, euler_maruyama, step_count
 from .models import draw_increments as _draw_increments
+from .rng import check_seed
 
 _MASS_FOLD_LO, _MASS_FOLD_HI = 1e-12, 1e12
 
@@ -43,15 +44,16 @@ class EnsembleConfig:
     sample_stride: int = 1
     x0_mean: float = 0.0
     x0_var: float = 0.25
-    keep_sequences: bool = False
 
     def __post_init__(self):
         if self.sample_stride < 1 or self.n_steps % self.sample_stride != 0:
             raise ConfigError("sample_stride must divide horizon/dt")
         if self.n_trajectories < 1:
             raise ConfigError("need at least one trajectory")
-        if self.x0_var <= 0:
-            raise ConfigError("x0_var must be positive")
+        check_seed(self.seed)
+        if not (math.isfinite(self.x0_mean) and math.isfinite(self.x0_var)
+                and self.x0_var > 0):
+            raise ConfigError("x0_mean must be finite, x0_var finite and positive")
 
     @property
     def n_steps(self) -> int:
@@ -94,8 +96,6 @@ class EnsembleRun:
     controls: Optional[np.ndarray] = None   # (S, N)
     v_bar: Optional[np.ndarray] = None      # (S, M) mean drift at centers
     clamp_count: int = 0
-    obs_increments: Optional[np.ndarray] = None  # (N, K) if kept
-    pi_h_path: Optional[np.ndarray] = None       # (N, K) if kept
 
     @property
     def n_samples(self) -> int:
@@ -155,9 +155,9 @@ def _eval_log_and_score(values, grid, x):
 def apply_policy(policy, t: float, posterior_summary):
     """Evaluate a policy, one control per summary, and clamp to its bound.
 
-    Returns (controls, n_clamped).  A policy without a positive ``bound``
-    runs unclamped.  Deterministic in its inputs, so replays from logged
-    summaries reproduce logged controls exactly.
+    Returns (controls, n_clamped).  A policy whose ``bound`` is 0, or that
+    has none, runs unclamped.  Deterministic in its inputs, so replays from
+    logged summaries reproduce logged controls exactly.
     """
     beta = np.broadcast_to(np.asarray(policy(t, posterior_summary), dtype=float),
                            np.shape(posterior_summary)).astype(float)
@@ -210,7 +210,7 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
     # step's controls and the prior's mean drift are new instances
     ff_post = face_fields(model, grid)
     ff_prior = replace(ff_post)
-    budget = replace(ff_post, beta=np.array([abs(getattr(policy, "bound", 0.0))]))
+    budget = replace(ff_post, beta=np.array([getattr(policy, "bound", 0.0)]))
     n_half = substeps_for(budget, 0.5 * dt)
     n_full = substeps_for(budget, dt)
 
@@ -239,8 +239,6 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
     v_bar_rec = np.empty((n_samples, grid.n_cells)) if policy is not None else None
     posterior_final = None
     clamp_count = 0
-    obs_seq = np.empty((n_traj, n_steps)) if config.keep_sequences else None
-    pi_seq = np.empty((n_traj, n_steps)) if config.keep_sequences else None
 
     s_idx = 0
     mass = _column_sums(post_vals) * dx
@@ -300,9 +298,6 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
         int_pi2 = int_pi2 + pi_h * pi_h * dt
 
         x, dy = truth_step(x, beta, dw[k], du[k], t + dt)
-        if config.keep_sequences:
-            obs_seq[:, k] = dy
-            pi_seq[:, k] = pi_h
 
         # --- per-trajectory Zakai step (Strang split)
         if beta is not None:
@@ -326,5 +321,4 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
         times=dt * sample_steps.astype(float),
         excluded=excluded, prior_fp=prior_snap, posterior_mean=post_mean_snap,
         posterior_final=posterior_final, controls=controls_rec,
-        v_bar=v_bar_rec, clamp_count=clamp_count,
-        obs_increments=obs_seq, pi_h_path=pi_seq, **rec)
+        v_bar=v_bar_rec, clamp_count=clamp_count, **rec)

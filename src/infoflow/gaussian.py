@@ -25,9 +25,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_continuous_lyapunov
 
-from .errors import CovarianceError, NonHurwitzError
+from .errors import ConfigError, CovarianceError, NonHurwitzError
 from .models import JointPath, step_count
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -96,9 +95,9 @@ class KBRates:
 @dataclass
 class KalmanRun:
     times: np.ndarray        # (K+1,)
-    means: np.ndarray        # (K+1, n)
-    covs: np.ndarray         # (K+1, n, n)
-    innovations: np.ndarray  # (K, p)
+    means: np.ndarray        # (K+1, N), one column per trajectory
+    covs: np.ndarray         # (K+1, 1, 1), shared by every trajectory
+    innovations: np.ndarray  # (K, N)
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +112,10 @@ def _check_pd(mat: np.ndarray, what: str) -> None:
 
 
 def inv_psd(mat: np.ndarray, what: str = "covariance") -> np.ndarray:
-    """Inverse of a symmetric positive-definite matrix via Cholesky."""
+    """Inverse of a symmetric positive-definite matrix."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     _check_pd(mat, what)
-    factor = cho_factor(0.5 * (mat + mat.T), lower=True)
-    return cho_solve(factor, np.eye(mat.shape[0]))
+    return np.linalg.inv(0.5 * (mat + mat.T))
 
 
 def logdet_psd(mat: np.ndarray, what: str = "covariance") -> float:
@@ -132,12 +130,15 @@ def logdet_psd(mat: np.ndarray, what: str = "covariance") -> float:
 # ---------------------------------------------------------------------------
 
 def lyapunov_steady(A, sigma) -> np.ndarray:
-    """Steady covariance solving A V + V A^T + sigma = 0 (A Hurwitz)."""
+    """Steady covariance solving A V + V A^T + sigma = 0 (A Hurwitz), as the
+    linear system (A (x) I + I (x) A) vec V = -vec sigma."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     if not np.all(np.linalg.eigvals(A).real < 0):
         raise NonHurwitzError("no steady state: drift matrix is not Hurwitz")
-    vss = solve_continuous_lyapunov(A, -sigma)
+    eye = np.eye(A.shape[0])
+    vss = np.linalg.solve(np.kron(A, eye) + np.kron(eye, A),
+                          -sigma.reshape(-1)).reshape(A.shape)
     vss = 0.5 * (vss + vss.T)
     resid = np.max(np.abs(A @ vss + vss @ A.T + sigma))
     if resid > 1e-10 * max(1.0, np.max(np.abs(sigma))):
@@ -154,14 +155,6 @@ def _rk4_step(f: Callable, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4(f: Callable, y0, t_span: float, n_steps: int):
-    """Classical fixed-step RK4 returning the endpoint."""
-    h = t_span / n_steps
-    y = y0
-    for _ in range(n_steps):
-        y = _rk4_step(f, y, h)
-    return y
-
 def propagate_gaussian(A, sigma, belief0: GaussianBelief, t: float,
                        dt: float = 1e-3) -> GaussianBelief:
     """Propagate an unconditioned Gaussian law by RK4.
@@ -175,8 +168,13 @@ def propagate_gaussian(A, sigma, belief0: GaussianBelief, t: float,
     if t == 0:
         return GaussianBelief(belief0.mean.copy(), belief0.cov.copy())
     n_steps = max(1, int(math.ceil(t / dt)))
-    cov = _rk4(lambda v: A @ v + v @ A.T + sigma, belief0.cov, t, n_steps)
-    mean = _rk4(lambda m: A @ m, belief0.mean, t, n_steps)
+    h = t / n_steps
+    f_cov = lambda v: A @ v + v @ A.T + sigma
+    f_mean = lambda m: A @ m
+    cov, mean = belief0.cov, belief0.mean
+    for _ in range(n_steps):
+        cov = _rk4_step(f_cov, cov, h)
+        mean = _rk4_step(f_mean, mean, h)
     cov = 0.5 * (cov + cov.T)
     if not np.all(np.isfinite(cov)) or not np.all(np.isfinite(mean)):
         raise CovarianceError("Gaussian propagation became non-finite "
@@ -185,20 +183,13 @@ def propagate_gaussian(A, sigma, belief0: GaussianBelief, t: float,
 
 
 def lyapunov_series(A, sigma, v0, times) -> np.ndarray:
-    """Covariance V(t) on a uniform time grid (RK4 step = grid step)."""
+    """Covariance V(t) on a time grid, one RK4 step per grid step."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     v0 = np.atleast_2d(np.asarray(v0, dtype=float))
     times = np.asarray(times, dtype=float)
     out = np.empty((times.size,) + v0.shape)
     out[0] = v0
-    if A.shape == (1, 1):
-        a, s, v = float(A[0, 0]), float(sigma[0, 0]), float(v0[0, 0])
-        rhs = lambda y: 2 * a * y + s
-        for k in range(times.size - 1):
-            v = _rk4_step(rhs, v, times[k + 1] - times[k])
-            out[k + 1, 0, 0] = v
-        return out
     v = v0
     rhs = lambda m: A @ m + m @ A.T + sigma
     for k in range(times.size - 1):
@@ -209,38 +200,28 @@ def lyapunov_series(A, sigma, v0, times) -> np.ndarray:
 
 
 def riccati_series(model: LinearModel, v0, times) -> np.ndarray:
-    """Conditioned covariance V^(t) solving the Kalman-Bucy Riccati equation.
+    """Conditioned variance V^(t) of a scalar model, shaped (K+1, 1, 1),
+    solving the Kalman-Bucy Riccati equation
 
-    dV^/dt = A V^ + V^ A^T + sigma - V^ C^T C V^, RK4 with the grid step.
-    Raises CovarianceError with a time stamp if positive definiteness is lost.
+        dV^/dt = 2 a V^ + sigma - c^2 V^^2,
+
+    one RK4 step per grid step.  Raises ConfigError for a model that is not
+    scalar, and CovarianceError with a time stamp if positivity is lost.
     """
-    A, C, sigma = model.A, model.C, model.sigma
-    v0 = np.atleast_2d(np.asarray(v0, dtype=float))
+    if model.n != 1 or model.C.shape != (1, 1):
+        raise ConfigError("riccati_series is scalar: A and C must be 1x1")
+    a, s = float(model.A[0, 0]), float(model.sigma[0, 0])
+    c2 = float(model.C[0, 0]) ** 2
     times = np.asarray(times, dtype=float)
-    out = np.empty((times.size,) + v0.shape)
-    out[0] = v0
-    if model.n == 1 and model.C.shape == (1, 1):
-        a, s, c2 = float(A[0, 0]), float(sigma[0, 0]), float(C[0, 0]) ** 2
-        v = float(v0[0, 0])
-        rhs = lambda y: 2 * a * y + s - c2 * y * y
-        for k in range(times.size - 1):
-            v = _rk4_step(rhs, v, times[k + 1] - times[k])
-            if not (v > 0) or not math.isfinite(v):
-                raise CovarianceError(
-                    f"Riccati solution lost positivity at t={times[k + 1]:.6g}")
-            out[k + 1, 0, 0] = v
-        return out
-    ctc = C.T @ C
-    rhs = lambda m: A @ m + m @ A.T + sigma - m @ ctc @ m
-    v = v0
+    out = np.empty((times.size, 1, 1))
+    v = out[0, 0, 0] = float(np.asarray(v0, dtype=float).reshape(()))
+    rhs = lambda y: 2 * a * y + s - c2 * y * y
     for k in range(times.size - 1):
         v = _rk4_step(rhs, v, times[k + 1] - times[k])
-        v = 0.5 * (v + v.T)
-        eig = np.linalg.eigvalsh(v)
-        if eig[0] <= 0 or not np.all(np.isfinite(v)):
+        if not (v > 0) or not math.isfinite(v):
             raise CovarianceError(
-                f"Riccati solution lost positive definiteness at t={times[k + 1]:.6g}")
-        out[k + 1] = v
+                f"Riccati solution lost positivity at t={times[k + 1]:.6g}")
+        out[k + 1, 0, 0] = v
     return out
 
 
@@ -349,30 +330,26 @@ def gaussian_relax_series(a: float, sigma_sq: float, v0: float, mu0: float,
 
 def kalman_bucy_run(model: LinearModel, path: JointPath,
                     belief0: GaussianBelief) -> KalmanRun:
-    """Run the Kalman-Bucy filter along one observation path.
+    """Run the scalar Kalman-Bucy filter along every column of a path.
 
-    The conditioned covariance solves the Riccati equation (deterministic,
-    independent of the realization); the conditioned mean is advanced per
-    observation increment,
+    The conditioned variance solves the Riccati equation (deterministic,
+    independent of the realization); each trajectory's conditioned mean is
+    advanced per observation increment,
 
-        Xhat_{k+1} = Xhat_k + A Xhat_k dt + Vhat_k C^T dI_k,
+        Xhat_{k+1} = Xhat_k + a Xhat_k dt + Vhat_k c dI_k,
 
-    with innovations dI_k = dY_k - C Xhat_k dt.
+    with innovations dI_k = dY_k - c Xhat_k dt.
     """
-    A, C = model.A, model.C
-    dt = path.dt
-    k_steps = path.obs_increments.shape[0]
     covs = riccati_series(model, belief0.cov, path.times)
-    means = np.empty((k_steps + 1, model.n))
-    innov = np.empty((k_steps, C.shape[0]))
-    x = belief0.mean.astype(float).copy()
-    means[0] = x
-    for k in range(k_steps):
-        pred = C @ x * dt
-        di = path.obs_increments[k] - pred
-        innov[k] = di
-        x = x + (A @ x) * dt + covs[k] @ C.T @ di
-        means[k + 1] = x
+    a, c = float(model.A[0, 0]), float(model.C[0, 0])
+    dt = path.dt
+    incs = path.obs_increments
+    means = np.empty((incs.shape[0] + 1, incs.shape[1]))
+    innov = np.empty_like(incs)
+    x = means[0] = float(belief0.mean[0])
+    for k in range(incs.shape[0]):
+        innov[k] = incs[k] - c * x * dt
+        x = means[k + 1] = x + a * x * dt + covs[k, 0, 0] * c * innov[k]
     return KalmanRun(times=path.times, means=means, covs=covs, innovations=innov)
 
 

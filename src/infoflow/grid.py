@@ -40,7 +40,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import cumulative_trapezoid
 from scipy.sparse import _sparsetools
 
 from .errors import (CflError, ConfigError, FilterCollapseError,
@@ -62,6 +61,8 @@ class Grid1D:
     def __post_init__(self):
         if self.n_cells < 16:
             raise ConfigError("grid needs at least 16 cells")
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise ConfigError("grid bounds must be finite")
         if not self.x_max > self.x_min:
             raise ConfigError("empty grid interval")
 
@@ -452,8 +453,9 @@ def steady_state_grid(model: DiffusionModel, grid: Grid1D,
     xc = grid.centers
     sig = model.sigma_profile(xc)
     if float(np.ptp(sig)) <= 1e-14 * float(np.max(np.abs(sig))):
-        v = np.asarray(model.drift(xc), dtype=float)
-        log_w = cumulative_trapezoid(2.0 * v / sig, xc, initial=0.0)
+        f = 2.0 * np.asarray(model.drift(xc), dtype=float) / sig
+        trapezoids = np.diff(xc) * (f[1:] + f[:-1]) / 2.0
+        log_w = np.concatenate(([0.0], np.cumsum(trapezoids)))
         log_w -= np.max(log_w)
         vals = np.exp(log_w)
         vals /= np.sum(vals) * grid.dx

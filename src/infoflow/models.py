@@ -195,6 +195,8 @@ def u_field(model: DiffusionModel, x) -> np.ndarray:
 def step_count(horizon: float, dt: float) -> int:
     """Number of Euler-Maruyama steps: ``horizon`` must be a whole number of
     ``dt > 0`` steps, at least one."""
+    if not (math.isfinite(horizon) and math.isfinite(dt)):
+        raise ConfigError("dt and horizon must be finite")
     if not (dt > 0 and horizon >= dt):
         raise ConfigError("require dt > 0 and horizon >= dt")
     n_steps = int(round(horizon / dt))
@@ -288,8 +290,14 @@ def simulate_joint(model: DiffusionModel, x0_sampler: Callable, horizon: float,
 # Model presets
 # ---------------------------------------------------------------------------
 
+def _require_positive(name: str, value: float) -> None:
+    if not (value > 0 and math.isfinite(value)):
+        raise ConfigError(f"{name} must be finite and positive, got {value}")
+
+
 def brownian(sigma_sq: float = 1.0, obs_gain: float = 0.0) -> DiffusionModel:
     """Pure diffusion: v = 0, constant sigma.  No steady state."""
+    _require_positive("sigma_sq", sigma_sq)
     b = math.sqrt(sigma_sq)
     return DiffusionModel(
         dim_state=1, dim_noise=1, dim_obs=1,
@@ -304,8 +312,8 @@ def brownian(sigma_sq: float = 1.0, obs_gain: float = 0.0) -> DiffusionModel:
 
 def ou(rate: float = 1.0, sigma_sq: float = 2.0, obs_gain: float = 1.0) -> DiffusionModel:
     """Scalar Ornstein-Uhlenbeck: v = -rate*x, steady variance sigma_sq/(2 rate)."""
-    if rate <= 0:
-        raise ConfigError("ou preset requires rate > 0")
+    _require_positive("rate", rate)
+    _require_positive("sigma_sq", sigma_sq)
     b = math.sqrt(sigma_sq)
     sd = math.sqrt(sigma_sq / (2.0 * rate))
     return DiffusionModel(
@@ -325,13 +333,11 @@ def lqg(A=(-1.0,), B=(1.4142135623730951,), C=(1.0,)) -> DiffusionModel:
     if any(m.shape != (1, 1) for m in (A, B, C)):
         raise ConfigError("the lqg preset is scalar: A, B and C must be 1x1")
     a, bb, cc = A[0, 0], B[0, 0], C[0, 0]
+    _require_positive("sigma_sq = B^2", bb * bb)
     box = np.array([[-10.0, 10.0]])
-    eig = np.linalg.eigvals(A)
-    if np.all(eig.real < 0):
-        from scipy.linalg import solve_continuous_lyapunov
-        vss = solve_continuous_lyapunov(A, -(B @ B.T))
-        sd = np.sqrt(np.maximum(np.diag(vss), 1e-12))
-        box = np.stack([-6.0 * sd, 6.0 * sd], axis=1)
+    if a < 0:   # six steady standard deviations, V_ss = -b^2 / 2a
+        sd = math.sqrt(max(-(bb * bb) / (2.0 * a), 1e-12))
+        box = np.array([[-6.0 * sd, 6.0 * sd]])
     return DiffusionModel(
         dim_state=1, dim_noise=1, dim_obs=1,
         drift=lambda x: a * np.asarray(x, dtype=float),
@@ -345,6 +351,7 @@ def lqg(A=(-1.0,), B=(1.4142135623730951,), C=(1.0,)) -> DiffusionModel:
 def double_well(scale: float = 1.0, sigma_sq: float = 0.5,
                 obs_gain: float = 1.0) -> DiffusionModel:
     """Bistable drift v = scale*(x - x^3) with constant sigma."""
+    _require_positive("sigma_sq", sigma_sq)
     b = math.sqrt(sigma_sq)
     return DiffusionModel(
         dim_state=1, dim_noise=1, dim_obs=1,

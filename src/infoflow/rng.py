@@ -8,6 +8,8 @@ which makes ensemble results reproducible under any parallel schedule.
 
 import numpy as np
 
+from .errors import ConfigError
+
 CHANNEL_DYNAMICS = 0   # dW, the dynamical Wiener noise
 CHANNEL_OBSERVATION = 1  # dU, the observation Wiener noise
 CHANNEL_INITIAL = 2    # initial-state sampling
@@ -22,3 +24,9 @@ def substream(seed: int, trajectory_index: int, channel: int) -> np.random.Gener
     ss = np.random.SeedSequence(entropy=int(seed),
                                 spawn_key=(int(trajectory_index), int(channel)))
     return np.random.default_rng(ss)
+
+
+def check_seed(seed) -> None:
+    """A master seed is an integer >= 0: ConfigError otherwise."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")

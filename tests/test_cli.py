@@ -147,6 +147,49 @@ def test_non_numeric_value_exits_2(tmp_path, capsys, line):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("line, bad", [
+    ("horizon = 0.2", "horizon = inf"),
+    ("sigma_sq = 2.0", "sigma_sq = -0.5"),
+    ("seed = 99", "seed = -1"),
+    ("x0_mean = 0.0", "x0_mean = nan"),
+    ("x0_var = 0.5", "x0_var = nan"),
+    ("x_max = 6.0", "x_max = inf"),
+    ("[output]", "[policy]\nname = linear_gain\ngain = 0.5\nbound = -5\n[output]"),
+    ("[output]", "[policy]\nname = linear_gain\ngain = 0.5\nbound = nan\n[output]")])
+def test_bad_value_exits_2(tmp_path, capsys, line, bad):
+    # one validation contract: the library types refuse what the INI refuses
+    cfg, outdir = write_config(tmp_path, OU_CONFIG.replace(line, bad))
+    assert cli.main(["run", str(cfg)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_check_negative_seed_exits_2(tmp_path, capsys):
+    report = tmp_path / "check.json"
+    assert cli.main(["check", "grid", "--seed", "-1",
+                     "--report", str(report)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_cli_imports_only_the_sparse_subpackage_of_scipy():
+    # numpy does all dense work; scipy supplies the compiled CSR kernel
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    code = ("import sys, infoflow.cli; print(' '.join(sorted(m for m in "
+            "sys.modules if m.split('.')[0] == 'scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "scipy.sparse" in loaded
+    for name in ("scipy.integrate", "scipy.linalg", "scipy.optimize",
+                 "scipy.special"):
+        assert name not in loaded, name
+
+
 def test_non_numeric_lqg_coefficient_is_config_error():
     with pytest.raises(ConfigError, match="non-numeric"):
         build_model({"preset": "lqg", "a": "ten"})

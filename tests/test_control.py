@@ -52,6 +52,12 @@ class TestPolicies:
             make_policy("linear_gain", wrong=1.0)
         assert make_policy("linear_gain", gain=0.5).bound == 10.0
 
+    @pytest.mark.parametrize("bound", [-5.0, math.nan, math.inf])
+    def test_bound_is_finite_and_non_negative(self, bound):
+        # a negative bound would run unclamped under a widened CFL budget
+        with pytest.raises(ConfigError, match="bound"):
+            linear_gain_policy(gain=0.5, bound=bound)
+
 
 class TestMeanDrift:
     def test_open_loop_exact(self):

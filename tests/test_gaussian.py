@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infoflow import models
+from infoflow import checks, models
+from infoflow.ensemble import EnsembleConfig
 from infoflow.errors import ConfigError, CovarianceError, NonHurwitzError
 from infoflow.gaussian import (GaussianBelief, LinearModel, gaussian_kl,
                                gaussian_relax_series, kalman_bucy_run,
@@ -70,6 +71,35 @@ class TestPropagation:
             v = vs[k]
             rate = np.trace(2.0 * a + np.linalg.solve(v, sigma))
             assert fd[k - 1] == pytest.approx(rate, rel=1e-6)
+
+
+def _scalar_lyapunov_recursion(a, s, v0, times):
+    # the scalar RK4 recursion lyapunov_series once kept beside its matrix path
+    out = np.empty(times.size)
+    out[0] = v = v0
+    rhs = lambda y: 2 * a * y + s
+    for k in range(times.size - 1):
+        h = times[k + 1] - times[k]
+        k1 = rhs(v)
+        k2 = rhs(v + 0.5 * h * k1)
+        k3 = rhs(v + 0.5 * h * k2)
+        k4 = rhs(v + h * k3)
+        out[k + 1] = v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return out
+
+
+@pytest.mark.parametrize("a, s, v0", [(-1.0, 2.0, 0.25), (-0.3, 0.7, 3.1),
+                                      (0.4, 1.0, 0.5), (-2.5, 0.0, 1.7)])
+@pytest.mark.parametrize("times", [
+    1e-3 * np.arange(2001),
+    np.cumsum(np.r_[0.0, np.linspace(1e-4, 3e-3, 600)]),
+    np.sort(np.random.default_rng(3).uniform(0.0, 2.0, 400))],
+    ids=["uniform", "graded", "random"])
+def test_lyapunov_series_scalar_is_bitwise(a, s, v0, times):
+    out = lyapunov_series([[a]], [[s]], [[v0]], times)
+    assert out.shape == (times.size, 1, 1)
+    np.testing.assert_array_equal(out[:, 0, 0],
+                                  _scalar_lyapunov_recursion(a, s, v0, times))
 
 
 class TestSurpriseLedger:
@@ -142,6 +172,14 @@ class TestRiccati:
         with pytest.raises(CovarianceError):
             riccati_series(model, [[-0.1]], 1e-3 * np.arange(50))
 
+    @pytest.mark.parametrize("A, B, C", [
+        (np.diag([-1.0, -2.0]), np.eye(2), [[1.0, 0.0]]),
+        ([[-1.0]], [[SQRT2]], [[1.0], [0.5]])])
+    def test_matrix_model_refused(self, A, B, C):
+        with pytest.raises(ConfigError, match="scalar"):
+            riccati_series(LinearModel(A, B, C), np.eye(np.shape(A)[0]),
+                           1e-3 * np.arange(5))
+
 
 class TestKalmanBucy:
     def test_no_channel_filter(self):
@@ -154,6 +192,44 @@ class TestKalmanBucy:
         expected = 0.5 * np.exp(-path.times)
         np.testing.assert_allclose(run.means[:, 0], expected, rtol=2e-3)
         np.testing.assert_allclose(run.innovations, path.obs_increments)
+
+    def test_columns_match_single_runs(self):
+        model = LinearModel([[-0.7]], [[1.3]], [[0.8]])
+        diff = model_to_diffusion(model)
+        sampler = lambda r: r.normal(0.2, 0.6, size=1)
+        belief = GaussianBelief([0.2], [[0.36]])
+        whole = kalman_bucy_run(model, models.simulate_joint(
+            diff, sampler, 0.5, 1e-3, seed=8, trajectory_index=np.arange(6)),
+            belief)
+        assert whole.means.shape == (501, 6)
+        for j in (0, 3, 5):
+            single = kalman_bucy_run(model, models.simulate_joint(
+                diff, sampler, 0.5, 1e-3, seed=8, trajectory_index=j), belief)
+            np.testing.assert_array_equal(whole.means[:, j], single.means[:, 0])
+            np.testing.assert_array_equal(whole.innovations[:, j],
+                                          single.innovations[:, 0])
+            np.testing.assert_array_equal(whole.covs, single.covs)
+
+    def test_criterion_5_oracle_is_bitwise(self):
+        # the inline filter loop criterion 5 once ran on the ensemble's dY
+        cfg = EnsembleConfig(dt=2.5e-4, horizon=0.1, n_trajectories=7,
+                             seed=12, sample_stride=40, x0_mean=0.3,
+                             x0_var=0.5)
+        model = models.lqg(A=[[-1.0]], B=[[SQRT2]], C=[[1.0]])
+        kb = checks._kalman_oracle(model, cfg)
+        path = models.simulate_joint(
+            model, lambda r: cfg.x0_mean + math.sqrt(cfg.x0_var) * r.normal(),
+            cfg.horizon, cfg.dt, cfg.seed, np.arange(cfg.n_trajectories))
+        lin = LinearModel([[-1.0]], [[SQRT2]], [[1.0]])
+        vhat = riccati_series(lin, [[cfg.x0_var]], path.times)[:, 0, 0]
+        xh = np.full(cfg.n_trajectories, cfg.x0_mean)
+        dt = cfg.dt
+        for k in range(cfg.n_steps):
+            np.testing.assert_array_equal(kb.means[k], xh)
+            di = path.obs_increments[k] - xh * dt
+            xh = xh - xh * dt + vhat[k] * di
+        np.testing.assert_array_equal(kb.means[-1], xh)
+        np.testing.assert_array_equal(kb.covs[:, 0, 0], vhat)
 
     def test_conditioned_covariance_monte_carlo(self):
         # ensemble mean of (X - Xhat)^2 matches the Riccati variance

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import cumulative_trapezoid
 from scipy.sparse import _sparsetools
 
 from infoflow import checks, models
@@ -19,11 +20,31 @@ from infoflow.grid import (FaceFields, ks_advance, observation_values,
 from infoflow.models import simulate_joint
 
 
+@pytest.mark.parametrize("m, grid", [
+    (models.ou(), Grid1D(-6.0, 6.0, 512)),
+    (models.ou(rate=0.3, sigma_sq=0.7), Grid1D(-4.0, 5.0, 97)),
+    (models.double_well(), Grid1D(-2.5, 2.5, 256)),
+    (models.double_well(scale=2.0, sigma_sq=0.3), Grid1D(-2.0, 2.2, 130)),
+    (models.lqg(A=[[-0.5]], B=[[0.9]], C=[[1.0]]), Grid1D(-3.0, 3.0, 64))],
+    ids=["ou", "ou_skewed_box", "double_well", "double_well_steep", "lqg"])
+def test_steady_state_is_scipy_cumulative_trapezoid(m, grid):
+    # the closed-form steady state reproduces scipy's quadrature bit for bit
+    xc = grid.centers
+    log_w = cumulative_trapezoid(2.0 * m.drift(xc) / m.sigma_profile(xc), xc,
+                                 initial=0.0)
+    vals = np.exp(log_w - np.max(log_w))
+    vals /= np.sum(vals) * grid.dx
+    np.testing.assert_array_equal(steady_state_grid(m, grid).values, vals)
+
+
 def test_grid_validation():
     with pytest.raises(ConfigError):
         Grid1D(-1.0, 1.0, 8)
     with pytest.raises(ConfigError):
         Grid1D(1.0, -1.0, 64)
+    for lo, hi in ((-1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)):
+        with pytest.raises(ConfigError):
+            Grid1D(lo, hi, 64)
     g = Grid1D(-2.0, 2.0, 64)
     assert g.dx == pytest.approx(4.0 / 64)
     assert g.centers.size == 64

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_continuous_lyapunov
 
 from infoflow import models
 from infoflow.errors import ConfigError, SimulationBlowupError
@@ -154,7 +155,8 @@ class TestSimulateJoint:
     def test_bad_arguments(self):
         # a whole number of dt > 0 steps, as EnsembleConfig requires
         m = models.ou()
-        for horizon, dt in ((0.5, -0.1), (0.0104, 1e-3)):
+        for horizon, dt in ((0.5, -0.1), (0.0104, 1e-3), (math.inf, 1e-3),
+                            (1.0, math.inf), (math.inf, math.inf)):
             with pytest.raises(ConfigError):
                 simulate_joint(m, lambda r: np.zeros(1), horizon, dt, seed=0)
 
@@ -181,8 +183,26 @@ def test_preset_registry():
         preset("nonexistent")
     with pytest.raises(ConfigError):
         preset("ou", rate=-1.0)
+    with pytest.raises(ConfigError, match="sigma_sq"):
+        preset("lqg", B=[[0.0]])
     m = preset("double_well", scale=2.0)
     assert m.params["scale"] == 2.0
+
+
+@pytest.mark.parametrize("name", ["brownian", "ou", "double_well"])
+@pytest.mark.parametrize("sigma_sq", [0.0, -0.5, math.nan, math.inf])
+def test_presets_refuse_bad_sigma_sq(name, sigma_sq):
+    with pytest.raises(ConfigError, match="sigma_sq"):
+        preset(name, sigma_sq=sigma_sq)
+
+
+@pytest.mark.parametrize("a, b", [(-1.0, math.sqrt(2.0)), (-0.3, 0.7),
+                                  (-13.0, 2.2), (-1e-3, 0.05)])
+def test_lqg_box_is_six_steady_deviations(a, b):
+    # the closed form V_ss = -b^2 / 2a, bit for bit as scipy's Lyapunov solver
+    sd = math.sqrt(solve_continuous_lyapunov([[a]], [[-b * b]])[0, 0])
+    box = preset("lqg", A=[[a]], B=[[b]], C=[[1.0]]).domain_box
+    np.testing.assert_array_equal(box, [[-6.0 * sd, 6.0 * sd]])
 
 
 @pytest.mark.parametrize("A, B, C", [
