@@ -348,11 +348,12 @@ def _random_field(rng, dim: int) -> SmoothField:
     return SmoothField(value=value, gradient=gradient)
 
 
-def _random_model(rng, dim: int, b_mat: np.ndarray) -> DiffusionModel:
+def _random_model(dim: int, b_mat: np.ndarray) -> DiffusionModel:
+    sig = b_mat @ b_mat.T
     return DiffusionModel(
-        dim_state=dim, dim_noise=b_mat.shape[1], dim_obs=1,
+        dim_state=dim, dim_obs=1,
         drift=lambda x: np.zeros(dim),
-        diffusion_factor=lambda x: b_mat,
+        sigma=lambda x: sig,
         observation_map=lambda x, y=None: np.zeros(1),
         domain_box=[[-5.0, 5.0]] * dim)
 
@@ -371,9 +372,9 @@ def check_gamma_properties(seed: int = DEFAULT_SEED) -> CheckResult:
         dim = int(rng.integers(1, 3))
         b1 = rng.normal(size=(dim, int(rng.integers(1, 3))))
         b2 = rng.normal(size=(dim, int(rng.integers(1, 3))))
-        m1 = _random_model(rng, dim, b1)
-        m2 = _random_model(rng, dim, b2)
-        m12 = _random_model(rng, dim, np.concatenate([b1, b2], axis=1))
+        m1 = _random_model(dim, b1)
+        m2 = _random_model(dim, b2)
+        m12 = _random_model(dim, np.concatenate([b1, b2], axis=1))
         f = _random_field(rng, dim)
         g = _random_field(rng, dim)
         h = _random_field(rng, dim)

@@ -15,6 +15,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .checks import DEFAULT_SEED, run_suite
 from .config import load_scenario, model_has_steady_state, scenario_template
@@ -22,7 +24,7 @@ from .control import POLICIES, run_controlled_experiment
 from .errors import ConfigError, InfoflowError, NumericalError
 from .grid import steady_state_grid
 from .models import PRESETS, preset_signature
-from .report import write_check_report, write_run_report
+from .report import write_check_report, write_csv, write_run_report
 
 SUITES = ("gaussian", "grid", "infoflow", "feedback", "all")
 
@@ -51,7 +53,10 @@ def _cmd_run(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         ledger.to_csv(outdir / "ledger.csv")
         if scenario.density_snapshots:
-            _write_snapshots(outdir / "snapshots.csv", run)
+            write_csv(outdir / "snapshots.csv", ("t", "x", "rho", "rho_hat_mean"),
+                      (np.repeat(run.times, run.grid.n_cells),
+                       np.tile(run.grid.centers, run.n_samples),
+                       run.prior_fp.ravel(), run.posterior_mean.ravel()))
         payload = write_run_report(outdir / "report.json", __version__,
                                    scenario.name, scenario.raw_text, ledger,
                                    time.perf_counter() - start)
@@ -66,17 +71,6 @@ def _cmd_run(args) -> int:
     except InfoflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-
-
-def _write_snapshots(path, run) -> None:
-    xc = run.grid.centers
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("t,x,rho,rho_hat_mean\n")
-        for s in range(run.n_samples):
-            t = run.times[s]
-            for i in range(xc.size):
-                fh.write(f"{t:.17g},{xc[i]:.17g},{run.prior_fp[s, i]:.17g},"
-                         f"{run.posterior_mean[s, i]:.17g}\n")
 
 
 def _cmd_check(args) -> int:

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, FilterCollapseError
+from .errors import ConfigError, FilterCollapseError, NumericalError
 from .grid import (DENSITY_FLOOR, Grid1D, advance_values, face_fields,
                    gaussian_density, observation_values, score_values,
                    substeps_for, zakai_advance)
@@ -156,16 +156,22 @@ def apply_policy(policy, t: float, posterior_summary):
     """Evaluate a policy, one control per summary, and clamp to its bound.
 
     Returns (controls, n_clamped).  A policy whose ``bound`` is 0, or that
-    has none, runs unclamped.  Deterministic in its inputs, so replays from
+    has none, runs unclamped; a control still not finite raises
+    :class:`NumericalError`.  Deterministic in its inputs, so replays from
     logged summaries reproduce logged controls exactly.
     """
     beta = np.broadcast_to(np.asarray(policy(t, posterior_summary), dtype=float),
                            np.shape(posterior_summary)).astype(float)
     bound = float(getattr(policy, "bound", 0.0))
+    n_clamped = 0
     if bound > 0.0:
         clipped = np.clip(beta, -bound, bound)
-        return clipped, int(np.sum(clipped != beta))
-    return beta, 0
+        beta, n_clamped = clipped, int(np.sum(clipped != beta))
+    if not np.all(np.isfinite(beta)):
+        bad = int(np.argmax(~np.isfinite(beta)))
+        raise NumericalError(f"policy {getattr(policy, 'name', policy)!r} gave "
+                             f"{beta.flat[bad]} for trajectory {bad} at t={t:.6g}")
+    return beta, n_clamped
 
 
 def mean_drift(model, xs, beta) -> np.ndarray:
@@ -307,11 +313,13 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
         post_vals, shift = zakai_advance(post_vals, ff_post, n_half, h_c, dy, dt)
         ledger = ledger + shift
         mass = _column_sums(post_vals) * dx       # the next step's masses
-        if np.any(mass < _MASS_FOLD_LO) or np.any(mass > _MASS_FOLD_HI):
-            safe = np.maximum(mass, DENSITY_FLOOR)
-            post_vals = post_vals / safe
-            ledger = ledger + np.log(safe)
-            mass = _column_sums(post_vals) * dx
+        # fold only the columns out of range: no column sees the batch
+        fold = (mass < _MASS_FOLD_LO) | (mass > _MASS_FOLD_HI)
+        if np.any(fold):
+            safe = np.maximum(mass[fold], DENSITY_FLOOR)
+            post_vals[:, fold] /= safe
+            ledger[fold] += np.log(safe)
+            mass[fold] = _column_sums(post_vals[:, fold]) * dx
 
         # --- shared prior with the ensemble-mean drift
         prior_vals = advance_values(prior_vals, ff_prior, dt, n_full)

@@ -37,6 +37,7 @@ from .grid import (DENSITY_FLOOR, Grid1D, GridDensity, SCORE_GATE, entropy,
                    face_fields, fp_evolve, fp_step, gaussian_density,
                    kl_divergence, score_values)
 from .models import DiffusionModel, brownian
+from .report import csv_text, write_csv
 
 LEDGER_COLUMNS = (
     "t", "H", "dH_dt", "F", "dF_dt", "trJ_rho", "trJ_pi", "trJ_pi_se",
@@ -63,17 +64,14 @@ def _fisher(rho: GridDensity, weight) -> float:
 
 def u_values_on_grid(model: DiffusionModel, grid: Grid1D,
                      drift_values: Optional[np.ndarray] = None) -> np.ndarray:
-    """u = v - (1/2) d sigma/dx at the cell centers."""
+    """u = v - (1/2) d sigma/dx at the cell centers.  Differences of sigma
+    less its first value are exactly 0 for a constant sigma, where numpy's
+    one-sided edge stencils on sigma itself leave roundoff."""
     xc = grid.centers
     v = drift_values if drift_values is not None else \
         np.asarray(model.drift(xc), dtype=float)
-    if model.sigma_divergence is not None:
-        dsig = np.asarray(model.sigma_divergence(xc), dtype=float)
-        if dsig.shape != xc.shape:
-            dsig = np.full(xc.shape, float(np.ravel(dsig)[0]))
-    else:
-        dsig = np.gradient(model.sigma_profile(xc), grid.dx, edge_order=2)
-    return v - 0.5 * dsig
+    sig = model.sigma_profile(xc)
+    return v - 0.5 * np.gradient(sig - sig[0], grid.dx, edge_order=2)
 
 
 def mean_divergence_u(model: DiffusionModel, rho: GridDensity,
@@ -371,16 +369,11 @@ class InfoLedger:
         return self.data[name]
 
     def csv_text(self) -> str:
-        """Header plus one row per sample time, numbers in 17 digits."""
-        lines = [",".join(LEDGER_COLUMNS)]
-        for i in range(self.times.size):
-            lines.append(",".join(f"{self.column(name)[i]:.17g}"
-                                  for name in LEDGER_COLUMNS))
-        return "\n".join(lines) + "\n"
+        """Header plus one row per sample time."""
+        return csv_text(LEDGER_COLUMNS, [self.column(c) for c in LEDGER_COLUMNS])
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(self.csv_text())
+        write_csv(path, LEDGER_COLUMNS, [self.column(c) for c in LEDGER_COLUMNS])
 
     def all_finite(self) -> bool:
         return all(bool(np.all(np.isfinite(self.column(c))))

@@ -1,19 +1,22 @@
 """Diffusion models, their co-metric geometry, and the coupled path simulator.
 
-A :class:`DiffusionModel` bundles the drift ``v``, the noise factor ``B``
-(diffusion tensor ``sigma = B B^T``) and the observation map ``h`` of the
-state/observation pair
+A :class:`DiffusionModel` bundles the drift ``v``, the diffusion tensor
+``sigma = B B^T`` and the observation map ``h`` of the state/observation pair
 
     dX = (v(X) + beta) dt + B(X) dW,      dY = h(X, Y) dt + dU,
 
-with ``W`` and ``U`` independent Wiener processes.  The model knows nothing
-of the control ``beta``: the simulators add an observation-adapted control
-to ``v(X)``.  The observation argument of ``h`` is optional (pass ``None``
-when h depends on the state alone).
+with ``W`` and ``U`` independent Wiener processes.  The generator, and so
+every density, Fisher and co-metric computation, sees the noise only
+through ``sigma`` (Bakry, Gentil & Ledoux 2014, section 1.4), so the model
+states ``sigma`` alone; the path simulator steps with B = sqrt(sigma), which
+has the same law.  The model knows nothing of the control ``beta``: the
+simulators add an observation-adapted control to ``v(X)``.  The observation
+argument of ``h`` is optional (pass ``None`` when h depends on the state
+alone).
 
 For one-dimensional models, which feed the path simulator and the grid
-solvers, ``drift``, ``diffusion_factor`` and ``observation_map`` must
-broadcast elementwise over numpy arrays of states; all shipped presets do.
+solvers, ``drift``, ``sigma`` and ``observation_map`` must broadcast
+elementwise over numpy arrays of states; all shipped presets do.
 """
 
 from __future__ import annotations
@@ -77,29 +80,25 @@ class DiffusionModel:
     ------
     drift : callable x -> velocity v(x), same shape as x; a control adds
         to it, v(x) + beta
-    diffusion_factor : callable x -> noise factor B; for elementwise 1-d
-        models an array shaped like x, otherwise an (n, r) matrix
+    sigma : callable x -> diffusion tensor sigma(x) = B(x) B(x)^T; for 1-d
+        models elementwise over an array of states, otherwise the (n, n)
+        matrix at one point
     observation_map : callable (x, y_or_None) -> observation drift h
     domain_box : (n, 2) array of [low, high]; trajectories leaving ten
         times this box abort with :class:`SimulationBlowupError`
-    sigma_divergence : optional analytic (d sigma^{ij} / dx^j)_i
-    sigma_1d : optional vectorized sigma(x) profile for 1-d grid solvers
     """
 
     dim_state: int
-    dim_noise: int
     dim_obs: int
     drift: Callable
-    diffusion_factor: Callable
+    sigma: Callable
     observation_map: Callable
     domain_box: np.ndarray = None
-    sigma_divergence: Optional[Callable] = None
-    sigma_1d: Optional[Callable] = None
     name: str = "custom"
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if min(self.dim_state, self.dim_noise, self.dim_obs) < 0 or self.dim_state < 1:
+        if self.dim_obs < 0 or self.dim_state < 1:
             raise ConfigError("model dimensions must be positive")
         if self.domain_box is None:
             self.domain_box = np.array([[-10.0, 10.0]] * self.dim_state)
@@ -114,17 +113,15 @@ class DiffusionModel:
         return 1e-5 * width
 
     def sigma_profile(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized sigma(x) for 1-d grid solvers."""
+        """sigma(x) at every state of the array ``xs`` of a 1-d model."""
         if self.dim_state != 1:
             raise ConfigError("sigma_profile is only defined for 1-d models")
-        if self.sigma_1d is not None:
-            return np.broadcast_to(np.asarray(self.sigma_1d(xs), dtype=float),
-                                   np.shape(xs)).copy()
-        b = np.asarray(self.diffusion_factor(xs), dtype=float)
-        if b.shape != np.shape(xs):
-            raise ConfigError(
-                "diffusion_factor is not elementwise; supply sigma_1d for grid use")
-        return b * b
+        sig = np.asarray(self.sigma(xs), dtype=float)
+        try:
+            return np.broadcast_to(sig, np.shape(xs)).copy()
+        except ValueError:
+            raise ConfigError(f"sigma of shape {sig.shape} does not broadcast "
+                              f"to the states' shape {np.shape(xs)}") from None
 
 
 @dataclass
@@ -151,11 +148,10 @@ class JointPath:
 
 
 def sigma_at(model: DiffusionModel, x) -> np.ndarray:
-    """Diffusion tensor sigma(x) = B(x) B(x)^T as an (n, n) matrix."""
+    """Diffusion tensor sigma(x) as an (n, n) matrix."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    b = np.asarray(model.diffusion_factor(x), dtype=float)
-    b = b.reshape(model.dim_state, model.dim_noise)
-    return b @ b.T
+    n = model.dim_state
+    return np.asarray(model.sigma(x), dtype=float).reshape(n, n)
 
 
 def gamma(model: DiffusionModel, f: SmoothField, g: SmoothField, x) -> float:
@@ -172,14 +168,13 @@ def gamma(model: DiffusionModel, f: SmoothField, g: SmoothField, x) -> float:
 def u_field(model: DiffusionModel, x) -> np.ndarray:
     """Drift corrected by the diffusion-tensor divergence.
 
-    u^i = v^i - (1/2) d sigma^{ij} / dx^j.  The probability flux is then
-    J = rho u - (1/2) sigma grad rho.  For constant sigma, u == v.
+    u^i = v^i - (1/2) d sigma^{ij} / dx^j, by central differences of step
+    ``model.fd_step``.  The probability flux is then
+    J = rho u - (1/2) sigma grad rho.  For constant sigma the differences
+    are exactly 0, and u == v bit for bit.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     v = np.atleast_1d(np.asarray(model.drift(x), dtype=float))
-    if model.sigma_divergence is not None:
-        div = np.atleast_1d(np.asarray(model.sigma_divergence(x), dtype=float))
-        return v - 0.5 * div
     h = model.fd_step
     n = model.dim_state
     div = np.zeros(n)
@@ -230,14 +225,14 @@ def euler_maruyama(model: DiffusionModel, dt: float, indices) -> Callable:
 
     Returns ``step(x, beta, dw, du, t)`` -> ``(x', dy)`` with
 
-        x' = x + (v(x) + beta) dt + B(x) dw,    dy = h(x, None) dt + du,
+        x' = x + (v(x) + beta) dt + sqrt(sigma(x)) dw,    dy = h(x, None) dt + du,
 
     ``beta`` an optional control per trajectory (Kloeden & Platen 1992,
     Numerical Solution of SDEs, section 10).  A new state outside ten times
     the domain box, or non-finite, raises :class:`SimulationBlowupError`
     naming its trajectory index and the time ``t`` it was reached.
     """
-    if (model.dim_state, model.dim_noise, model.dim_obs) != (1, 1, 1):
+    if (model.dim_state, model.dim_obs) != (1, 1):
         raise ConfigError("the path simulator supports scalar models only")
     (low, high), = model.domain_box
     center, half = 0.5 * (low + high), 0.5 * (high - low)
@@ -248,7 +243,7 @@ def euler_maruyama(model: DiffusionModel, dt: float, indices) -> Callable:
         v = np.asarray(model.drift(x), dtype=float)
         if beta is not None:
             v = v + beta
-        x = x + v * dt + np.asarray(model.diffusion_factor(x), dtype=float) * dw
+        x = x + v * dt + np.sqrt(model.sigma(x)) * dw
         if not np.all(np.isfinite(x)) or np.any(x < lo) or np.any(x > hi):
             bad = int(np.argmax(~np.isfinite(x) | (x < lo) | (x > hi)))
             raise SimulationBlowupError(
@@ -298,15 +293,12 @@ def _require_positive(name: str, value: float) -> None:
 def brownian(sigma_sq: float = 1.0, obs_gain: float = 0.0) -> DiffusionModel:
     """Pure diffusion: v = 0, constant sigma.  No steady state."""
     _require_positive("sigma_sq", sigma_sq)
-    b = math.sqrt(sigma_sq)
     return DiffusionModel(
-        dim_state=1, dim_noise=1, dim_obs=1,
+        dim_state=1, dim_obs=1,
         drift=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        diffusion_factor=lambda x: np.full_like(np.asarray(x, dtype=float), b),
+        sigma=lambda x: np.full_like(np.asarray(x, dtype=float), sigma_sq),
         observation_map=lambda x, y=None: obs_gain * np.asarray(x, dtype=float),
         domain_box=[[-20.0, 20.0]],
-        sigma_divergence=lambda x: np.zeros(1),
-        sigma_1d=lambda xs: np.full_like(np.asarray(xs, dtype=float), sigma_sq),
         name="brownian", params=dict(sigma_sq=sigma_sq, obs_gain=obs_gain))
 
 
@@ -314,16 +306,13 @@ def ou(rate: float = 1.0, sigma_sq: float = 2.0, obs_gain: float = 1.0) -> Diffu
     """Scalar Ornstein-Uhlenbeck: v = -rate*x, steady variance sigma_sq/(2 rate)."""
     _require_positive("rate", rate)
     _require_positive("sigma_sq", sigma_sq)
-    b = math.sqrt(sigma_sq)
     sd = math.sqrt(sigma_sq / (2.0 * rate))
     return DiffusionModel(
-        dim_state=1, dim_noise=1, dim_obs=1,
+        dim_state=1, dim_obs=1,
         drift=lambda x: -rate * np.asarray(x, dtype=float),
-        diffusion_factor=lambda x: np.full_like(np.asarray(x, dtype=float), b),
+        sigma=lambda x: np.full_like(np.asarray(x, dtype=float), sigma_sq),
         observation_map=lambda x, y=None: obs_gain * np.asarray(x, dtype=float),
         domain_box=[[-6.0 * sd, 6.0 * sd]],
-        sigma_divergence=lambda x: np.zeros(1),
-        sigma_1d=lambda xs: np.full_like(np.asarray(xs, dtype=float), sigma_sq),
         name="ou", params=dict(rate=rate, sigma_sq=sigma_sq, obs_gain=obs_gain))
 
 
@@ -332,19 +321,19 @@ def lqg(A=(-1.0,), B=(1.4142135623730951,), C=(1.0,)) -> DiffusionModel:
     A, B, C = (np.atleast_2d(np.asarray(m, dtype=float)) for m in (A, B, C))
     if any(m.shape != (1, 1) for m in (A, B, C)):
         raise ConfigError("the lqg preset is scalar: A, B and C must be 1x1")
-    a, bb, cc = A[0, 0], B[0, 0], C[0, 0]
-    _require_positive("sigma_sq = B^2", bb * bb)
+    a, cc = A[0, 0], C[0, 0]
+    sigma_sq = B[0, 0] * B[0, 0]
+    _require_positive("sigma_sq = B^2", sigma_sq)
     box = np.array([[-10.0, 10.0]])
     if a < 0:   # six steady standard deviations, V_ss = -b^2 / 2a
-        sd = math.sqrt(max(-(bb * bb) / (2.0 * a), 1e-12))
+        sd = math.sqrt(max(-sigma_sq / (2.0 * a), 1e-12))
         box = np.array([[-6.0 * sd, 6.0 * sd]])
     return DiffusionModel(
-        dim_state=1, dim_noise=1, dim_obs=1,
+        dim_state=1, dim_obs=1,
         drift=lambda x: a * np.asarray(x, dtype=float),
-        diffusion_factor=lambda x: np.full_like(np.asarray(x, dtype=float), bb),
+        sigma=lambda x: np.full_like(np.asarray(x, dtype=float), sigma_sq),
         observation_map=lambda x, y=None: cc * np.asarray(x, dtype=float),
-        domain_box=box, sigma_divergence=lambda x: np.zeros(1),
-        sigma_1d=lambda xs: np.full_like(np.asarray(xs, dtype=float), bb * bb),
+        domain_box=box,
         name="lqg", params=dict(A=A, B=B, C=C))
 
 
@@ -352,18 +341,15 @@ def double_well(scale: float = 1.0, sigma_sq: float = 0.5,
                 obs_gain: float = 1.0) -> DiffusionModel:
     """Bistable drift v = scale*(x - x^3) with constant sigma."""
     _require_positive("sigma_sq", sigma_sq)
-    b = math.sqrt(sigma_sq)
     return DiffusionModel(
-        dim_state=1, dim_noise=1, dim_obs=1,
+        dim_state=1, dim_obs=1,
         drift=lambda x: scale * (np.asarray(x, dtype=float)
                                  - np.asarray(x, dtype=float) ** 3),
-        diffusion_factor=lambda x: np.full_like(np.asarray(x, dtype=float), b),
+        sigma=lambda x: np.full_like(np.asarray(x, dtype=float), sigma_sq),
         observation_map=lambda x, y=None: obs_gain * np.asarray(x, dtype=float),
         # +-2.5 leaves < 1e-11 steady-state mass outside while keeping the
         # boundary mesh Peclet below 2, so the centered flux stays positive
         domain_box=[[-2.5, 2.5]],
-        sigma_divergence=lambda x: np.zeros(1),
-        sigma_1d=lambda xs: np.full_like(np.asarray(xs, dtype=float), sigma_sq),
         name="double_well", params=dict(scale=scale, sigma_sq=sigma_sq, obs_gain=obs_gain))
 
 

@@ -1,8 +1,9 @@
-"""JSON run/check reports.
+"""JSON run/check reports and the CSV tables of a run.
 
 Everything in a report except the ``wall_clock_s`` field is a pure function
 of (config, seed), so two runs of the same scenario produce byte-identical
-reports once that field is stripped.
+reports once that field is stripped.  CSV numbers carry 17 significant
+digits, enough to read every float64 back exactly.
 """
 
 from __future__ import annotations
@@ -25,6 +26,16 @@ def _plain(obj):
     if isinstance(obj, Path):
         return str(obj)
     return obj
+
+
+def csv_text(names, columns) -> str:
+    """Header ``names`` plus one row per entry of the equal-length ``columns``."""
+    rows = (",".join(f"{v:.17g}" for v in row) for row in zip(*columns))
+    return "\n".join([",".join(names), *rows]) + "\n"
+
+
+def write_csv(path, names, columns) -> None:
+    Path(path).write_text(csv_text(names, columns), encoding="ascii", newline="\n")
 
 
 def render_report(payload: dict) -> str:

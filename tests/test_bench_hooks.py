@@ -1,10 +1,13 @@
-"""The benchmark's hooks against the library they wrap.
+"""The benchmark's hooks and output gate against the library.
 
 ``bench/spans.py`` rebinds library functions by name and counts each
 ``advance_values`` call's work through its signature.  These tests install
 the hooks of the check workload and run one Strang step under them, so a
 renamed or re-signed function fails here rather than in a benchmark run.
-They read ``bench/`` and never change it.
+They also run each ensemble workload's operation once at the benchmark's
+default seed through ``bench/worker.py``'s output checks, so a change that
+moves a ledger off the recorded reference fails here too.  They read
+``bench/`` and never change it.
 """
 
 import sys
@@ -17,7 +20,8 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 sys.path.insert(0, str(BENCH))
 
 import spans  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+import worker  # noqa: E402
+from workloads import DEFAULT_SEED, WORKLOADS  # noqa: E402
 
 from infoflow import grid, models  # noqa: E402
 
@@ -45,3 +49,15 @@ def test_zakai_step_records_its_transport(patches):
     assert [s.work for s in advances] == [384, 384]    # values.size x n_half
     patches.restore()
     assert not hasattr(grid.advance_values, "__wrapped__")
+
+
+@pytest.mark.parametrize("name", ["dw_filter", "dw_feedback"])
+def test_ensemble_workload_passes_the_output_gate(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)       # the scenario's outputs are relative
+    workload = WORKLOADS[name]
+    workload.write_scenario(tmp_path, tmp_path, DEFAULT_SEED)
+    scenario, rho_ss = worker.setup(workload, tmp_path, DEFAULT_SEED)
+    controlled, run = worker.ensemble_op(scenario, rho_ss)
+    csv_bytes = (tmp_path / scenario.outdir / "ledger.csv").read_bytes()
+    assert worker.ensemble_failures(workload, controlled, run, csv_bytes,
+                                    worker.load_reference(name), None) == []

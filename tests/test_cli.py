@@ -8,6 +8,7 @@ import pytest
 
 from infoflow import cli
 from infoflow.config import build_model
+from infoflow.control import run_controlled_experiment
 from infoflow.errors import ConfigError
 from infoflow.metrics import LEDGER_COLUMNS
 
@@ -62,6 +63,29 @@ def test_run_produces_ledger_and_report(tmp_path, capsys):
     snap = (outdir / "snapshots.csv").read_text().splitlines()
     assert snap[0] == "t,x,rho,rho_hat_mean"
     assert len(snap) == 1 + 6 * 64
+
+
+def test_snapshots_match_the_row_loop(tmp_path, monkeypatch):
+    # snapshots.csv, byte for byte as one formatted row per (t, cell)
+    runs = []
+
+    def keep_run(*args, **kwargs):
+        out = run_controlled_experiment(*args, **kwargs)
+        runs.append(out[1])
+        return out
+
+    monkeypatch.setattr(cli, "run_controlled_experiment", keep_run)
+    cfg, outdir = write_config(tmp_path, OU_CONFIG)
+    assert cli.main(["run", str(cfg)]) == 0
+    run, = runs
+    xc = run.grid.centers
+    text = "t,x,rho,rho_hat_mean\n"
+    for s in range(run.n_samples):
+        t = run.times[s]
+        for i in range(xc.size):
+            text += (f"{t:.17g},{xc[i]:.17g},{run.prior_fp[s, i]:.17g},"
+                     f"{run.posterior_mean[s, i]:.17g}\n")
+    assert (outdir / "snapshots.csv").read_bytes() == text.encode("ascii")
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from infoflow import models
-from infoflow.control import (apply_policy, bang_bang_policy,
+from infoflow.control import (ControlPolicy, apply_policy, bang_bang_policy,
                               controlled_kb_experiment, linear_gain_policy,
                               make_policy, mean_drift,
                               run_controlled_experiment, zero_policy)
 from infoflow.ensemble import EnsembleConfig, run_filter_ensemble
-from infoflow.errors import CflError, ConfigError
+from infoflow.errors import CflError, ConfigError, NumericalError
 from infoflow.gaussian import GaussianBelief, LinearModel, kalman_bucy_run
 from infoflow.grid import Grid1D, steady_state_grid
 from infoflow.models import simulate_joint
@@ -44,6 +44,21 @@ class TestPolicies:
         first, _ = apply_policy(policy, 1.5, summaries)
         second, _ = apply_policy(policy, 1.5, summaries)
         np.testing.assert_array_equal(first, second)
+
+    @pytest.mark.parametrize("value, bound", [(math.nan, 5.0), (math.inf, 0.0),
+                                              (-math.inf, 0.0), (math.nan, 0.0)])
+    def test_non_finite_control_refused(self, value, bound):
+        policy = ControlPolicy("odd", lambda t, m: np.where(m > 1.0, value, m),
+                               bound=bound)
+        with pytest.raises(NumericalError,
+                           match=r"policy 'odd' .* trajectory 2 at t=0\.25"):
+            apply_policy(policy, 0.25, np.array([0.5, -0.01, 3.0]))
+
+    def test_clamped_infinity_is_legal(self):
+        policy = ControlPolicy("odd", lambda t, m: m * math.inf, bound=5.0)
+        beta, clamped = apply_policy(policy, 0.0, np.array([0.5, -2.0]))
+        np.testing.assert_array_equal(beta, [5.0, -5.0])
+        assert clamped == 2
 
     def test_registry(self):
         with pytest.raises(ConfigError):
@@ -167,6 +182,15 @@ class TestControlledEnsemble:
                              x0_var=0.25)
         policy = linear_gain_policy(gain=20.0, bound=0.0)
         with pytest.raises(CflError, match=r"max\|beta\|"):
+            run_filter_ensemble(model, grid, cfg, policy)
+
+    def test_nan_control_stops_the_run_before_stepping(self):
+        model, grid, cfg, _ = self._setup()
+        policy = ControlPolicy(
+            "nan_late", lambda t, m: np.full_like(m, math.nan if t > 0.1 else 0.0),
+            bound=5.0)
+        with pytest.raises(NumericalError,
+                           match=r"policy 'nan_late' .* trajectory 0 at t=0\.101"):
             run_filter_ensemble(model, grid, cfg, policy)
 
     def test_small_ensemble_warns(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from infoflow import models
+from infoflow import ensemble, models
 from infoflow.ensemble import EnsembleConfig, interp_rows, run_filter_ensemble
 from infoflow.errors import ConfigError, SimulationBlowupError
 from infoflow.grid import Grid1D
@@ -57,6 +57,22 @@ def test_deterministic_repeat():
     np.testing.assert_array_equal(r1.log_sigma1, r2.log_sigma1)
 
 
+def test_mass_fold_is_per_column(monkeypatch):
+    # a lower fold bound inside the masses' range folds some columns at
+    # some steps; each trajectory's record must not depend on the others
+    monkeypatch.setattr(ensemble, "_MASS_FOLD_LO", 0.5)
+    model = models.double_well()
+    grid = Grid1D(-2.5, 2.5, 128)
+    big = run_filter_ensemble(model, grid, small_config(n_trajectories=37))
+    few = run_filter_ensemble(model, grid, small_config(n_trajectories=5))
+    for name in ("states", "pi_h", "log_post_at_x", "score_post_at_x",
+                 "log_zeta_at_x", "log_sigma1", "int_pi_h_sq", "post_mean",
+                 "post_var", "posterior_final"):
+        whole = getattr(big, name)
+        whole = whole[:5] if name == "posterior_final" else whole[:, :5]
+        np.testing.assert_array_equal(whole, getattr(few, name), err_msg=name)
+
+
 def test_initial_sample_has_zero_information():
     model = models.ou()
     grid = Grid1D(-6, 6, 64)
@@ -92,12 +108,11 @@ def test_excluded_trajectories_counted():
 
 def test_blowup_aborts():
     model = models.DiffusionModel(
-        1, 1, 1,
+        1, 1,
         drift=lambda x: 1e4 * np.ones_like(np.asarray(x, dtype=float)),
-        diffusion_factor=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        sigma=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         observation_map=lambda x, y=None: np.zeros_like(np.asarray(x, dtype=float)),
-        domain_box=[[-1.0, 1.0]],
-        sigma_1d=lambda xs: np.ones_like(np.asarray(xs, dtype=float)))
+        domain_box=[[-1.0, 1.0]])
     grid = Grid1D(-1, 1, 32)
     with pytest.raises(SimulationBlowupError):
         run_filter_ensemble(model, grid, small_config(horizon=0.5,

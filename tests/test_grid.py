@@ -110,12 +110,11 @@ class TestSteadyState:
     def test_iterative_fallback(self):
         # non-constant sigma forces the relaxation path
         m = models.DiffusionModel(
-            1, 1, 1,
+            1, 1,
             drift=lambda x: -np.asarray(x, dtype=float),
-            diffusion_factor=lambda x: np.sqrt(1.0 + 0.1 * np.asarray(x, dtype=float) ** 2),
+            sigma=lambda x: 1.0 + 0.1 * np.asarray(x, dtype=float) ** 2,
             observation_map=lambda x, y=None: np.asarray(x, dtype=float),
-            domain_box=[[-6.0, 6.0]],
-            sigma_1d=lambda xs: 1.0 + 0.1 * np.asarray(xs, dtype=float) ** 2)
+            domain_box=[[-6.0, 6.0]])
         grid = Grid1D(-6, 6, 128)
         rho_ss = steady_state_grid(m, grid, max_time=400.0, tol=1e-9)
         moved = fp_evolve(m, rho_ss, 0.5)
@@ -157,13 +156,12 @@ class TestZakai:
     def test_observation_map_may_use_current_observation(self):
         # h(x, y) = x - y: the multiplicative update shifts with y
         m = models.DiffusionModel(
-            1, 1, 1,
+            1, 1,
             drift=lambda x: -np.asarray(x, dtype=float),
-            diffusion_factor=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+            sigma=lambda x: np.ones_like(np.asarray(x, dtype=float)),
             observation_map=lambda x, y=None: np.asarray(x, dtype=float)
             - (0.0 if y is None else float(y)),
-            domain_box=[[-6.0, 6.0]],
-            sigma_1d=lambda xs: np.ones_like(np.asarray(xs, dtype=float)))
+            domain_box=[[-6.0, 6.0]])
         grid = Grid1D(-6, 6, 128)
         zeta = gaussian_density(grid, 0.0, 1.0)
         out0 = zakai_step(m, zeta, 0.02, 1e-3, n_substeps_half=1,

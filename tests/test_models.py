@@ -7,18 +7,68 @@ from scipy.linalg import solve_continuous_lyapunov
 
 from infoflow import models
 from infoflow.errors import ConfigError, SimulationBlowupError
+from infoflow.grid import Grid1D, face_fields
+from infoflow.metrics import u_values_on_grid
 from infoflow.models import (DiffusionModel, SmoothField, gamma, preset,
                              product_field, sigma_at, simulate_joint, u_field)
 
 
 def constant_b_model(b_matrix, dim):
     b_matrix = np.asarray(b_matrix, dtype=float)
+    sig = b_matrix @ b_matrix.T
     return DiffusionModel(
-        dim_state=dim, dim_noise=b_matrix.shape[1], dim_obs=1,
+        dim_state=dim, dim_obs=1,
         drift=lambda x: np.zeros(dim),
-        diffusion_factor=lambda x: b_matrix,
+        sigma=lambda x: sig,
         observation_map=lambda x, y=None: np.zeros(1),
         domain_box=[[-5.0, 5.0]] * dim)
+
+
+# (preset, parameters, its sigma, the noise factor B it used to state)
+SIGMA_CASES = [
+    ("brownian", dict(sigma_sq=1.3), 1.3, math.sqrt(1.3)),
+    ("ou", dict(rate=0.7, sigma_sq=2.0), 2.0, math.sqrt(2.0)),
+    ("double_well", dict(sigma_sq=0.5), 0.5, math.sqrt(0.5)),
+    ("lqg", dict(A=[[-0.5]], B=[[0.9]], C=[[1.0]]), 0.9 * 0.9, 0.9),
+    ("lqg", {}, 1.4142135623730951 ** 2, 1.4142135623730951),
+]
+
+
+@pytest.mark.parametrize("name, params, sigma_sq, b", SIGMA_CASES,
+                         ids=["brownian", "ou", "double_well", "lqg", "lqg_default"])
+class TestOneSigma:
+    def test_simulate_joint_is_the_noise_factor_step(self, name, params, sigma_sq, b):
+        # x' = x + v dt + B dw with B filled with b, written out
+        m = preset(name, **params)
+        idx, n_steps, dt = np.arange(6), 30, 0.01
+        sampler = lambda r: r.normal(0.0, 0.5, size=1)
+        path = simulate_joint(m, sampler, n_steps * dt, dt, seed=17,
+                              trajectory_index=idx)
+        dw, du, x = models.draw_increments(17, idx, n_steps, dt, sampler)
+        states, incs = [x], []
+        for k in range(n_steps):
+            incs.append(m.observation_map(x, None) * dt + du[k])
+            x = x + m.drift(x) * dt + np.full_like(x, b) * dw[k]
+            states.append(x)
+        np.testing.assert_array_equal(path.states, np.array(states))
+        np.testing.assert_array_equal(path.obs_increments, np.array(incs))
+
+    def test_grid_reads_sigma(self, name, params, sigma_sq, b):
+        ff = face_fields(preset(name, **params), Grid1D(-2.0, 2.0, 33))
+        np.testing.assert_array_equal(ff.sigma_centers, np.full(33, sigma_sq))
+
+
+@pytest.mark.parametrize("sigma", [lambda x: np.ones((2, 2)),
+                                   lambda x: np.ones(3),
+                                   lambda x: np.ones((np.size(x), 1))],
+                         ids=["matrix", "too_short", "column"])
+def test_sigma_that_does_not_broadcast_is_refused(sigma):
+    m = DiffusionModel(1, 1, drift=lambda x: np.zeros_like(x), sigma=sigma,
+                       observation_map=lambda x, y=None: np.zeros_like(x))
+    with pytest.raises(ConfigError, match="does not broadcast"):
+        m.sigma_profile(np.linspace(-1.0, 1.0, 5))
+    with pytest.raises(ConfigError, match="does not broadcast"):
+        face_fields(m, Grid1D(-1.0, 1.0, 16))
 
 
 class TestSigmaAt:
@@ -95,24 +145,31 @@ class TestUField:
     def test_quadratic_sigma(self):
         # v = 0, sigma(x) = x^2  ->  u = -x
         m = DiffusionModel(
-            1, 1, 1,
+            1, 1,
             drift=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            diffusion_factor=lambda x: np.asarray(x, dtype=float),
+            sigma=lambda x: np.asarray(x, dtype=float) ** 2,
             observation_map=lambda x, y=None: np.zeros_like(np.asarray(x, dtype=float)),
             domain_box=[[-5.0, 5.0]])
         assert u_field(m, [2.0])[0] == pytest.approx(-2.0, rel=1e-8)
 
-    def test_analytic_divergence_hook(self):
-        m = models.double_well()
-        assert u_field(m, [1.2])[0] == pytest.approx(1.2 - 1.2 ** 3, abs=1e-14)
+    def test_preset_u_is_drift_exactly(self):
+        # a constant sigma's differences are exactly 0, on the grid as well
+        grid = Grid1D(-2.5, 2.5, 256)
+        for name, params, _, _ in SIGMA_CASES:
+            m = preset(name, **params)
+            for x in (-1.7, 0.0, 1.2):
+                np.testing.assert_array_equal(u_field(m, [x]),
+                                              m.drift(np.array([x])))
+            np.testing.assert_array_equal(u_values_on_grid(m, grid),
+                                          m.drift(grid.centers))
 
 
 class TestSimulateJoint:
     def test_degenerate_dynamics(self):
         m = DiffusionModel(
-            1, 1, 1,
+            1, 1,
             drift=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            diffusion_factor=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+            sigma=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             observation_map=lambda x, y=None: np.zeros_like(np.asarray(x, dtype=float)),
             domain_box=[[-5.0, 5.0]])
         path = simulate_joint(m, lambda r: np.array([0.3]), 1.0, 0.01, seed=1)
@@ -144,9 +201,9 @@ class TestSimulateJoint:
 
     def test_blowup_contract(self):
         m = DiffusionModel(
-            1, 1, 1,
+            1, 1,
             drift=lambda x: 1e4 * np.ones_like(np.asarray(x, dtype=float)),
-            diffusion_factor=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+            sigma=lambda x: np.ones_like(np.asarray(x, dtype=float)),
             observation_map=lambda x, y=None: np.zeros_like(np.asarray(x, dtype=float)),
             domain_box=[[-1.0, 1.0]])
         with pytest.raises(SimulationBlowupError):
