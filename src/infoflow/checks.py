@@ -31,7 +31,7 @@ from .grid import (Grid1D, GridDensity, advance_values, face_fields,
                    steady_state_grid, substeps_for, zakai_advance, zakai_step)
 from .models import (DiffusionModel, SmoothField, double_well, gamma, lqg,
                      ou, product_field, simulate_joint, step_count)
-from .rng import check_seed
+from .rng import CHANNEL_BOOTSTRAP, CHANNEL_FIELDS, check_seed, substream
 
 DEFAULT_SEED = 20260809
 SQRT2 = math.sqrt(2.0)
@@ -249,8 +249,7 @@ def check_tower_property(seed: int = DEFAULT_SEED,
     dx = run.grid.dx
     mean_post = run.posterior_final.mean(axis=0)
     dist = float(np.sum(np.abs(mean_post - run.prior_fp[-1])) * dx)
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(0, 3)))
+    rng = substream(seed, 0, CHANNEL_BOOTSTRAP)
     n = run.n_trajectories
     boot = np.empty(200)
     for b in range(200):
@@ -351,10 +350,10 @@ def _random_field(rng, dim: int) -> SmoothField:
 def _random_model(dim: int, b_mat: np.ndarray) -> DiffusionModel:
     sig = b_mat @ b_mat.T
     return DiffusionModel(
-        dim_state=dim, dim_obs=1,
+        dim_state=dim,
         drift=lambda x: np.zeros(dim),
         sigma=lambda x: sig,
-        observation_map=lambda x, y=None: np.zeros(1),
+        observation_map=lambda x: np.zeros(1),
         domain_box=[[-5.0, 5.0]] * dim)
 
 
@@ -366,7 +365,7 @@ def _field_combine(f: SmoothField, g: SmoothField, sign: float) -> SmoothField:
 
 @_timed
 def check_gamma_properties(seed: int = DEFAULT_SEED) -> CheckResult:
-    rng = np.random.default_rng(seed)
+    rng = substream(seed, 0, CHANNEL_FIELDS)
     worst = 0.0
     for _ in range(100):
         dim = int(rng.integers(1, 3))

@@ -36,10 +36,6 @@ def _cmd_run(args) -> int:
             raise ConfigError(
                 f"preset {scenario.model.name!r} has no steady state; the "
                 f"ledger needs one (use it in 'check' suites instead)")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         start = time.perf_counter()
         rho_ss = steady_state_grid(scenario.model, scenario.grid)
         controlled, run = run_controlled_experiment(
@@ -65,6 +61,9 @@ def _cmd_run(args) -> int:
             print(f"  {name}: {'ok' if value else 'VIOLATED'}")
         print(f"wrote {outdir / 'ledger.csv'}")
         return 0
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

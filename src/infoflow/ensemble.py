@@ -194,9 +194,8 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
 
     ``policy``, when given, is called as ``policy(t, posterior_mean_array)``
     and must return per-trajectory controls; its ``bound`` attribute widens
-    the CFL drift budget and clamps the output.  The observation map is
-    evaluated as h(x, None); use :func:`infoflow.grid.zakai_step` directly
-    for observation maps that depend on the running observation value.
+    the CFL drift budget and clamps the output.  A grid whose mesh Peclet
+    number exceeds 2 at a face is refused with ConfigError before any step.
     """
     # the truth's step; it refuses a non-scalar model before any set-up
     truth_step = euler_maruyama(model, config.dt, range(config.n_trajectories))
@@ -215,6 +214,7 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
     # one per density array, each owning its workspace; under a policy each
     # step's controls and the prior's mean drift are new instances
     ff_post = face_fields(model, grid)
+    ff_post.check_peclet()
     ff_prior = replace(ff_post)
     budget = replace(ff_post, beta=np.array([getattr(policy, "bound", 0.0)]))
     n_half = substeps_for(budget, 0.5 * dt)
@@ -280,7 +280,7 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
 
             for name, val in dict(
                     states=x, pi_h=pi_h, sigma_at_x=model.sigma_profile(x),
-                    h_at_x=np.asarray(model.observation_map(x, None), dtype=float),
+                    h_at_x=np.asarray(model.observation_map(x), dtype=float),
                     log_post_at_x=log_post, score_post_at_x=score_post,
                     log_sigma1=ledger, int_pi_h_sq=int_pi2,
                     log_prior_fp_at_x=log_prior, score_prior_fp_at_x=score_prior,

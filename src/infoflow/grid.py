@@ -43,7 +43,7 @@ import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from .errors import (CflError, ConfigError, FilterCollapseError,
-                     NumericalError, UnstableStepError)
+                     UnstableStepError)
 from .models import DiffusionModel
 
 DENSITY_FLOOR = 1e-300       # log-domain floor
@@ -150,18 +150,30 @@ class FaceFields:
         denom = float(np.max(self.sigma_centers)) / self.dx ** 2 + vmax / self.dx
         return 1.0 / denom if denom > 0 else math.inf
 
+    def couplings(self) -> tuple:
+        """(p, -q) of each interior face per unit h/dx, the flux written as in
+        the module docstring: p = v/2 + sigma_i/2dx, -q = sigma_{i+1}/2dx - v/2."""
+        sd = self.sigma_centers / (2.0 * self.dx)
+        return 0.5 * self.v_face + sd[:-1], sd[1:] - 0.5 * self.v_face
+
+    def check_peclet(self) -> None:
+        """ConfigError at the first face whose mesh Peclet number |v| dx /
+        (sigma/2), sigma of the cell v points into, exceeds 2: T's coupling < 0."""
+        bad = np.flatnonzero(np.minimum(*self.couplings()) < 0.0)
+        if bad.size:
+            raise ConfigError(f"mesh Peclet number |v| dx / (sigma/2) > 2 at interior face "
+                              f"{bad[0]} (v={self.v_face[bad[0]]:.4g}): refine the grid")
+
     def operator(self, h: float) -> tuple:
         """(T, nonneg): one uncontrolled substep of length ``h`` as an
         (n_cells, n_cells) ``csr_array``, and whether every entry is >= 0.
         Built on first use and kept for the last ``h`` asked for."""
         if self._substep is not None and self._substep[0] == h:
             return self._substep[1]
-        v, c, m = self.v_face, h / self.dx, self.sigma_centers.size
-        sd = self.sigma_centers / (2.0 * self.dx)
+        c, m = h / self.dx, self.sigma_centers.size
         bands = np.tile([0.0, 1.0, 0.0], (m, 1))   # rows (lower_i, diag_i, upper_i)
         p, minus_q, diag = bands[1:, 0], bands[:-1, 2], bands[:, 1]
-        np.multiply(0.5 * v + sd[:-1], c, out=p)            # c (v/2 + sd_i)
-        np.multiply(sd[1:] - 0.5 * v, c, out=minus_q)       # c (sd_{i+1} - v/2)
+        p[:], minus_q[:] = np.multiply(self.couplings(), c)
         diag[:-1] -= p
         diag[1:] -= minus_q
         data = bands.ravel()[1:-1]              # the walls carry no flux
@@ -281,9 +293,9 @@ def fp_evolve(model: DiffusionModel, rho: GridDensity, duration: float,
 # Filter updates
 # ---------------------------------------------------------------------------
 
-def observation_values(model: DiffusionModel, grid: Grid1D, y_current=None) -> np.ndarray:
+def observation_values(model: DiffusionModel, grid: Grid1D) -> np.ndarray:
     """h at the cell centers, shaped (n_cells,) for scalar observations."""
-    hv = np.asarray(model.observation_map(grid.centers, y_current), dtype=float)
+    hv = np.asarray(model.observation_map(grid.centers), dtype=float)
     if hv.shape == grid.centers.shape:
         return hv
     raise ConfigError("grid filtering expects an elementwise scalar observation map")
@@ -326,8 +338,7 @@ def zakai_advance(values: np.ndarray, ff: FaceFields, n_half: int,
 
 
 def zakai_step(model: DiffusionModel, zeta: GridDensity, delta_y, dt: float,
-               n_substeps_half: Optional[int] = None,
-               y_current=None) -> GridDensity:
+               n_substeps_half: Optional[int] = None) -> GridDensity:
     """One Strang-split step of the unnormalized filter density.
 
     Linear in the density.  The multiplicative factor is applied with its
@@ -336,7 +347,7 @@ def zakai_step(model: DiffusionModel, zeta: GridDensity, delta_y, dt: float,
     """
     ff = face_fields(model, zeta.grid)
     n_sub = substeps_for(ff, 0.5 * dt, n_substeps=n_substeps_half)
-    h_vals = observation_values(model, zeta.grid, y_current)
+    h_vals = observation_values(model, zeta.grid)
     vals, shift = zakai_advance(zeta.values.copy(), ff, n_sub, h_vals,
                                 delta_y, dt)
     return GridDensity(zeta.grid, vals, log_norm=zeta.log_norm + float(shift))
@@ -441,33 +452,24 @@ def kl_divergence(rho: GridDensity, other: GridDensity) -> float:
 # Steady state
 # ---------------------------------------------------------------------------
 
-def steady_state_grid(model: DiffusionModel, grid: Grid1D,
-                      max_time: float = 200.0, tol: float = 1e-10) -> GridDensity:
+def steady_state_grid(model: DiffusionModel, grid: Grid1D) -> GridDensity:
     """Zero-flux steady state on the grid.
 
     With constant sigma the exact zero-flux solution rho_ss ~ exp(2 int v/sigma)
-    is computed by quadrature of the drift along cell centers; otherwise the
-    Fokker-Planck flow is iterated until the sup-norm rate of change per unit
-    time falls below ``tol``.
+    is computed by quadrature of the drift along cell centers; otherwise each
+    face's flux in T is zero, rho_{i+1}/rho_i = p/-q of :meth:`FaceFields.couplings`.
     """
     xc = grid.centers
     sig = model.sigma_profile(xc)
     if float(np.ptp(sig)) <= 1e-14 * float(np.max(np.abs(sig))):
         f = 2.0 * np.asarray(model.drift(xc), dtype=float) / sig
-        trapezoids = np.diff(xc) * (f[1:] + f[:-1]) / 2.0
-        log_w = np.concatenate(([0.0], np.cumsum(trapezoids)))
-        log_w -= np.max(log_w)
-        vals = np.exp(log_w)
-        vals /= np.sum(vals) * grid.dx
-        return GridDensity(grid, vals)
-    rho = GridDensity(grid, np.full(grid.n_cells, 1.0 / (grid.x_max - grid.x_min)))
-    elapsed, chunk = 0.0, 1.0
-    while elapsed < max_time:
-        new = fp_evolve(model, rho, chunk)
-        change = float(np.max(np.abs(new.values - rho.values))) / chunk
-        rho = new
-        elapsed += chunk
-        if change < tol:
-            return rho
-    raise NumericalError(f"steady state iteration did not converge within "
-                         f"t={max_time}: last rate {change:.3e}")
+        log_steps = np.diff(xc) * (f[1:] + f[:-1]) / 2.0
+    else:
+        ff = face_fields(model, grid)
+        ff.check_peclet()               # else no positive solution exists
+        log_steps = np.log(np.divide(*ff.couplings()))
+    log_w = np.concatenate(([0.0], np.cumsum(log_steps)))
+    log_w -= np.max(log_w)
+    vals = np.exp(log_w)
+    vals /= np.sum(vals) * grid.dx
+    return GridDensity(grid, vals)

@@ -3,16 +3,14 @@
 A :class:`DiffusionModel` bundles the drift ``v``, the diffusion tensor
 ``sigma = B B^T`` and the observation map ``h`` of the state/observation pair
 
-    dX = (v(X) + beta) dt + B(X) dW,      dY = h(X, Y) dt + dU,
+    dX = (v(X) + beta) dt + B(X) dW,      dY = h(X) dt + dU,
 
 with ``W`` and ``U`` independent Wiener processes.  The generator, and so
 every density, Fisher and co-metric computation, sees the noise only
 through ``sigma`` (Bakry, Gentil & Ledoux 2014, section 1.4), so the model
 states ``sigma`` alone; the path simulator steps with B = sqrt(sigma), which
 has the same law.  The model knows nothing of the control ``beta``: the
-simulators add an observation-adapted control to ``v(X)``.  The observation
-argument of ``h`` is optional (pass ``None`` when h depends on the state
-alone).
+simulators add an observation-adapted control to ``v(X)``.
 
 For one-dimensional models, which feed the path simulator and the grid
 solvers, ``drift``, ``sigma`` and ``observation_map`` must broadcast
@@ -83,13 +81,12 @@ class DiffusionModel:
     sigma : callable x -> diffusion tensor sigma(x) = B(x) B(x)^T; for 1-d
         models elementwise over an array of states, otherwise the (n, n)
         matrix at one point
-    observation_map : callable (x, y_or_None) -> observation drift h
+    observation_map : callable x -> observation drift h(x)
     domain_box : (n, 2) array of [low, high]; trajectories leaving ten
         times this box abort with :class:`SimulationBlowupError`
     """
 
     dim_state: int
-    dim_obs: int
     drift: Callable
     sigma: Callable
     observation_map: Callable
@@ -98,8 +95,8 @@ class DiffusionModel:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.dim_obs < 0 or self.dim_state < 1:
-            raise ConfigError("model dimensions must be positive")
+        if self.dim_state < 1:
+            raise ConfigError("the state dimension must be positive")
         if self.domain_box is None:
             self.domain_box = np.array([[-10.0, 10.0]] * self.dim_state)
         self.domain_box = np.atleast_2d(np.asarray(self.domain_box, dtype=float))
@@ -225,21 +222,21 @@ def euler_maruyama(model: DiffusionModel, dt: float, indices) -> Callable:
 
     Returns ``step(x, beta, dw, du, t)`` -> ``(x', dy)`` with
 
-        x' = x + (v(x) + beta) dt + sqrt(sigma(x)) dw,    dy = h(x, None) dt + du,
+        x' = x + (v(x) + beta) dt + sqrt(sigma(x)) dw,    dy = h(x) dt + du,
 
     ``beta`` an optional control per trajectory (Kloeden & Platen 1992,
     Numerical Solution of SDEs, section 10).  A new state outside ten times
     the domain box, or non-finite, raises :class:`SimulationBlowupError`
     naming its trajectory index and the time ``t`` it was reached.
     """
-    if (model.dim_state, model.dim_obs) != (1, 1):
+    if model.dim_state != 1:
         raise ConfigError("the path simulator supports scalar models only")
     (low, high), = model.domain_box
     center, half = 0.5 * (low + high), 0.5 * (high - low)
     lo, hi = center - 10.0 * half, center + 10.0 * half
 
     def step(x, beta, dw, du, t):
-        dy = np.asarray(model.observation_map(x, None), dtype=float) * dt + du
+        dy = np.asarray(model.observation_map(x), dtype=float) * dt + du
         v = np.asarray(model.drift(x), dtype=float)
         if beta is not None:
             v = v + beta
@@ -294,10 +291,10 @@ def brownian(sigma_sq: float = 1.0, obs_gain: float = 0.0) -> DiffusionModel:
     """Pure diffusion: v = 0, constant sigma.  No steady state."""
     _require_positive("sigma_sq", sigma_sq)
     return DiffusionModel(
-        dim_state=1, dim_obs=1,
+        dim_state=1,
         drift=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         sigma=lambda x: np.full_like(np.asarray(x, dtype=float), sigma_sq),
-        observation_map=lambda x, y=None: obs_gain * np.asarray(x, dtype=float),
+        observation_map=lambda x: obs_gain * np.asarray(x, dtype=float),
         domain_box=[[-20.0, 20.0]],
         name="brownian", params=dict(sigma_sq=sigma_sq, obs_gain=obs_gain))
 
@@ -308,10 +305,10 @@ def ou(rate: float = 1.0, sigma_sq: float = 2.0, obs_gain: float = 1.0) -> Diffu
     _require_positive("sigma_sq", sigma_sq)
     sd = math.sqrt(sigma_sq / (2.0 * rate))
     return DiffusionModel(
-        dim_state=1, dim_obs=1,
+        dim_state=1,
         drift=lambda x: -rate * np.asarray(x, dtype=float),
         sigma=lambda x: np.full_like(np.asarray(x, dtype=float), sigma_sq),
-        observation_map=lambda x, y=None: obs_gain * np.asarray(x, dtype=float),
+        observation_map=lambda x: obs_gain * np.asarray(x, dtype=float),
         domain_box=[[-6.0 * sd, 6.0 * sd]],
         name="ou", params=dict(rate=rate, sigma_sq=sigma_sq, obs_gain=obs_gain))
 
@@ -329,10 +326,10 @@ def lqg(A=(-1.0,), B=(1.4142135623730951,), C=(1.0,)) -> DiffusionModel:
         sd = math.sqrt(max(-sigma_sq / (2.0 * a), 1e-12))
         box = np.array([[-6.0 * sd, 6.0 * sd]])
     return DiffusionModel(
-        dim_state=1, dim_obs=1,
+        dim_state=1,
         drift=lambda x: a * np.asarray(x, dtype=float),
         sigma=lambda x: np.full_like(np.asarray(x, dtype=float), sigma_sq),
-        observation_map=lambda x, y=None: cc * np.asarray(x, dtype=float),
+        observation_map=lambda x: cc * np.asarray(x, dtype=float),
         domain_box=box,
         name="lqg", params=dict(A=A, B=B, C=C))
 
@@ -342,11 +339,11 @@ def double_well(scale: float = 1.0, sigma_sq: float = 0.5,
     """Bistable drift v = scale*(x - x^3) with constant sigma."""
     _require_positive("sigma_sq", sigma_sq)
     return DiffusionModel(
-        dim_state=1, dim_obs=1,
+        dim_state=1,
         drift=lambda x: scale * (np.asarray(x, dtype=float)
                                  - np.asarray(x, dtype=float) ** 3),
         sigma=lambda x: np.full_like(np.asarray(x, dtype=float), sigma_sq),
-        observation_map=lambda x, y=None: obs_gain * np.asarray(x, dtype=float),
+        observation_map=lambda x: obs_gain * np.asarray(x, dtype=float),
         # +-2.5 leaves < 1e-11 steady-state mass outside while keeping the
         # boundary mesh Peclet below 2, so the centered flux stays positive
         domain_box=[[-2.5, 2.5]],

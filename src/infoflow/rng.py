@@ -13,6 +13,8 @@ from .errors import ConfigError
 CHANNEL_DYNAMICS = 0   # dW, the dynamical Wiener noise
 CHANNEL_OBSERVATION = 1  # dU, the observation Wiener noise
 CHANNEL_INITIAL = 2    # initial-state sampling
+CHANNEL_BOOTSTRAP = 3  # bootstrap resampling of the tower-property check
+CHANNEL_FIELDS = 4     # random fields and noise factors of the co-metric check
 
 
 def substream(seed: int, trajectory_index: int, channel: int) -> np.random.Generator:

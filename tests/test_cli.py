@@ -7,10 +7,12 @@ from pathlib import Path
 import pytest
 
 from infoflow import cli
-from infoflow.config import build_model
+from infoflow.config import build_model, load_scenario
 from infoflow.control import run_controlled_experiment
 from infoflow.errors import ConfigError
+from infoflow.grid import face_fields
 from infoflow.metrics import LEDGER_COLUMNS
+from infoflow.models import PRESETS
 
 OU_CONFIG = """
 [scenario]
@@ -186,6 +188,37 @@ def test_bad_value_exits_2(tmp_path, capsys, line, bad):
     assert cli.main(["run", str(cfg)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not outdir.exists()
+
+
+def test_mesh_peclet_above_2_exits_2_without_output(tmp_path, capsys):
+    # the double well on 64 cells: refused before the run writes anything
+    text = OU_CONFIG.replace("preset = ou", "preset = double_well") \
+                    .replace("rate = 1.0\n", "") \
+                    .replace("sigma_sq = 2.0", "sigma_sq = 0.5") \
+                    .replace("x_min = -6.0", "x_min = -2.5") \
+                    .replace("x_max = 6.0", "x_max = 2.5")
+    cfg, outdir = write_config(tmp_path, text)
+    assert cli.main(["run", str(cfg)]) == 2
+    assert "Peclet" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_shipped_scenarios_and_default_grids_pass_the_peclet_check(tmp_path):
+    # every config under configs/, and every preset's default box at the
+    # 512 cells an INI file without [grid] gets
+    root = Path(__file__).resolve().parents[1]
+    scenarios = [load_scenario(path) for path in sorted(root.glob("configs/*.ini"))]
+    assert len(scenarios) == 4
+    for name in PRESETS:
+        text = (f"[scenario]\nname = {name}\n[model]\npreset = {name}\n"
+                f"[time]\ndt = 1e-3\nhorizon = 0.1\n"
+                f"[ensemble]\nn_trajectories = 1\nseed = 0\n"
+                f"[output]\ndirectory = {tmp_path / 'out'}\n")
+        scenario = load_scenario(write_config(tmp_path, text)[0])
+        assert scenario.grid.n_cells == 512
+        scenarios.append(scenario)
+    for scenario in scenarios:
+        face_fields(scenario.model, scenario.grid).check_peclet()
 
 
 def test_check_negative_seed_exits_2(tmp_path, capsys):

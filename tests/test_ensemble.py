@@ -107,16 +107,31 @@ def test_excluded_trajectories_counted():
 
 
 def test_blowup_aborts():
+    # sigma = 1e4 keeps the mesh Peclet number at 0.125, so the grid is
+    # accepted and the truth's blow-up is what stops the run
     model = models.DiffusionModel(
-        1, 1,
+        1,
         drift=lambda x: 1e4 * np.ones_like(np.asarray(x, dtype=float)),
-        sigma=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        observation_map=lambda x, y=None: np.zeros_like(np.asarray(x, dtype=float)),
+        sigma=lambda x: np.full_like(np.asarray(x, dtype=float), 1e4),
+        observation_map=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         domain_box=[[-1.0, 1.0]])
     grid = Grid1D(-1, 1, 32)
     with pytest.raises(SimulationBlowupError):
         run_filter_ensemble(model, grid, small_config(horizon=0.5,
                                                       sample_stride=100))
+
+
+def test_mesh_peclet_above_2_is_refused_before_stepping(monkeypatch):
+    # the double well's 64-cell grid reaches |v| dx / (sigma/2) = 3.7 at the
+    # walls; stepping it would drive the shared prior negative
+    def no_step(*args):
+        raise AssertionError("stepped")
+
+    monkeypatch.setattr(ensemble, "advance_values", no_step)
+    monkeypatch.setattr(ensemble, "zakai_advance", no_step)
+    with pytest.raises(ConfigError, match="Peclet number .* at interior face 0 "):
+        run_filter_ensemble(models.double_well(), Grid1D(-2.5, 2.5, 64),
+                            small_config(n_trajectories=37))
 
 
 def test_interp_rows_matches_numpy():

@@ -108,17 +108,30 @@ class TestSteadyState:
         assert gap_c / max(gap_f, 1e-300) >= 3.0
 
     def test_iterative_fallback(self):
-        # non-constant sigma forces the relaxation path
+        # non-constant sigma takes the discrete zero-flux route: a fixed
+        # point of the transport step to roundoff
         m = models.DiffusionModel(
-            1, 1,
+            1,
             drift=lambda x: -np.asarray(x, dtype=float),
             sigma=lambda x: 1.0 + 0.1 * np.asarray(x, dtype=float) ** 2,
-            observation_map=lambda x, y=None: np.asarray(x, dtype=float),
+            observation_map=lambda x: np.asarray(x, dtype=float),
             domain_box=[[-6.0, 6.0]])
         grid = Grid1D(-6, 6, 128)
-        rho_ss = steady_state_grid(m, grid, max_time=400.0, tol=1e-9)
+        rho_ss = steady_state_grid(m, grid)
         moved = fp_evolve(m, rho_ss, 0.5)
-        assert float(np.max(np.abs(moved.values - rho_ss.values))) <= 1e-6
+        assert float(np.max(np.abs(moved.values - rho_ss.values))) <= 1e-13
+
+    def test_zero_flux_route_refuses_peclet_above_2(self):
+        # |v| dx / (sigma/2) is 10.7 at face 0 and up to 12.6 elsewhere: no
+        # positive zero-flux density exists
+        m = models.DiffusionModel(
+            1,
+            drift=lambda x: -np.asarray(x, dtype=float),
+            sigma=lambda x: 0.1 + 0.01 * np.asarray(x, dtype=float) ** 2,
+            observation_map=lambda x: np.asarray(x, dtype=float),
+            domain_box=[[-6.0, 6.0]])
+        with pytest.raises(ConfigError, match="Peclet number .* at interior face 0 "):
+            steady_state_grid(m, Grid1D(-6, 6, 32))
 
 
 class TestZakai:
@@ -152,26 +165,6 @@ class TestZakai:
         zeta = gaussian_density(grid, 0.0, 1.0)
         with pytest.raises(UnstableStepError):
             zakai_step(m, zeta, 5.0, 1e-3, n_substeps_half=1)
-
-    def test_observation_map_may_use_current_observation(self):
-        # h(x, y) = x - y: the multiplicative update shifts with y
-        m = models.DiffusionModel(
-            1, 1,
-            drift=lambda x: -np.asarray(x, dtype=float),
-            sigma=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-            observation_map=lambda x, y=None: np.asarray(x, dtype=float)
-            - (0.0 if y is None else float(y)),
-            domain_box=[[-6.0, 6.0]])
-        grid = Grid1D(-6, 6, 128)
-        zeta = gaussian_density(grid, 0.0, 1.0)
-        out0 = zakai_step(m, zeta, 0.02, 1e-3, n_substeps_half=1,
-                          y_current=0.0)
-        out1 = zakai_step(m, zeta, 0.02, 1e-3, n_substeps_half=1,
-                          y_current=0.8)
-        ref = zakai_step(models.ou(rate=1.0, sigma_sq=1.0, obs_gain=1.0),
-                         zeta, 0.02, 1e-3, n_substeps_half=1)
-        np.testing.assert_allclose(out0.values, ref.values, rtol=1e-12)
-        assert float(np.max(np.abs(out1.values - out0.values))) > 0.0
 
 
 class TestNormalize:
@@ -531,6 +524,29 @@ def test_transport_substep_properties(seed, peclet, cfl):
     np.testing.assert_allclose(np.sum(out, axis=0), mass, rtol=1e-12)
     scale = np.max(np.abs(expected), axis=0)
     assert float(np.max(np.abs(out - expected) / scale)) <= 1e-13
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), peclet=st.floats(0.0, 4.0),
+       cfl=st.floats(0.05, 0.9))
+@settings(max_examples=50, deadline=None)
+def test_peclet_check_is_the_sign_of_the_couplings(seed, peclet, cfl):
+    # under the CFL guard T's diagonal is >= 0, so T has a negative entry
+    # exactly where a face's |v| dx / (sigma/2), with the sigma of the cell
+    # v points into, exceeds 2; the check refuses exactly those fields
+    rng = np.random.default_rng(seed)
+    grid = Grid1D(-1.0, 1.0, 40)
+    sigma = rng.uniform(0.2, 2.0, size=grid.n_cells)
+    v_face = (peclet * 0.5 * np.minimum(sigma[:-1], sigma[1:]) / grid.dx
+              * rng.uniform(-1.0, 1.0, size=grid.n_cells - 1))
+    ff = FaceFields(v_face, sigma, grid.dx)
+    into = np.where(v_face > 0.0, sigma[1:], sigma[:-1])
+    too_steep = bool(np.any(np.abs(v_face) * grid.dx / (0.5 * into) > 2.0))
+    assert ff.operator(cfl * ff.cfl_limit())[1] is not too_steep
+    if too_steep:
+        with pytest.raises(ConfigError, match="Peclet"):
+            ff.check_peclet()
+    else:
+        ff.check_peclet()
 
 
 @pytest.mark.parametrize("spike", [1.0, 1e-15])

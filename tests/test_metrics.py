@@ -44,10 +44,10 @@ class TestEntropyProduction:
     def test_deterministic_flow_divergence(self):
         # with sigma = 0 the rate reduces to the mean divergence of the drift
         m = models.DiffusionModel(
-            1, 1,
+            1,
             drift=lambda x: -np.asarray(x, dtype=float),
             sigma=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            observation_map=lambda x, y=None: np.asarray(x, dtype=float),
+            observation_map=lambda x: np.asarray(x, dtype=float),
             domain_box=[[-6.0, 6.0]])
         rho = gaussian_density(Grid1D(-6, 6, 256), 0.3, 0.7)
         assert entropy_production_rate(m, rho) == pytest.approx(-1.0,
@@ -84,10 +84,10 @@ class TestFreeSurpriseRate:
 
     def test_singular_sigma_rejected(self):
         m = models.DiffusionModel(
-            1, 1,
+            1,
             drift=lambda x: -np.asarray(x, dtype=float),
             sigma=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            observation_map=lambda x, y=None: np.asarray(x, dtype=float),
+            observation_map=lambda x: np.asarray(x, dtype=float),
             domain_box=[[-6.0, 6.0]])
         rho = gaussian_density(Grid1D(-6, 6, 128), 0.0, 1.0)
         with pytest.raises(NumericalError):

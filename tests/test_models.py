@@ -17,10 +17,10 @@ def constant_b_model(b_matrix, dim):
     b_matrix = np.asarray(b_matrix, dtype=float)
     sig = b_matrix @ b_matrix.T
     return DiffusionModel(
-        dim_state=dim, dim_obs=1,
+        dim_state=dim,
         drift=lambda x: np.zeros(dim),
         sigma=lambda x: sig,
-        observation_map=lambda x, y=None: np.zeros(1),
+        observation_map=lambda x: np.zeros(1),
         domain_box=[[-5.0, 5.0]] * dim)
 
 
@@ -47,7 +47,7 @@ class TestOneSigma:
         dw, du, x = models.draw_increments(17, idx, n_steps, dt, sampler)
         states, incs = [x], []
         for k in range(n_steps):
-            incs.append(m.observation_map(x, None) * dt + du[k])
+            incs.append(m.observation_map(x) * dt + du[k])
             x = x + m.drift(x) * dt + np.full_like(x, b) * dw[k]
             states.append(x)
         np.testing.assert_array_equal(path.states, np.array(states))
@@ -63,8 +63,8 @@ class TestOneSigma:
                                    lambda x: np.ones((np.size(x), 1))],
                          ids=["matrix", "too_short", "column"])
 def test_sigma_that_does_not_broadcast_is_refused(sigma):
-    m = DiffusionModel(1, 1, drift=lambda x: np.zeros_like(x), sigma=sigma,
-                       observation_map=lambda x, y=None: np.zeros_like(x))
+    m = DiffusionModel(1, drift=lambda x: np.zeros_like(x), sigma=sigma,
+                       observation_map=lambda x: np.zeros_like(x))
     with pytest.raises(ConfigError, match="does not broadcast"):
         m.sigma_profile(np.linspace(-1.0, 1.0, 5))
     with pytest.raises(ConfigError, match="does not broadcast"):
@@ -145,10 +145,10 @@ class TestUField:
     def test_quadratic_sigma(self):
         # v = 0, sigma(x) = x^2  ->  u = -x
         m = DiffusionModel(
-            1, 1,
+            1,
             drift=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             sigma=lambda x: np.asarray(x, dtype=float) ** 2,
-            observation_map=lambda x, y=None: np.zeros_like(np.asarray(x, dtype=float)),
+            observation_map=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             domain_box=[[-5.0, 5.0]])
         assert u_field(m, [2.0])[0] == pytest.approx(-2.0, rel=1e-8)
 
@@ -167,10 +167,10 @@ class TestUField:
 class TestSimulateJoint:
     def test_degenerate_dynamics(self):
         m = DiffusionModel(
-            1, 1,
+            1,
             drift=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             sigma=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            observation_map=lambda x, y=None: np.zeros_like(np.asarray(x, dtype=float)),
+            observation_map=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             domain_box=[[-5.0, 5.0]])
         path = simulate_joint(m, lambda r: np.array([0.3]), 1.0, 0.01, seed=1)
         assert np.all(path.states == 0.3)
@@ -201,10 +201,10 @@ class TestSimulateJoint:
 
     def test_blowup_contract(self):
         m = DiffusionModel(
-            1, 1,
+            1,
             drift=lambda x: 1e4 * np.ones_like(np.asarray(x, dtype=float)),
             sigma=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-            observation_map=lambda x, y=None: np.zeros_like(np.asarray(x, dtype=float)),
+            observation_map=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             domain_box=[[-1.0, 1.0]])
         with pytest.raises(SimulationBlowupError):
             simulate_joint(m, lambda r: np.zeros(1), 1.0, 0.01, seed=0)
