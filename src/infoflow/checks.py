@@ -447,8 +447,8 @@ def _ks_zakai_gap(model, grid: Grid1D, dt: float, horizon: float,
     zak = gaussian_density(grid, 0.0, 0.25).values
     ks = zak.copy()
     for dy in incs:
-        zakai_advance(zak, ff, n_half, h_vals, dy, dt)
-        ks_advance(ks, ff, n_half, h_vals, dy, dt)
+        zak = zakai_advance(zak, ff, n_half, h_vals, dy, dt)
+        ks = ks_advance(ks, ff, n_half, h_vals, dy, dt)
     zak_n, _ = normalize(GridDensity(grid, zak))
     return float(np.sum(np.abs(zak_n.values - ks)) * grid.dx)
 

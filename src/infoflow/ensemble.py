@@ -224,7 +224,8 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
 
     rho0 = gaussian_density(grid, config.x0_mean, config.x0_var)
     prior_vals = rho0.values.copy()
-    post_vals = np.tile(rho0.values[:, None], (1, n_traj))    # (M, N)
+    # (M, N), owning its memory: the transport trades it with its work array
+    post_vals = np.repeat(rho0.values[:, None], n_traj, axis=1)
     ledger = np.zeros(n_traj)
     int_pi2 = np.zeros(n_traj)
 
@@ -310,8 +311,7 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
             ff_post = replace(ff_post, beta=beta)
             substeps_for(ff_post, 0.5 * dt, n_substeps=n_half)
             ff_prior = replace(ff_prior, v_face=mean_drift(model, xf, beta))
-        post_vals, shift = zakai_advance(post_vals, ff_post, n_half, h_c, dy, dt)
-        ledger = ledger + shift
+        post_vals = zakai_advance(post_vals, ff_post, n_half, h_c, dy, dt)
         mass = _column_sums(post_vals) * dx       # the next step's masses
         # fold only the columns out of range: no column sees the batch
         fold = (mass < _MASS_FOLD_LO) | (mass > _MASS_FOLD_HI)

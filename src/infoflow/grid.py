@@ -21,14 +21,17 @@ dt <= safety / (sigma_max/dx^2 + v_max/dx).
 
 Densities are stored cell-major, a bank of N as an (n_cells, N) array, so
 a substep of all of them is one compiled sparse product T X.  The immutable
-face fields build T for their substep length and own a workspace of the
-bank's shape that T X accumulates into; the two swap roles each substep.
+face fields build T for their substep length on first use, and T^n for n
+uncontrolled substeps, a band of 2n + 1 diagonals applied as one product.
+They own a work array of the bank's shape that each product accumulates
+into; the bank and the work array trade roles after each product.
 A control beta_r added to the drift of column r adds (h/2dx) beta_r D(X_r),
-with D the centered difference, written into the workspace before T X.
+with D the centered difference, written into the work array before T X.
 
 The Zakai update is Strang split: half a step of the dual generator, the
-multiplicative observation factor exp(h dY - |h|^2 dt / 2) applied in the
-log domain, half a step again.
+multiplicative observation factor exp(h dY - |h|^2 dt / 2), half a step
+again.  It rescales nothing, so it is linear in the density and the
+log-mass ln sigma_t(1) is read off the masses.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ DENSITY_FLOOR = 1e-300       # log-domain floor
 SCORE_GATE = 1e-12           # score integrands gated at this fraction of max
 NEGATIVITY_TOL = -1e-14
 EXPONENT_LIMIT = 700.0
+FUSED_SUBSTEPS = 8           # up to 8 uncontrolled substeps: one product, T^n
 
 
 @dataclass(frozen=True)
@@ -125,8 +129,9 @@ class FaceFields:
     """Drift at interior faces, sigma at cell centers, and an optional control
     ``beta`` (N,) added to the drift of each density column, all kept as
     read-only copies: a new drift or control is a new instance
-    (``dataclasses.replace``).  It builds its substep operator on first use
-    (:meth:`operator`) and owns the step's one work array (:meth:`workspace`)."""
+    (``dataclasses.replace``).  It builds its substep operator and its
+    powers on first use (:meth:`operator`, :meth:`power`) and holds the
+    step's one work array (:meth:`workspace`)."""
 
     v_face: np.ndarray
     sigma_centers: np.ndarray
@@ -165,9 +170,13 @@ class FaceFields:
                               f"{bad[0]} (v={self.v_face[bad[0]]:.4g}): refine the grid")
 
     def operator(self, h: float) -> tuple:
-        """(T, nonneg): one uncontrolled substep of length ``h`` as an
-        (n_cells, n_cells) ``csr_array``, and whether every entry is >= 0.
-        Built on first use and kept for the last ``h`` asked for."""
+        """(T, nonneg, (lo, hi)): one uncontrolled substep of length ``h`` as
+        an (n_cells, n_cells) ``csr_array``, whether every entry is >= 0, and
+        the controls c = (h/2dx) beta with every entry of T + c D >= 0,
+        lo <= c <= hi (empty when T has a negative entry): c may exceed no
+        upper coupling nor diag_0, -c no lower one nor diag_{m-1}, less a
+        relative 2^-40 that covers a fused multiply-add.  Built on first use
+        and kept, with its powers, for the last ``h`` asked for."""
         if self._substep is not None and self._substep[0] == h:
             return self._substep[1]
         c, m = h / self.dx, self.sigma_centers.size
@@ -177,16 +186,34 @@ class FaceFields:
         diag[:-1] -= p
         diag[1:] -= minus_q
         data = bands.ravel()[1:-1]              # the walls carry no flux
-        pair = (sp.csr_array((data, *_tridiagonal_pattern(m)), shape=(m, m)),
-                bool(np.min(data) >= 0.0))
-        object.__setattr__(self, "_substep", (h, pair))
-        return pair
+        nonneg = bool(np.min(data) >= 0.0)
+        bounds = (math.inf, -math.inf)
+        if nonneg:
+            keep = 1.0 - 2.0 ** -40
+            bounds = (-keep * min(float(np.min(p)), diag[-1]),
+                      keep * min(float(np.min(minus_q)), diag[0]))
+        triple = (sp.csr_array((data, *_tridiagonal_pattern(m)), shape=(m, m)),
+                  nonneg, bounds)
+        object.__setattr__(self, "_substep", (h, triple, {1: triple[0]}))
+        return triple
+
+    def power(self, h: float, n: int):
+        """T^n, ``n`` uncontrolled substeps of length ``h`` as one band of
+        2n + 1 diagonals, built on first use and kept while ``h`` is."""
+        op, powers = self.operator(h)[0], self._substep[2]
+        if n not in powers:
+            powers[n] = op @ self.power(h, n - 1)
+        return powers[n]
 
     def workspace(self, shape) -> np.ndarray:
         """Scratch of this ``shape``, reused while the shape holds."""
         if self._scratch is None or self._scratch.shape != shape:
             object.__setattr__(self, "_scratch", np.empty(shape))
         return self._scratch
+
+    def trade(self, values: np.ndarray) -> None:
+        """Take ``values``, of the work array's shape, as the work array."""
+        object.__setattr__(self, "_scratch", values)
 
 
 def face_fields(model: DiffusionModel, grid: Grid1D) -> FaceFields:
@@ -201,27 +228,50 @@ def face_fields(model: DiffusionModel, grid: Grid1D) -> FaceFields:
 def advance_values(values: np.ndarray, ff: FaceFields, duration: float,
                    n_substeps: int) -> np.ndarray:
     """Advance cell values, (n_cells,) or (n_cells, N) with one density per
-    column, in place by ``duration`` in ``n_substeps`` substeps; return them.
+    column, by ``duration`` in ``n_substeps`` substeps and return them.
 
-    Each substep accumulates T X into ``ff.workspace``, onto zeros or onto
-    (h/2dx) beta D(X) per column when ``ff.beta`` is set, and the two
-    arrays swap roles.  scipy's compiled CSR kernels write through flat
-    views, so values that are not C-contiguous float64 raise ConfigError
-    unchanged.  When every entry of T and every input cell is >= 0, each
-    output is a sum of products of non-negative numbers and so is >= 0
-    exactly; otherwise a substep that drives any cell below -1e-14 raises
-    UnstableStepError and cells in [-1e-14, 0) are set to zero."""
+    Each product accumulates into ``ff.workspace``, onto zeros or, under a
+    non-zero control, onto (h/2dx) beta D(X); the two arrays then swap roles.
+    An odd product count leaves the result in the former work array, which
+    is returned while ``values`` becomes the work array (a view is written
+    back instead), so callers go on with the returned array.  Values that
+    are not C-contiguous float64, or that are the work array, raise
+    ConfigError unchanged.
+
+    When every entry of T and every input cell is >= 0, each new cell is a
+    sum of non-negative products, so >= 0 exactly, and up to
+    ``FUSED_SUBSTEPS`` uncontrolled substeps are one product with T^n.
+    Under controls inside T's bounds (:meth:`FaceFields.operator`) an
+    interior cell's one negative term, c X_{i+1} (or -c X_{i-1}), rounds to
+    no more than the product it cancels, upper_i X_{i+1} (lower_i X_{i-1}),
+    so only the wall rows, whose negative term spans two cells, are scanned.
+    Otherwise every substep is: a cell below -1e-14 raises
+    UnstableStepError, and cells in [-1e-14, 0) are set to zero."""
     m = ff.sigma_centers.size
     if values.dtype != np.float64 or not values.flags.c_contiguous \
             or values.shape[:1] != (m,):
         raise ConfigError(f"transport needs C-contiguous float64 cell "
                           f"values with {m} rows, got {values.dtype} {values.shape}")
-    h = duration / n_substeps
-    op, nonneg = ff.operator(h)
-    csr = (op.indptr, op.indices, op.data)
-    cb = None if ff.beta is None else (h / (2.0 * ff.dx)) * ff.beta
-    guarded = cb is not None or not nonneg or float(np.min(values)) < 0.0
     src, dst = values, ff.workspace(values.shape)
+    if np.may_share_memory(src, dst):
+        raise ConfigError("these values are the face fields' work array: go on "
+                          "with the array the previous step returned")
+    h = duration / n_substeps
+    op, nonneg, (lo, hi) = ff.operator(h)
+    cb = None
+    if ff.beta is not None and np.any(ff.beta):
+        cb = (h / (2.0 * ff.dx)) * ff.beta
+    proved = (nonneg and float(np.min(values)) >= 0.0
+              and (cb is None or lo <= float(np.min(cb)) and float(np.max(cb)) <= hi))
+    if not proved:
+        scan = slice(None)                      # rows checked after a product
+    elif cb is not None:
+        scan = slice(None, None, m - 1)         # the two wall rows
+    else:
+        scan = None
+        if n_substeps <= FUSED_SUBSTEPS:
+            op, n_substeps = ff.power(h, n_substeps), 1
+    csr = (op.indptr, op.indices, op.data)
     for _ in range(n_substeps):
         if cb is None:
             dst.fill(0.0)
@@ -234,18 +284,22 @@ def advance_values(values: np.ndarray, ff: FaceFields, duration: float,
         else:
             _sparsetools.csr_matvecs(m, m, values.size // m, *csr,
                                      src.reshape(-1), dst.reshape(-1))
-        if guarded:
-            mn = float(np.min(dst))
+        if scan is not None:
+            rows = dst[scan]
+            mn = float(np.min(rows))
             if mn < NEGATIVITY_TOL:
-                idx = np.unravel_index(int(np.argmin(dst)), dst.shape)
-                raise UnstableStepError(
-                    f"unstable step: density reached {mn:.3e} at cell {idx[0]}")
+                row = np.unravel_index(int(np.argmin(rows)), rows.shape)[0]
+                raise UnstableStepError(f"unstable step: density reached "
+                                        f"{mn:.3e} at cell {range(m)[scan][row]}")
             if mn < 0.0:
-                np.clip(dst, 0.0, None, out=dst)
+                np.clip(rows, 0.0, None, out=rows)
         src, dst = dst, src
     if src is not values:                       # an odd count ends in the workspace
-        values[...] = src
-    return values
+        if not values.flags.owndata:
+            values[...] = src
+            return values
+        ff.trade(values)
+    return src
 
 
 def substeps_for(ff: FaceFields, duration: float, safety: float = 0.9,
@@ -311,63 +365,70 @@ def _increments(delta_y, values: np.ndarray) -> np.ndarray:
 
 
 def zakai_advance(values: np.ndarray, ff: FaceFields, n_half: int,
-                  h_vals: np.ndarray, delta_y, dt: float):
-    """One Strang-split Zakai step of one density (M,) or a bank (M, N), in
-    place.  Half a transport step, the factor exp(h dY - |h|^2 dt / 2), half a
-    transport step, with one increment per density in ``delta_y``.  Each
-    column's factor is divided by its maximum, returned as ``shift`` for the
-    caller's log-normalization ledger.  Returns (values, shift); after an
-    error ``values`` is left partly advanced.
+                  h_vals: np.ndarray, delta_y, dt: float) -> np.ndarray:
+    """One Strang-split Zakai step of one density (M,) or a bank (M, N):
+    half a transport step, the factor exp(h dY - |h|^2 dt / 2), half a
+    transport step, with one increment per density in ``delta_y``.
+
+    Nothing is rescaled, so the step is linear in the values and the
+    caller reads ln sigma_t(1) from the masses.  The exponent is bounded
+    from O(M + N) data, |h dY - h^2 dt/2| <= max|h| max|dY| + max(h^2) dt/2,
+    and a bound above ``EXPONENT_LIMIT`` raises UnstableStepError before
+    any cell changes.  Returns the stepped values, which callers go on with
+    (see :func:`advance_values`); after a transport error they are left
+    partly advanced.
     """
     if values.ndim > 2:
         raise ConfigError("zakai_advance takes one density or an (M, N) bank")
     dy = _increments(delta_y, values)
-    advance_values(values, ff, 0.5 * dt, n_half)
-    expo = np.multiply.outer(h_vals, dy, out=ff.workspace(values.shape))  # h dY
-    np.subtract(expo.T, 0.5 * h_vals * h_vals * dt, out=expo.T)
-    shift = np.max(expo, axis=0)
-    peak = max(float(np.max(shift)), -float(np.min(expo)))   # max |expo|
-    if peak > EXPONENT_LIMIT:
-        h_dy = float(np.max(np.abs(h_vals))) * float(np.max(np.abs(dy)))
+    h_max = float(np.max(np.abs(h_vals)))
+    bound = h_max * float(np.max(np.abs(dy))) + 0.5 * h_max * h_max * dt
+    if bound > EXPONENT_LIMIT:
         raise UnstableStepError(
-            f"observation update overflow: max |h dY - h^2 dt/2| = "
-            f"{peak:.3e}, max |h dY| = {h_dy:.3e}")
-    expo -= shift
+            f"observation update overflow: max|h| max|dY| + max(h^2) dt/2 = "
+            f"{bound:.3e} exceeds {EXPONENT_LIMIT:g}")
+    values = advance_values(values, ff, 0.5 * dt, n_half)
+    expo = ff.workspace(values.shape)           # h dY - h^2 dt/2
+    half_h2dt = 0.5 * h_vals * h_vals * dt
+    if values.ndim == 1:
+        np.subtract(np.multiply(h_vals, dy, out=expo), half_h2dt, out=expo)
+    else:                                       # the same two roundings, one pass
+        np.einsum("ik,kj->ij", np.stack([h_vals, -half_h2dt], axis=1),
+                  np.stack([dy, np.ones_like(dy)]), out=expo)
     values *= np.exp(expo, out=expo)
-    return advance_values(values, ff, 0.5 * dt, n_half), shift
+    return advance_values(values, ff, 0.5 * dt, n_half)
 
 
 def zakai_step(model: DiffusionModel, zeta: GridDensity, delta_y, dt: float,
                n_substeps_half: Optional[int] = None) -> GridDensity:
     """One Strang-split step of the unnormalized filter density.
 
-    Linear in the density.  The multiplicative factor is applied with its
-    per-step maximum shifted into ``log_norm`` so the stored values never
-    overflow; the shift is density-independent, preserving linearity.
+    Linear in the density: the values carry the step's factor, so
+    ``log_norm`` + ln(mass) stays ln sigma_t(1).
     """
     ff = face_fields(model, zeta.grid)
     n_sub = substeps_for(ff, 0.5 * dt, n_substeps=n_substeps_half)
-    h_vals = observation_values(model, zeta.grid)
-    vals, shift = zakai_advance(zeta.values.copy(), ff, n_sub, h_vals,
-                                delta_y, dt)
-    return GridDensity(zeta.grid, vals, log_norm=zeta.log_norm + float(shift))
+    vals = zakai_advance(zeta.values.copy(), ff, n_sub,
+                         observation_values(model, zeta.grid), delta_y, dt)
+    return GridDensity(zeta.grid, vals, log_norm=zeta.log_norm)
 
 
 def ks_advance(values: np.ndarray, ff: FaceFields, n_half: int,
                h_vals: np.ndarray, delta_y, dt: float) -> np.ndarray:
     """One step of the normalized (Kushner-Stratonovich) density equation on
-    one density (M,), in place; returns it.
+    one density (M,); returns it (see :func:`advance_values`).
 
     Nonlinear: the innovation dI = dY - pi(h) dt multiplies the centered
     observation fluctuation h - pi(h).  The scalar innovation admits the
     Milstein second-order term, so the pathwise gap to the normalized Zakai
     solution is O(dt).  Renormalizes afterwards (the grid update preserves
-    mass only to O(dt^2)).  After an error ``values`` is left partly advanced.
+    mass only to O(dt^2)).  After an error the values are left partly
+    advanced.
     """
     if values.ndim != 1:
         raise ConfigError("ks_advance takes one density")
     dy = float(_increments(delta_y, values))
-    advance_values(values, ff, 0.5 * dt, n_half)
+    values = advance_values(values, ff, 0.5 * dt, n_half)
     mass = np.sum(values) * ff.dx
     pi_h = np.sum(values * h_vals) * ff.dx / mass
     pi_h2 = np.sum(values * h_vals * h_vals) * ff.dx / mass
@@ -379,7 +440,7 @@ def ks_advance(values: np.ndarray, ff: FaceFields, n_half: int,
         raise UnstableStepError("Kushner-Stratonovich factor lost positivity; "
                                 "reduce dt")
     values *= factor
-    advance_values(values, ff, 0.5 * dt, n_half)
+    values = advance_values(values, ff, 0.5 * dt, n_half)
     values /= np.sum(values) * ff.dx
     return values
 

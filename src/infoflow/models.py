@@ -27,7 +27,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, SimulationBlowupError
-from .rng import CHANNEL_DYNAMICS, CHANNEL_INITIAL, CHANNEL_OBSERVATION, substream
+from .rng import (CHANNEL_DYNAMICS, CHANNEL_INITIAL, CHANNEL_OBSERVATION,
+                  substreams)
 
 FD_STEP = 1e-5   # central-difference step of SmoothField gradients
 
@@ -137,12 +138,6 @@ class JointPath:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def validate(self, atol: float = 1e-12):
-        dts = np.diff(self.times)
-        assert np.all(dts > 0) and np.allclose(dts, dts[0], atol=atol)
-        assert np.allclose(np.diff(self.observations, axis=0),
-                           self.obs_increments, atol=atol)
-
 
 def sigma_at(model: DiffusionModel, x) -> np.ndarray:
     """Diffusion tensor sigma(x) as an (n, n) matrix."""
@@ -203,17 +198,20 @@ def draw_increments(seed: int, indices, n_steps: int, dt: float,
 
     Trajectory ``j`` draws dW, dU and ``x0_sampler(rng)`` (one state, a
     scalar or a one-element array) from its own substreams, so each column
-    depends on its index alone.  Each trajectory's draws fill one contiguous
-    row; the (K, N) arrays are transposed views.
+    depends on its index alone.  The streams come from ``rng.substreams``,
+    one re-seeded generator per channel, so a sampler must not keep its
+    ``rng``.  Each trajectory's draws fill one contiguous row; the (K, N)
+    arrays are transposed views.
     """
     sq = math.sqrt(dt)
     dw = np.empty((len(indices), n_steps))
     du = np.empty((len(indices), n_steps))
     x0 = np.empty(len(indices))
-    for col, j in enumerate(indices):
-        dw[col] = substream(seed, j, CHANNEL_DYNAMICS).normal(size=n_steps) * sq
-        du[col] = substream(seed, j, CHANNEL_OBSERVATION).normal(size=n_steps) * sq
-        x0[col:col + 1] = x0_sampler(substream(seed, j, CHANNEL_INITIAL))
+    for out, channel in ((dw, CHANNEL_DYNAMICS), (du, CHANNEL_OBSERVATION)):
+        for row, rng in zip(out, substreams(seed, indices, channel)):
+            np.multiply(rng.normal(size=n_steps), sq, out=row)
+    for col, rng in enumerate(substreams(seed, indices, CHANNEL_INITIAL)):
+        x0[col:col + 1] = x0_sampler(rng)
     return dw.T, du.T, x0
 
 

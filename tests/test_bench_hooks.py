@@ -61,3 +61,27 @@ def test_ensemble_workload_passes_the_output_gate(name, tmp_path, monkeypatch):
     csv_bytes = (tmp_path / scenario.outdir / "ledger.csv").read_bytes()
     assert worker.ensemble_failures(workload, controlled, run, csv_bytes,
                                     worker.load_reference(name), None) == []
+
+
+def test_ensemble_transport_stays_in_view(patches):
+    # a 5-step double-well ensemble: per step the bank's two Strang halves
+    # and the prior's step each record one grid.advance call, the noise
+    # draw records one rng.draw span, and every hooked layer is measured
+    from infoflow import ensemble
+    g = grid.Grid1D(-2.5, 2.5, 128)
+    model = models.double_well()
+    config = ensemble.EnsembleConfig(dt=1e-3, horizon=5e-3, n_trajectories=8,
+                                     seed=3, sample_stride=5)
+    ensemble.run_filter_ensemble(model, g, config)
+    assert patches.unmeasured == set()
+    spans_by = {}
+    for span in patches.recorder.spans:
+        spans_by.setdefault(span.name, []).append(span)
+    run, = spans_by["ensemble.run"]
+    draw, = spans_by["rng.draw"]
+    assert draw.parent == run.id
+    ff = grid.face_fields(model, g)
+    n_half, n_full = grid.substeps_for(ff, 0.5e-3), grid.substeps_for(ff, 1e-3)
+    advances = spans_by["grid.advance"]
+    assert all(s.parent == run.id for s in advances)
+    assert [s.work for s in advances] == ([128 * 8 * n_half] * 2 + [128 * n_full]) * 5

@@ -411,15 +411,14 @@ def test_batched_zakai_rows_match_single_density():
             for mean, var in ((-0.8, 0.2), (0.1, 0.5), (0.9, 0.3))]
     dy = np.array([0.05, -0.12, 0.31])
     ff = face_fields(m, grid)
-    vals, shift = zakai_advance(np.stack(rows, axis=1), ff,
-                                substeps_for(ff, 0.5 * dt),
-                                observation_values(m, grid), dy, dt)
+    vals = zakai_advance(np.stack(rows, axis=1), ff,
+                         substeps_for(ff, 0.5 * dt),
+                         observation_values(m, grid), dy, dt)
     assert vals.shape == (grid.n_cells, 3)
-    assert shift.shape == (3,)
     for i, row in enumerate(rows):
         single = zakai_step(m, GridDensity(grid, row), dy[i], dt)
         assert np.array_equal(vals[:, i], single.values)
-        assert shift[i] == single.log_norm
+        assert single.log_norm == 0.0
 
 
 def test_zakai_advance_per_column_controls():
@@ -438,17 +437,14 @@ def test_zakai_advance_per_column_controls():
     start = np.stack([gaussian_density(grid, mean, 0.3).values
                       for mean in rng.uniform(-1.0, 1.0, size=n_cols)], axis=1)
     dy = rng.normal(0.0, 0.05, size=n_cols)
-    vals, shift = zakai_advance(start.copy(), ff, n_half, h_vals, dy, dt)
+    vals = zakai_advance(start.copy(), ff, n_half, h_vals, dy, dt)
     for r in range(n_cols):
         ff_r = FaceFields(base.v_face, base.sigma_centers, grid.dx,
                           beta=beta[r])
-        col, col_shift = zakai_advance(start[:, r].copy(), ff_r, n_half,
-                                       h_vals, dy[r], dt)
+        col = zakai_advance(start[:, r].copy(), ff_r, n_half, h_vals, dy[r], dt)
         assert np.array_equal(vals[:, r], col)
-        assert shift[r] == col_shift
         ff_v = FaceFields(base.v_face + beta[r], base.sigma_centers, grid.dx)
-        ref, _ = zakai_advance(start[:, r].copy(), ff_v, n_half, h_vals,
-                               dy[r], dt)
+        ref = zakai_advance(start[:, r].copy(), ff_v, n_half, h_vals, dy[r], dt)
         assert float(np.max(np.abs(col - ref))) <= 1e-13 * float(np.max(ref))
 
 
@@ -464,10 +460,9 @@ def test_zero_controls_match_uncontrolled_step():
     start = np.stack([gaussian_density(grid, mean, 0.2).values
                       for mean in (-0.9, -0.2, 0.4, 1.1)], axis=1)
     dy = np.array([0.03, -0.07, 0.0, 0.11])
-    plain, plain_shift = zakai_advance(start.copy(), base, n_half, h_vals, dy, dt)
-    ctrl, ctrl_shift = zakai_advance(start.copy(), zero, n_half, h_vals, dy, dt)
+    plain = zakai_advance(start.copy(), base, n_half, h_vals, dy, dt)
+    ctrl = zakai_advance(start.copy(), zero, n_half, h_vals, dy, dt)
     assert np.array_equal(plain, ctrl)
-    assert np.array_equal(plain_shift, ctrl_shift)
 
 
 def test_zakai_advance_rejects_nested_batches():
@@ -634,13 +629,15 @@ def test_csr_kernels_add_the_product():
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("shape", [(), (5,)])
 def test_uncontrolled_advance_is_repeated_product(shape, n):
+    # n substeps are one product with T^n: n products with T up to rounding
     ff, values, h = _transport_case(shape)
     op = _operator(ff, h)
     expected = values
     for _ in range(n):
         expected = op @ expected
     out = advance_values(values.copy(), ff, n * h, n)
-    assert np.array_equal(out, expected)
+    assert np.array_equal(out, ff.power(h, n) @ values)
+    assert float(np.max(np.abs(out - expected))) <= 1e-15 * float(np.max(expected))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -674,12 +671,26 @@ def test_advance_rejects_values_it_cannot_write(bad):
 
 
 def test_advance_reuses_its_workspace():
+    # the values and the work array trade roles; no call allocates
     for beta in (None, np.full(3, 0.2)):
         ff, values, h = _transport_case((3,), beta=beta)
-        advance_values(values, ff, h, 1)
-        work = ff.workspace(values.shape)
-        advance_values(values, ff, 2 * h, 2)
-        assert ff.workspace(values.shape) is work
+        values = advance_values(values, ff, h, 1)
+        pair = {id(values), id(ff.workspace(values.shape))}
+        values = advance_values(values, ff, 2 * h, 2)
+        assert {id(values), id(ff.workspace(values.shape))} == pair
+
+
+def test_advance_refuses_its_own_work_array():
+    # after a trade the old values are the work array: stepping them again
+    # would read and write one array, so it is refused before any change
+    ff, values, h = _transport_case((3,))
+    stale = values
+    values = advance_values(values, ff, h, 1)
+    assert ff.workspace(values.shape) is stale
+    before = stale.copy()
+    with pytest.raises(ConfigError, match="work array"):
+        advance_values(stale, ff, h, 1)
+    assert np.array_equal(stale, before)
 
 
 def test_face_fields_are_immutable():
@@ -700,3 +711,92 @@ def test_face_fields_are_immutable():
     fresh = FaceFields(2 * v, base.sigma_centers, grid.dx)
     assert np.array_equal(doubled.operator(h)[0].data, fresh.operator(h)[0].data)
     assert not np.array_equal(doubled.operator(h)[0].data, ff.operator(h)[0].data)
+
+
+@pytest.mark.parametrize("name", sorted(models.PRESETS))
+def test_fused_step_matches_substeps(name):
+    # 200 Strang steps of a small bank: each transport half is one product
+    # with T^n, against n products with T around the same observation factor
+    m = models.preset(name)
+    (low, high), = m.domain_box
+    grid = Grid1D(low, high, 128)
+    dt = 1e-3
+    ff = face_fields(m, grid)
+    n_half = max(3, substeps_for(ff, 0.5 * dt))
+    op = ff.operator(0.5 * dt / n_half)[0]
+    h_vals = observation_values(m, grid)
+    bank = np.stack([gaussian_density(grid, mean, 0.3 * (high - low) ** 2 / 25).values
+                     for mean in (0.3 * low, 0.0, 0.2 * high)], axis=1)
+    ref = bank.copy()
+    for dy in np.random.default_rng(5).normal(0.0, 0.03, size=(200, 3)):
+        bank = zakai_advance(bank, ff, n_half, h_vals, dy, dt)
+        for _ in range(n_half):
+            ref = op @ ref
+        ref = ref * np.exp(np.multiply.outer(h_vals, dy)
+                           - (0.5 * h_vals * h_vals * dt)[:, None])
+        for _ in range(n_half):
+            ref = op @ ref
+    assert float(np.max(np.abs(bank - ref) / np.max(ref, axis=0))) <= 1e-13
+
+
+def test_overflow_guard_changes_no_cell():
+    # the exponent bound is read from h and dY alone, before the first half
+    m = models.lqg(A=[[-1.0]], B=[[1.0]], C=[[200.0]])
+    grid = Grid1D(-6, 6, 64)
+    values = np.repeat(gaussian_density(grid, 0.0, 1.0).values[:, None], 2, axis=1)
+    before = values.copy()
+    with pytest.raises(UnstableStepError, match="overflow"):
+        zakai_advance(values, face_fields(m, grid), 1, observation_values(m, grid),
+                      np.array([0.0, 5.0]), 1e-3)
+    assert np.array_equal(values, before)
+
+
+def _controlled_product(values, op, cb):
+    """One controlled substep exactly as the kernel computes it, unscanned."""
+    out = np.empty_like(values)
+    np.subtract(values[:-2], values[2:], out=out[1:-1])
+    out[0], out[-1] = -(values[0] + values[1]), values[-2] + values[-1]
+    out *= cb
+    _sparsetools.csr_matvecs(op.shape[0], op.shape[1], values.shape[1], op.indptr,
+                             op.indices, op.data, values.reshape(-1), out.reshape(-1))
+    return out
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), reach=st.floats(0.0, 1.5),
+       cfl=st.floats(0.05, 0.9))
+@settings(max_examples=80, deadline=None)
+def test_controls_inside_the_bounds_are_proved_non_negative(seed, reach, cfl):
+    # T + c D >= 0 entrywise for c in T's bounds.  Inside them no interior
+    # cell of a non-negative input goes below zero, unscanned, even beside
+    # zeros and subnormals; outside them the guarded substep raises below
+    # -1e-14 or clips [-1e-14, 0).
+    rng = np.random.default_rng(seed)
+    n_cols, n_cells = 6, 40
+    grid = Grid1D(-1.0, 1.0, n_cells)
+    sigma = rng.uniform(0.2, 2.0, size=n_cells)
+    v_face = (0.99 * 0.5 * np.minimum(sigma[:-1], sigma[1:]) / grid.dx
+              * rng.uniform(-1.0, 1.0, size=n_cells - 1))
+    base = FaceFields(v_face, sigma, grid.dx)
+    h = cfl * base.cfl_limit()
+    op, nonneg, (lo, hi) = base.operator(h)
+    assert nonneg and lo < 0.0 < hi
+    cb = reach * rng.uniform(lo, hi, size=n_cols)
+    cb[:2] = reach * lo, reach * hi
+    ff = FaceFields(v_face, sigma, grid.dx, beta=cb * (2.0 * grid.dx / h))
+    cb = (h / (2.0 * grid.dx)) * ff.beta            # as the transport forms it
+    values = (rng.uniform(0.0, 1.0, size=(n_cells, n_cols))
+              * 10.0 ** rng.integers(-322, 3, size=(n_cells, n_cols)))
+    values[rng.uniform(size=values.shape) < 0.4] = 0.0
+    raw = _controlled_product(values, op, cb)
+    if lo <= float(np.min(cb)) and float(np.max(cb)) <= hi:
+        assert float(np.min(raw[1:-1])) >= 0.0
+        out = advance_values(values.copy(), ff, h, 1)
+        assert np.array_equal(out, np.maximum(raw, 0.0))
+        assert float(np.min(out)) >= 0.0
+        return
+    if float(np.min(raw)) < -1e-14:
+        with pytest.raises(UnstableStepError):
+            advance_values(values.copy(), ff, h, 1)
+    else:
+        out = advance_values(values.copy(), ff, h, 1)
+        assert np.array_equal(out, np.maximum(raw, 0.0))

@@ -176,7 +176,10 @@ class TestSimulateJoint:
         assert np.all(path.states == 0.3)
         # pure Wiener observations: increments are the raw noise
         assert np.std(path.obs_increments) == pytest.approx(0.1, rel=0.2)
-        path.validate()
+        dts = np.diff(path.times)
+        assert np.all(dts > 0) and np.allclose(dts, dts[0], atol=1e-12)
+        assert np.allclose(np.diff(path.observations, axis=0),
+                           path.obs_increments, atol=1e-12)
 
     def test_determinism(self):
         m = models.ou()
