@@ -1,8 +1,8 @@
 """Built-in verification suites.
 
-Every check returns a :class:`CheckResult` with the measured value and the
-tolerance it was held to, so the CLI and the test suite print identical
-pass/fail lines.  Suites: ``gaussian`` (exact linear ledgers), ``grid``
+Every check returns a :class:`CheckResult` of named conditions (value,
+comparison, bound).  Its verdict, its printed line and its JSON report are
+all read off them.  Suites: ``gaussian`` (exact linear ledgers), ``grid``
 (PDE identities and solver properties), ``infoflow`` (Monte-Carlo
 information balance), ``feedback`` (controlled runs), ``all``.
 """
@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -35,23 +36,48 @@ from .rng import CHANNEL_BOOTSTRAP, CHANNEL_FIELDS, check_seed, substream
 
 DEFAULT_SEED = 20260809
 SQRT2 = math.sqrt(2.0)
+_OPS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt,
+        ">": operator.gt, "==": operator.eq}
+
+
+class Condition(NamedTuple):
+    """One gate of a criterion: it holds when ``value op bound``."""
+    label: str
+    value: float
+    op: str
+    bound: float
+
+    def holds(self) -> bool:
+        return bool(_OPS[self.op](self.value, self.bound))
+
+    def __str__(self) -> str:
+        value, bound = (format(v, "" if isinstance(v, bool) else ".6g")
+                        for v in (self.value, self.bound))
+        text = f"{self.label}={value} {self.op} {bound}"
+        return text if self.holds() else text + " (fails)"
 
 
 @dataclass
 class CheckResult:
+    """Passes when every condition holds; ``detail`` notes lie outside it."""
     name: str
-    passed: bool
-    measured: float
-    tolerance: float
+    conditions: tuple
     detail: str = ""
     runtime_s: float = 0.0
 
+    @property
+    def passed(self) -> bool:
+        return all(c.holds() for c in self.conditions)
+
+    @property
+    def measured(self) -> float:
+        return self.conditions[0].value
+
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
+        gate = "; ".join(map(str, self.conditions))
         extra = f" | {self.detail}" if self.detail else ""
-        return (f"[{tag}] {self.name}: measured={self.measured:.6g} "
-                f"tolerance={self.tolerance:.6g}{extra} "
-                f"({self.runtime_s:.2f}s)")
+        return f"[{tag}] {self.name}: {gate}{extra} ({self.runtime_s:.2f}s)"
 
 
 def _timed(check: Callable[..., CheckResult]) -> Callable[..., CheckResult]:
@@ -77,13 +103,10 @@ def check_lqg_free_surprise(seed: int = DEFAULT_SEED) -> CheckResult:
     f_vals, df = series["F"], series["dF_dt"]
     fd = (f_vals[2:] - f_vals[:-2]) / (2.0 * dt)
     rel = np.abs(fd - df[1:-1]) / np.maximum(np.abs(df[1:-1]), 1e-300)
-    max_rel = float(np.max(rel))
-    monotone = float(np.max(df))
-    f_end = float(f_vals[-1])
-    ok = max_rel <= 1e-6 and monotone <= 1e-10 and f_end <= 1e-6
-    return CheckResult(
-        "1 lqg_free_surprise", ok, max_rel, 1e-6,
-        detail=f"max dF/dt={monotone:.2e} (<=0), F(10)={f_end:.2e} (<=1e-6)")
+    return CheckResult("1 lqg_free_surprise", (
+        Condition("max rel err", float(np.max(rel)), "<=", 1e-6),
+        Condition("max dF/dt", float(np.max(df)), "<=", 1e-10),
+        Condition("F(10)", float(f_vals[-1]), "<=", 1e-6)))
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +120,9 @@ def check_kb_identity(seed: int = DEFAULT_SEED) -> CheckResult:
     target = (math.sqrt(3.0) - 1.0) / 2.0
     rates = kb_info_rates([[1.0]], [[math.sqrt(3.0) - 1.0]], [[2.0]], [[1.0]])
     st_err = max(abs(rates.S_rate - target), abs(rates.D_rate - target))
-    ok = scan["max_rel_err"] <= 1e-6 and st_err <= 1e-8
-    return CheckResult(
-        "2 kalman_bucy_identity", ok, scan["max_rel_err"], 1e-6,
-        detail=f"stationary |S-D-target| = {st_err:.2e} (<=1e-8)")
+    return CheckResult("2 kalman_bucy_identity", (
+        Condition("max rel err", scan["max_rel_err"], "<=", 1e-6),
+        Condition("stationary |S-D-target|", st_err, "<=", 1e-8)))
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +154,9 @@ def check_entropy_production_grid(seed: int = DEFAULT_SEED) -> CheckResult:
     dev_512 = _entropy_rate_scan(512, 1e-4)
     dev_1024 = _entropy_rate_scan(1024, 5e-5)  # finer dt to stay within CFL
     ratio = dev_512 / max(dev_1024, 1e-300)
-    ok = dev_512 <= 1e-3 and ratio >= 3.0
-    return CheckResult(
-        "3 entropy_production_grid", ok, dev_512, 1e-3,
-        detail=f"512->1024 deviation ratio {ratio:.2f} (>=3)")
+    return CheckResult("3 entropy_production_grid", (
+        Condition("deviation at 512", dev_512, "<=", 1e-3),
+        Condition("512->1024 ratio", ratio, ">=", 3.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +167,8 @@ def check_entropy_production_grid(seed: int = DEFAULT_SEED) -> CheckResult:
 def check_de_bruijn(seed: int = DEFAULT_SEED) -> CheckResult:
     res = metrics.de_bruijn_check(v0=0.25, t_grid=np.linspace(0.1, 2.0, 20),
                                   sigma_sq=1.0, n_cells=1024)
-    ok = res["max_deviation"] <= 1e-3
-    return CheckResult("4 de_bruijn", ok, res["max_deviation"], 1e-3)
+    return CheckResult("4 de_bruijn", (
+        Condition("max deviation", res["max_deviation"], "<=", 1e-3),))
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +203,10 @@ def check_lqg_grid_filter(seed: int = DEFAULT_SEED,
     var_err = float(np.max(np.abs(run.post_var - vhat)))
     mean_err = float(np.max(np.abs(run.post_mean - kb.means[sample_steps])
                             / np.sqrt(vhat)))
-    ok = var_err <= 5e-3 and mean_err <= 5e-3
-    return CheckResult(
-        "5 lqg_grid_filter", ok, max(var_err, mean_err), 5e-3,
-        detail=f"var err {var_err:.2e}, mean err/sqrt(Vhat) {mean_err:.2e}, "
-               f"N={n_trajectories}")
+    return CheckResult("5 lqg_grid_filter", (
+        Condition("var err", var_err, "<=", 5e-3),
+        Condition("mean err/sqrt(Vhat)", mean_err, "<=", 5e-3)),
+        detail=f"N={n_trajectories}")
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +253,11 @@ def check_double_well_mwz(seed: int = DEFAULT_SEED,
     ledger, run = _double_well_cached(seed, n_trajectories)
     worst = _mwz_violation(ledger)
     inv = ledger.invariant_report()
-    ok = (worst <= 1.0 and inv["S_rate_nonneg"] and inv["D_forms_agree"]
-          and inv["I_mc_nonneg"])
-    return CheckResult(
-        "6 double_well_mwz", ok, worst, 1.0,
-        detail=f"max |resid|/(3 SE) over 10 times; invariants "
-               f"S>=0:{inv['S_rate_nonneg']} D-agree:{inv['D_forms_agree']} "
-               f"I>=0:{inv['I_mc_nonneg']} N={n_trajectories}")
+    return CheckResult("6 double_well_mwz", (
+        Condition("max |resid|/(3 SE)", worst, "<=", 1.0),
+        *(Condition(key, inv[key], "==", True)
+          for key in ("S_rate_nonneg", "D_forms_agree", "I_mc_nonneg"))),
+        detail=f"residual over 10 sample times, N={n_trajectories}")
 
 
 @_timed
@@ -256,11 +274,9 @@ def check_tower_property(seed: int = DEFAULT_SEED,
         idx = rng.integers(0, n, size=n)
         boot[b] = float(np.sum(np.abs(
             run.posterior_final[idx].mean(axis=0) - mean_post)) * dx)
-    se = float(np.mean(boot))
-    ok = dist <= 3.0 * se
-    return CheckResult(
-        "7 tower_property", ok, dist, 3.0 * se,
-        detail=f"L1(mean posterior, FP density) vs 3x bootstrap scale")
+    return CheckResult("7 tower_property", (
+        Condition("L1 distance", dist, "<=", 3.0 * float(np.mean(boot))),),
+        detail=f"L1(mean posterior, FP density), 200 bootstrap draws, N={n}")
 
 
 @_timed
@@ -281,10 +297,10 @@ def check_feedback_lqg(seed: int = DEFAULT_SEED) -> CheckResult:
         d_rates = max(d_rates, abs(rc.S_rate - ru.S_rate),
                       abs(rc.D_rate - ru.D_rate))
     mean_gap = float(np.max(np.abs(controlled["xhat"] - plain["xhat"])))
-    ok = dv <= 1e-10 and d_rates <= 1e-10 and mean_gap > 1e-2
-    return CheckResult(
-        "8a feedback_lqg_invariance", ok, max(dv, d_rates), 1e-10,
-        detail=f"mean paths differ by {mean_gap:.3f} (>0.01)")
+    return CheckResult("8a feedback_lqg_invariance", (
+        Condition("max |dVhat|", dv, "<=", 1e-10),
+        Condition("max |d rates|", d_rates, "<=", 1e-10),
+        Condition("mean-path gap", mean_gap, ">", 1e-2)))
 
 
 @_timed
@@ -298,9 +314,8 @@ def check_feedback_mwz(seed: int = DEFAULT_SEED,
         for r, se in (metrics.mwz_residual(run, run.times[i],
                                            control_correction=False)
                       for i in MWZ_SAMPLE_INDICES))
-    ok = worst <= 1.0
-    return CheckResult(
-        "8b feedback_mwz", ok, worst, 1.0,
+    return CheckResult("8b feedback_mwz", (
+        Condition("max |resid|/(3 SE)", worst, "<=", 1.0),),
         detail=f"controlled balance (with control-score term), K=0.5, "
                f"N={n_trajectories}; uncorrected form max |r|/(3 SE) = "
                f"{raw:.2f}; clamps={run.clamp_count}")
@@ -317,10 +332,9 @@ def check_zero_gain_bitwise(seed: int = DEFAULT_SEED) -> CheckResult:
         controlled, _ = run_controlled_experiment(model, grid, cfg, policy,
                                                   rho_ss=rho_ss)
         texts.append(controlled.ledger.csv_text())
-    ok = texts[0] == texts[1]
-    return CheckResult(
-        "8c zero_gain_bitwise", ok, 0.0 if ok else 1.0, 0.0,
-        detail="zero-gain ledger bytes == uncontrolled ledger bytes")
+    return CheckResult("8c zero_gain_bitwise", (
+        Condition("ledger bytes equal", texts[0] == texts[1], "==", True),),
+        detail="zero-gain ledger against the uncontrolled ledger")
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +405,9 @@ def check_gamma_properties(seed: int = DEFAULT_SEED) -> CheckResult:
         addit = abs(gamma(m12, f, g, x)
                     - gamma(m1, f, g, x) - gamma(m2, f, g, x))
         worst = max(worst, addit)
-    ok = worst <= 1e-10
-    return CheckResult("9a gamma_properties", ok, worst, 1e-10,
-                       detail="positivity/polarization/bi-derivation/"
-                              "additivity on 100 random fields")
+    return CheckResult("9a gamma_properties", (
+        Condition("worst violation", worst, "<=", 1e-10),),
+        detail="positivity/polarization/bi-derivation/additivity, 100 fields")
 
 
 @_timed
@@ -411,9 +424,9 @@ def check_mass_conservation(seed: int = DEFAULT_SEED) -> CheckResult:
         new_mass = float(np.sum(vals) * grid.dx)
         worst = max(worst, abs(new_mass - mass))
         mass = new_mass
-    ok = worst <= 1e-12
-    return CheckResult("9b fp_mass_conservation", ok, worst, 1e-12,
-                       detail="per-step drift over 1e4 steps")
+    return CheckResult("9b fp_mass_conservation", (
+        Condition("max per-step mass drift", worst, "<=", 1e-12),),
+        detail="over 1e4 steps")
 
 
 @_timed
@@ -431,8 +444,8 @@ def check_zakai_linearity(seed: int = DEFAULT_SEED) -> CheckResult:
                + b_w * zakai_step(model, z2, dy, dt, **kw).values)
     scale = float(np.max(np.abs(out_sep)))
     gap = float(np.max(np.abs(out_mix.values - out_sep))) / scale
-    ok = gap <= 1e-12
-    return CheckResult("9c zakai_linearity", ok, gap, 1e-12)
+    return CheckResult("9c zakai_linearity", (
+        Condition("relative gap", gap, "<=", 1e-12),))
 
 
 def _ks_zakai_gap(model, grid: Grid1D, dt: float, horizon: float,
@@ -455,8 +468,7 @@ def _ks_zakai_gap(model, grid: Grid1D, dt: float, horizon: float,
 
 @_timed
 def check_ks_zakai_agreement(seed: int = DEFAULT_SEED) -> CheckResult:
-    worst_lo, worst_hi = math.inf, 0.0
-    details = []
+    conditions = []
     for model, half in ((lqg(A=[[-1.0]], B=[[SQRT2]], C=[[1.0]]), 6.0),
                         (double_well(), 2.5)):
         grid = Grid1D(-half, half, 256)
@@ -467,33 +479,26 @@ def check_ks_zakai_agreement(seed: int = DEFAULT_SEED) -> CheckResult:
         gap_coarse = _ks_zakai_gap(model, grid, 2.0 * dt_fine, 0.5, fine)
         gap_fine = _ks_zakai_gap(model, grid, dt_fine, 0.5, fine)
         ratio = gap_coarse / max(gap_fine, 1e-300)
-        worst_lo = min(worst_lo, ratio)
-        worst_hi = max(worst_hi, ratio)
-        details.append(f"{model.name}: ratio {ratio:.2f}")
-    ok = worst_lo >= 1.6 and worst_hi <= 2.4
-    measured = worst_lo if abs(worst_lo - 2.0) > abs(worst_hi - 2.0) else worst_hi
-    return CheckResult("9d ks_zakai_agreement", ok, measured, 2.0,
-                       detail="; ".join(details) + " (in [1.6, 2.4])")
+        conditions += [Condition(f"{model.name} ratio", ratio, ">=", 1.6),
+                       Condition(f"{model.name} ratio", ratio, "<=", 2.4)]
+    return CheckResult("9d ks_zakai_agreement", tuple(conditions),
+                       detail="L1 gap at 2 dt over L1 gap at dt")
 
 
 @_timed
 def check_cramer_rao(seed: int = DEFAULT_SEED) -> CheckResult:
     grid = Grid1D(-8.0, 8.0, 512)
-    gauss = gaussian_density(grid, 0.0, 1.0)
-    model, dw_grid, rho_ss = _double_well_setup()
     mix_vals = 0.5 * (gaussian_density(grid, -2.5, 0.3).values
                       + gaussian_density(grid, 2.5, 0.3).values)
     mix = GridDensity(grid, mix_vals / (np.sum(mix_vals) * grid.dx))
-    g_gap = metrics.cramer_rao_check(gauss)
-    dw_gap = metrics.cramer_rao_check(rho_ss)
+    g_gap = metrics.cramer_rao_check(gaussian_density(grid, 0.0, 1.0))
+    dw_gap = metrics.cramer_rao_check(_double_well_setup()[2])
     mix_gap = metrics.cramer_rao_check(mix)
-    worst = min(g_gap, dw_gap, mix_gap)
-    ok = (g_gap >= -1e-6 and abs(g_gap) <= 1e-3
-          and dw_gap >= -1e-6 and mix_gap > 0.5)
-    return CheckResult(
-        "9e cramer_rao", ok, worst, -1e-6,
-        detail=f"gauss {g_gap:.2e}, double-well {dw_gap:.2e}, "
-               f"mixture {mix_gap:.3f} (>0.5)")
+    return CheckResult("9e cramer_rao", (
+        Condition("gauss gap", g_gap, ">=", -1e-6),
+        Condition("|gauss gap|", abs(g_gap), "<=", 1e-3),
+        Condition("double-well gap", dw_gap, ">=", -1e-6),
+        Condition("mixture gap", mix_gap, ">", 0.5)))
 
 
 # ---------------------------------------------------------------------------

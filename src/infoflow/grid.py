@@ -85,8 +85,8 @@ class Grid1D:
 
 @dataclass
 class GridDensity:
-    """Cell-averaged density.  ``log_norm`` is the accumulated log of mass
-    divided out so far; for a Zakai density it tracks ln sigma_t(1)."""
+    """One cell-averaged density, values of shape (n_cells,).  ``log_norm``
+    is the log of mass divided out so far; for Zakai, ln sigma_t(1)."""
 
     grid: Grid1D
     values: np.ndarray
@@ -94,11 +94,11 @@ class GridDensity:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape[-1] != self.grid.n_cells:
+        if self.values.shape != (self.grid.n_cells,):
             raise ConfigError("values shape does not match the grid")
 
     def mass(self) -> float:
-        return float(np.sum(self.values, axis=-1) * self.grid.dx)
+        return float(np.sum(self.values) * self.grid.dx)
 
     def copy(self) -> "GridDensity":
         return GridDensity(self.grid, self.values.copy(), self.log_norm)

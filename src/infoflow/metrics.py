@@ -128,11 +128,6 @@ def fisher_trace_unconditional(model: DiffusionModel, rho: GridDensity) -> float
     return _fisher(rho, model.sigma_profile(rho.grid.centers))
 
 
-def fisher_trace_identity(rho: GridDensity) -> float:
-    """Identity-weighted translational Fisher information of a 1-d density."""
-    return _fisher(rho, 1.0)
-
-
 def cramer_rao_check(rho: GridDensity) -> float:
     """Smallest eigenvalue of Cov(X) - J(X)^{-1} (scalar gap in 1-d)."""
     grid = rho.grid
@@ -140,7 +135,7 @@ def cramer_rao_check(rho: GridDensity) -> float:
     mass = float(np.trapezoid(rho.values, dx=grid.dx))
     mean = float(np.trapezoid(xc * rho.values, dx=grid.dx)) / mass
     cov = float(np.trapezoid((xc - mean) ** 2 * rho.values, dx=grid.dx)) / mass
-    j = fisher_trace_identity(rho)
+    j = _fisher(rho, 1.0)
     if j <= 0:
         raise NumericalError("singular Fisher information")
     return cov - 1.0 / j

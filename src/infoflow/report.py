@@ -1,9 +1,9 @@
 """JSON run/check reports and the CSV tables of a run.
 
-Everything in a report except the ``wall_clock_s`` field is a pure function
-of (config, seed), so two runs of the same scenario produce byte-identical
-reports once that field is stripped.  CSV numbers carry 17 significant
-digits, enough to read every float64 back exactly.
+Everything in a report but ``wall_clock_s`` and each check's ``runtime_s`` is
+a pure function of (config, seed), so reruns give byte-identical reports once
+those are stripped.  CSV numbers carry 17 significant digits, enough to read
+every float64 back exactly.
 """
 
 from __future__ import annotations
@@ -67,9 +67,9 @@ def write_check_report(path, version: str, suite: str, seed: int, scale: str,
         "scale": scale,
         "all_pass": all(r.passed for r in results),
         "checks": [
-            {"name": r.name, "passed": r.passed, "measured": r.measured,
-             "tolerance": r.tolerance, "detail": r.detail,
-             "runtime_s": round(r.runtime_s, 3)}
+            {"name": r.name, "passed": r.passed, "detail": r.detail,
+             "runtime_s": round(r.runtime_s, 3), "conditions": [
+                 dict(c._asdict(), holds=c.holds()) for c in r.conditions]}
             for r in results
         ],
         "wall_clock_s": round(wall_clock_s, 3),

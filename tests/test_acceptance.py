@@ -1,18 +1,43 @@
-"""Acceptance gate: every criterion at its stated tolerance.
+"""Acceptance gate: every criterion at its stated gate.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one measured
 pass/fail line per criterion (the same lines ``infoflow check all`` prints).
 The double-well ensemble behind criteria 6 and 7 is computed once and
-shared.
+shared.  Each criterion's result is also checked against the one gate rule:
+moving any one condition's value just across its bound fails the criterion
+and marks that condition, and only that one, in the printed line.
 """
 
+import dataclasses
+import math
+
 from infoflow import checks
+
+
+def _across(cond):
+    """The nearest value on the failing side of the condition's bound."""
+    if cond.op == "==":
+        return not cond.bound
+    if cond.op in ("<", ">"):
+        return cond.bound
+    return math.nextafter(cond.bound,
+                          math.inf if cond.op == "<=" else -math.inf)
 
 
 def _assert(result):
     print()
     print(result.line())
     assert result.passed, result.line()
+    assert result.conditions
+    for i, cond in enumerate(result.conditions):
+        moved = list(result.conditions)
+        moved[i] = cond._replace(value=_across(cond))
+        mutant = dataclasses.replace(result, conditions=tuple(moved))
+        line = mutant.line()
+        assert not mutant.passed, line
+        assert line.startswith("[FAIL]") and line.count("(fails)") == 1, line
+        marked = str(moved[i])
+        assert marked.endswith(" (fails)") and marked in line, line
 
 
 def test_criterion_1_lqg_free_surprise():

@@ -6,8 +6,10 @@ the hooks of the check workload and run one Strang step under them, so a
 renamed or re-signed function fails here rather than in a benchmark run.
 They also run each ensemble workload's operation once at the benchmark's
 default seed through ``bench/worker.py``'s output checks, so a change that
-moves a ledger off the recorded reference fails here too.  They read
-``bench/`` and never change it.
+moves a ledger off the recorded reference fails here too, and run the check
+workload twice, so criterion ids, verdicts or a ``measured`` or ``detail``
+that the benchmark could not repeat fail here as well.  They read ``bench/``
+and never change it.
 """
 
 import sys
@@ -61,6 +63,13 @@ def test_ensemble_workload_passes_the_output_gate(name, tmp_path, monkeypatch):
     csv_bytes = (tmp_path / scenario.outdir / "ledger.csv").read_bytes()
     assert worker.ensemble_failures(workload, controlled, run, csv_bytes,
                                     worker.load_reference(name), None) == []
+
+
+def test_check_workload_repeats_exactly():
+    workload = WORKLOADS["checks_exact_grid"]
+    first = worker.checks_op(workload)
+    second = worker.checks_op(workload)
+    assert worker.checks_failures(second, worker.check_signature(first)) == []
 
 
 def test_ensemble_transport_stays_in_view(patches):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from infoflow import cli
+from infoflow import checks, cli
 from infoflow.config import build_model, load_scenario
 from infoflow.control import run_controlled_experiment
 from infoflow.errors import ConfigError
@@ -305,6 +305,17 @@ def test_check_gaussian_suite(tmp_path, capsys):
     payload = json.loads(report_path.read_text())
     assert payload["all_pass"] is True
     assert len(payload["checks"]) == 2
+    # each check's JSON conditions are the ones its printed line shows
+    labels = [["max rel err", "max dF/dt", "F(10)"],
+              ["max rel err", "stationary |S-D-target|"]]
+    for chk, want in zip(payload["checks"], labels):
+        assert [c["label"] for c in chk["conditions"]] == want
+        for c in chk["conditions"]:
+            assert set(c) == {"label", "value", "op", "bound", "holds"}
+            cond = checks.Condition(c["label"], c["value"], c["op"], c["bound"])
+            assert c["holds"] is cond.holds() is True
+            assert str(cond) in out
+        assert chk["passed"] is True and "measured" not in chk
 
 
 def test_check_determinism(tmp_path):

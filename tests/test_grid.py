@@ -51,6 +51,14 @@ def test_grid_validation():
     assert g.interior_faces.size == 63
 
 
+@pytest.mark.parametrize("shape", [(3, 16), (16, 3), ()])
+def test_grid_density_holds_one_density(shape):
+    # a bank or a scalar is refused at construction, before mass() or
+    # zakai_step could misread it
+    with pytest.raises(ConfigError, match="does not match the grid"):
+        GridDensity(Grid1D(-1.0, 1.0, 16), np.ones(shape))
+
+
 class TestFpStep:
     def test_mass_conserved(self):
         m = models.ou()
