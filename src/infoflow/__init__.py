@@ -16,12 +16,13 @@ from .gaussian import (GaussianBelief, KBRates, LinearModel,
                        lyapunov_steady, propagate_gaussian, surprise_ledger)
 from .grid import (Grid1D, GridDensity, entropy, fp_step, kl_divergence,
                    normalize, steady_state_grid, zakai_step)
-from .ensemble import EnsembleConfig, EnsembleRun, run_filter_ensemble
+from .ensemble import (EnsembleConfig, EnsembleRun, apply_policy, mean_drift,
+                       run_filter_ensemble)
 from .metrics import (InfoLedger, LEDGER_COLUMNS, assemble_info_ledger,
                       conditional_entropy_rate, cramer_rao_check,
                       de_bruijn_check, dissipated_rate,
                       entropy_production_rate, fisher_trace_conditional,
                       fisher_trace_unconditional, free_surprise_rate,
                       mutual_information, mwz_residual, supplied_rate)
-from .control import (ControlPolicy, ControlledLedger, apply_policy,
-                      make_policy, mean_drift, run_controlled_experiment)
+from .control import (ControlPolicy, ControlledLedger, make_policy,
+                      run_controlled_experiment)

@@ -16,8 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .ensemble import (EnsembleConfig, run_filter_ensemble,
-                       apply_policy, mean_drift)  # noqa: F401  (re-exported)
+from .ensemble import EnsembleConfig, run_filter_ensemble
 from .errors import ConfigError
 from .gaussian import LinearModel, riccati_series
 from .grid import Grid1D, GridDensity

@@ -15,9 +15,9 @@ is the product with the tridiagonal matrix T,
     lower_i = p_{i-1/2},  diag_i = 1 - p_{i+1/2} + q_{i-1/2},
     upper_i = -q_{i+1/2},
 
-whose columns sum to one, so total mass is conserved to roundoff.  Explicit
-stepping is guarded by the stability limit
-dt <= safety / (sigma_max/dx^2 + v_max/dx).
+whose columns sum to one, so total mass is conserved to roundoff.  A step
+runs only when it is proved to keep every cell >= 0 (:func:`advance_values`)
+and is refused, before any cell changes, otherwise.
 
 Densities are stored cell-major, a bank of N as an (n_cells, N) array, so
 a substep of all of them is one compiled sparse product T X.  The immutable
@@ -51,7 +51,6 @@ from .models import DiffusionModel
 
 DENSITY_FLOOR = 1e-300       # log-domain floor
 SCORE_GATE = 1e-12           # score integrands gated at this fraction of max
-NEGATIVITY_TOL = -1e-14
 EXPONENT_LIMIT = 700.0
 FUSED_SUBSTEPS = 8           # up to 8 uncontrolled substeps: one product, T^n
 
@@ -170,32 +169,45 @@ class FaceFields:
                               f"{bad[0]} (v={self.v_face[bad[0]]:.4g}): refine the grid")
 
     def operator(self, h: float) -> tuple:
-        """(T, nonneg, (lo, hi)): one uncontrolled substep of length ``h`` as
-        an (n_cells, n_cells) ``csr_array``, whether every entry is >= 0, and
-        the controls c = (h/2dx) beta with every entry of T + c D >= 0,
-        lo <= c <= hi (empty when T has a negative entry): c may exceed no
+        """(T, (lo, hi)): one uncontrolled substep of length ``h`` as an
+        (n_cells, n_cells) ``csr_array``, and the controls c = (h/2dx) beta
+        with every entry of T + c D >= 0, lo <= c <= hi: c may exceed no
         upper coupling nor diag_0, -c no lower one nor diag_{m-1}, less a
-        relative 2^-40 that covers a fused multiply-add.  Built on first use
-        and kept, with its powers, for the last ``h`` asked for."""
+        relative 2^-40 that covers a fused multiply-add.  A T with a negative
+        entry is refused: a coupling by :meth:`check_peclet`, a diagonal
+        entry by CflError.  Built on first use and kept, with its powers and
+        :meth:`controls`, for the last ``h`` asked for."""
         if self._substep is not None and self._substep[0] == h:
             return self._substep[1]
+        self.check_peclet()
         c, m = h / self.dx, self.sigma_centers.size
         bands = np.tile([0.0, 1.0, 0.0], (m, 1))   # rows (lower_i, diag_i, upper_i)
         p, minus_q, diag = bands[1:, 0], bands[:-1, 2], bands[:, 1]
         p[:], minus_q[:] = np.multiply(self.couplings(), c)
         diag[:-1] -= p
         diag[1:] -= minus_q
-        data = bands.ravel()[1:-1]              # the walls carry no flux
-        nonneg = bool(np.min(data) >= 0.0)
-        bounds = (math.inf, -math.inf)
-        if nonneg:
-            keep = 1.0 - 2.0 ** -40
-            bounds = (-keep * min(float(np.min(p)), diag[-1]),
-                      keep * min(float(np.min(minus_q)), diag[0]))
-        triple = (sp.csr_array((data, *_tridiagonal_pattern(m)), shape=(m, m)),
-                  nonneg, bounds)
-        object.__setattr__(self, "_substep", (h, triple, {1: triple[0]}))
-        return triple
+        if not float(np.min(bands)) >= 0.0:
+            raise CflError(f"substep {h:.3e} exceeds the explicit stability limit "
+                           f"{self.cfl_limit():.3e}: T has a negative entry")
+        keep = 1.0 - 2.0 ** -40
+        bounds = (-keep * min(float(np.min(p)), diag[-1]),
+                  keep * min(float(np.min(minus_q)), diag[0]))
+        walls = None
+        if self.beta is not None and np.any(self.beta):
+            cb = (h / (2.0 * self.dx)) * self.beta
+            walls = (cb, diag[0] - cb, minus_q[0] - cb, p[-1] + cb, diag[-1] + cb)
+        pair = (sp.csr_array((bands.ravel()[1:-1], *_tridiagonal_pattern(m)),
+                             shape=(m, m)), bounds)   # the walls carry no flux
+        object.__setattr__(self, "_substep", (h, pair, {1: pair[0]}, walls))
+        return pair
+
+    def controls(self, h: float) -> Optional[tuple]:
+        """None without a non-zero control, else c = (h/2dx) beta and the
+        coefficients of T + c D's wall rows, >= 0 for c in the bounds:
+        diag_0 - c, upper_0 - c on X_0, X_1 and lower_{m-1} + c,
+        diag_{m-1} + c on X_{m-2}, X_{m-1}."""
+        self.operator(h)
+        return self._substep[3]
 
     def power(self, h: float, n: int):
         """T^n, ``n`` uncontrolled substeps of length ``h`` as one band of
@@ -234,19 +246,20 @@ def advance_values(values: np.ndarray, ff: FaceFields, duration: float,
     non-zero control, onto (h/2dx) beta D(X); the two arrays then swap roles.
     An odd product count leaves the result in the former work array, which
     is returned while ``values`` becomes the work array (a view is written
-    back instead), so callers go on with the returned array.  Values that
-    are not C-contiguous float64, or that are the work array, raise
-    ConfigError unchanged.
+    back instead), so callers go on with the returned array.
 
-    When every entry of T and every input cell is >= 0, each new cell is a
-    sum of non-negative products, so >= 0 exactly, and up to
-    ``FUSED_SUBSTEPS`` uncontrolled substeps are one product with T^n.
-    Under controls inside T's bounds (:meth:`FaceFields.operator`) an
+    No cell is checked after a product: each new cell is a sum of products
+    of non-negative numbers, so >= 0 exactly.  T has no negative entry
+    (:meth:`FaceFields.operator`); up to ``FUSED_SUBSTEPS`` uncontrolled
+    substeps are one product with T^n.  Under controls inside T's bounds an
     interior cell's one negative term, c X_{i+1} (or -c X_{i-1}), rounds to
     no more than the product it cancels, upper_i X_{i+1} (lower_i X_{i-1}),
-    so only the wall rows, whose negative term spans two cells, are scanned.
-    Otherwise every substep is: a cell below -1e-14 raises
-    UnstableStepError, and cells in [-1e-14, 0) are set to zero."""
+    and each wall row is formed from its own coefficients, which are >= 0
+    (:meth:`FaceFields.controls`).
+    Refused before any cell changes: values that are not C-contiguous
+    float64, are the work array or hold a negative or NaN cell
+    (ConfigError), T's refusals, a control outside T's bounds
+    (UnstableStepError)."""
     m = ff.sigma_centers.size
     if values.dtype != np.float64 or not values.flags.c_contiguous \
             or values.shape[:1] != (m,):
@@ -257,42 +270,35 @@ def advance_values(values: np.ndarray, ff: FaceFields, duration: float,
         raise ConfigError("these values are the face fields' work array: go on "
                           "with the array the previous step returned")
     h = duration / n_substeps
-    op, nonneg, (lo, hi) = ff.operator(h)
-    cb = None
-    if ff.beta is not None and np.any(ff.beta):
-        cb = (h / (2.0 * ff.dx)) * ff.beta
-    proved = (nonneg and float(np.min(values)) >= 0.0
-              and (cb is None or lo <= float(np.min(cb)) and float(np.max(cb)) <= hi))
-    if not proved:
-        scan = slice(None)                      # rows checked after a product
-    elif cb is not None:
-        scan = slice(None, None, m - 1)         # the two wall rows
-    else:
-        scan = None
-        if n_substeps <= FUSED_SUBSTEPS:
-            op, n_substeps = ff.power(h, n_substeps), 1
+    op, (lo, hi) = ff.operator(h)
+    if not float(np.min(values)) >= 0.0:
+        bad = tuple(np.argwhere(~(values >= 0.0))[0].tolist())
+        raise ConfigError(f"transport needs non-negative cells, got {values[bad]} at {bad}")
+    walls = ff.controls(h)
+    if walls is not None:
+        cb, a_0, b_0, a_m, b_m = walls
+        out = np.flatnonzero(~((lo <= cb) & (cb <= hi)))
+        if out.size:
+            raise UnstableStepError(
+                f"control {np.ravel(ff.beta)[out[0]]:.4g} of column {out[0]} puts "
+                f"(h/2dx) beta outside [{lo:.4g}, {hi:.4g}]: T + c D has a negative entry")
+    elif n_substeps <= FUSED_SUBSTEPS:
+        op, n_substeps = ff.power(h, n_substeps), 1
     csr = (op.indptr, op.indices, op.data)
     for _ in range(n_substeps):
-        if cb is None:
+        if walls is None:
             dst.fill(0.0)
-        else:                                   # cb D(X) of the old values
+        else:                                   # c D(X) of the old values
             np.subtract(src[:-2], src[2:], out=dst[1:-1])
-            dst[0], dst[-1] = -(src[0] + src[1]), src[-2] + src[-1]
-            dst *= cb
+            dst[1:-1] *= cb
         if values.ndim == 1:                    # dst += T src
             _sparsetools.csr_matvec(m, m, *csr, src, dst)
         else:
             _sparsetools.csr_matvecs(m, m, values.size // m, *csr,
                                      src.reshape(-1), dst.reshape(-1))
-        if scan is not None:
-            rows = dst[scan]
-            mn = float(np.min(rows))
-            if mn < NEGATIVITY_TOL:
-                row = np.unravel_index(int(np.argmin(rows)), rows.shape)[0]
-                raise UnstableStepError(f"unstable step: density reached "
-                                        f"{mn:.3e} at cell {range(m)[scan][row]}")
-            if mn < 0.0:
-                np.clip(rows, 0.0, None, out=rows)
+        if walls is not None:                   # the wall rows of T + c D
+            dst[:1] = a_0 * src[:1] + b_0 * src[1:2]
+            dst[-1:] = a_m * src[-2:-1] + b_m * src[-1:]
         src, dst = dst, src
     if src is not values:                       # an odd count ends in the workspace
         if not values.flags.owndata:
@@ -325,8 +331,8 @@ def substeps_for(ff: FaceFields, duration: float, safety: float = 0.9,
 def fp_step(model: DiffusionModel, rho: GridDensity, dt: float) -> GridDensity:
     """One explicit Fokker-Planck step.  Mass is conserved to roundoff.
 
-    Raises CflError before stepping if |dt| exceeds the stability limit and
-    UnstableStepError if the update drives any cell below -1e-14.
+    Raises CflError before stepping if |dt| exceeds 0.9 x the stability
+    limit, and the refusals of :func:`advance_values`.
     """
     ff = face_fields(model, rho.grid)
     vals = advance_values(rho.values.copy(), ff, dt,
@@ -443,17 +449,6 @@ def ks_advance(values: np.ndarray, ff: FaceFields, n_half: int,
     values = advance_values(values, ff, 0.5 * dt, n_half)
     values /= np.sum(values) * ff.dx
     return values
-
-
-def ks_step(model: DiffusionModel, rho_hat: GridDensity, delta_y, dt: float,
-            n_substeps_half: Optional[int] = None) -> GridDensity:
-    """One Kushner-Stratonovich step (:func:`ks_advance`) of a copy of
-    ``rho_hat``; raises CflError before stepping."""
-    ff = face_fields(model, rho_hat.grid)
-    n_sub = substeps_for(ff, 0.5 * dt, n_substeps=n_substeps_half)
-    vals = ks_advance(rho_hat.values.copy(), ff, n_sub,
-                      observation_values(model, rho_hat.grid), delta_y, dt)
-    return GridDensity(rho_hat.grid, vals, log_norm=rho_hat.log_norm)
 
 
 def normalize(zeta: GridDensity):

@@ -26,6 +26,7 @@ import worker  # noqa: E402
 from workloads import DEFAULT_SEED, WORKLOADS  # noqa: E402
 
 from infoflow import grid, models  # noqa: E402
+from infoflow.errors import ConfigError  # noqa: E402
 
 
 @pytest.fixture
@@ -42,13 +43,21 @@ def test_every_hooked_layer_exists(patches):
 
 
 def test_zakai_step_records_its_transport(patches):
-    g = grid.Grid1D(-2.5, 2.5, 64)
+    # the mesh Peclet number is 1.94 on 128 cells; 64 cells, about 4, are refused
     model = models.double_well()
-    bank = np.tile(grid.gaussian_density(g, 0.0, 0.3).values[:, None], (1, 3))
-    grid.zakai_advance(bank, grid.face_fields(model, g), 2,
-                       grid.observation_values(model, g), np.zeros(3), 1e-3)
-    advances = [s for s in patches.recorder.spans if s.name == "grid.advance"]
-    assert [s.work for s in advances] == [384, 384]    # values.size x n_half
+
+    def step(n_cells):
+        g = grid.Grid1D(-2.5, 2.5, n_cells)
+        bank = np.tile(grid.gaussian_density(g, 0.0, 0.3).values[:, None], (1, 3))
+        grid.zakai_advance(bank, grid.face_fields(model, g), 2,
+                           grid.observation_values(model, g), np.zeros(3), 1e-3)
+
+    with pytest.raises(ConfigError, match="Peclet"):
+        step(64)
+    recorded = len(patches.recorder.spans)
+    step(128)
+    advances = [s for s in patches.recorder.spans[recorded:] if s.name == "grid.advance"]
+    assert [s.work for s in advances] == [768, 768]    # values.size x n_half
     patches.restore()
     assert not hasattr(grid.advance_values, "__wrapped__")
 

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from infoflow import models
-from infoflow.control import (ControlPolicy, apply_policy, bang_bang_policy,
+from infoflow.control import (ControlPolicy, bang_bang_policy,
                               controlled_kb_experiment, linear_gain_policy,
-                              make_policy, mean_drift,
-                              run_controlled_experiment, zero_policy)
-from infoflow.ensemble import EnsembleConfig, run_filter_ensemble
+                              make_policy, run_controlled_experiment,
+                              zero_policy)
+from infoflow.ensemble import (EnsembleConfig, apply_policy, mean_drift,
+                               run_filter_ensemble)
 from infoflow.errors import CflError, ConfigError, NumericalError
 from infoflow.gaussian import GaussianBelief, LinearModel, kalman_bucy_run
 from infoflow.grid import Grid1D, steady_state_grid

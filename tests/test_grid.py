@@ -13,7 +13,7 @@ from infoflow.errors import (CflError, ConfigError, FilterCollapseError,
                              UnstableStepError)
 from infoflow.grid import (Grid1D, GridDensity, advance_values, entropy,
                            face_fields, fp_evolve, fp_step, gaussian_density,
-                           kl_divergence, ks_step, normalize, score_values,
+                           kl_divergence, normalize, score_values,
                            steady_state_grid, zakai_step)
 from infoflow.grid import (FaceFields, ks_advance, observation_values,
                            substeps_for, zakai_advance)
@@ -310,14 +310,6 @@ class TestGeneratorLogIdentity:
         assert dev_c / dev_f >= 3.0
 
 
-def test_ks_factor_positivity_guard():
-    m = models.lqg(A=[[-1.0]], B=[[1.0]], C=[[5.0]])
-    grid = Grid1D(-6, 6, 128)
-    rho = gaussian_density(grid, 0.0, 1.0)
-    with pytest.raises(UnstableStepError):
-        ks_step(m, rho, 3.0, 1e-2, n_substeps_half=1)
-
-
 def test_ks_advance_positivity_guard():
     m = models.lqg(A=[[-1.0]], B=[[1.0]], C=[[5.0]])
     grid = Grid1D(-6, 6, 128)
@@ -360,17 +352,11 @@ def test_ks_step_matches_ks_advance(name, half):
     ff = face_fields(m, grid)
     n_half = substeps_for(ff, 0.5 * dt)
     h_vals = observation_values(m, grid)
-    rho = gaussian_density(grid, 0.3, 0.4)
-    vals = rho.values.copy()
+    vals = gaussian_density(grid, 0.3, 0.4).values
     for dy in np.random.default_rng(3).normal(0.0, 0.05, size=20):
-        before = rho.values.copy()
-        stepped = ks_step(m, rho, dy, dt)
-        assert np.array_equal(rho.values, before)
-        ref = _ks_reference(m, grid, before, float(dy), dt, n_half)
+        ref = _ks_reference(m, grid, vals, float(dy), dt, n_half)
         assert ks_advance(vals, ff, n_half, h_vals, dy, dt) is vals
-        assert np.array_equal(stepped.values, ref)
         assert np.array_equal(vals, ref)
-        rho = stepped
 
 
 @pytest.mark.parametrize("dt", [5e-4, 1e-3])
@@ -378,26 +364,28 @@ def test_ks_step_matches_ks_advance(name, half):
     (models.lqg(A=[[-1.0]], B=[[math.sqrt(2.0)]], C=[[1.0]]), 6.0),
     (models.double_well(), 2.5)], ids=["lqg", "double_well"])
 def test_ks_zakai_gap_matches_per_step_loop(m, half, dt):
-    # the criterion-9d gap, hoisted, equals the per-step zakai_step/ks_step loop
+    # the criterion-9d gap, hoisted, equals a per-step loop that builds its
+    # face fields afresh each step
     grid = Grid1D(-half, half, 256)
     horizon = 0.2                                   # 400 and 200 steps
     fine = simulate_joint(m, lambda r: r.normal(0.0, 0.5, size=1), horizon,
                           2.5e-4, 11, 0).obs_increments[:, 0]
     zak = gaussian_density(grid, 0.0, 0.25)
-    ks = zak.copy()
+    ks = zak.values.copy()
+    h_vals = observation_values(m, grid)
     for dy in fine.reshape(int(round(horizon / dt)), -1).sum(axis=1):
         zak = zakai_step(m, zak, dy, dt)
-        ks = ks_step(m, ks, dy, dt)
-    ref = float(np.sum(np.abs(normalize(zak)[0].values - ks.values)) * grid.dx)
+        ff = face_fields(m, grid)
+        ks = ks_advance(ks, ff, substeps_for(ff, 0.5 * dt), h_vals, dy, dt)
+    ref = float(np.sum(np.abs(normalize(zak)[0].values - ks)) * grid.dx)
     assert checks._ks_zakai_gap(m, grid, dt, horizon, fine) == ref
 
 
 def test_multi_element_increment_rejected():
     m = models.double_well()
     rho = gaussian_density(Grid1D(-2.5, 2.5, 128), 0.0, 0.25)
-    for step in (zakai_step, ks_step):
-        with pytest.raises(ConfigError):
-            step(m, rho, np.array([0.1, 5.0]), 1e-3)
+    with pytest.raises(ConfigError):
+        zakai_step(m, rho, np.array([0.1, 5.0]), 1e-3)
 
 
 def test_ks_step_cfl_guard():
@@ -406,9 +394,8 @@ def test_ks_step_cfl_guard():
     grid = Grid1D(-6, 6, 128)
     rho = gaussian_density(grid, 0.0, 0.5)
     dt = 2.0 * 0.95 * face_fields(m, grid).cfl_limit()
-    for step in (zakai_step, ks_step):
-        with pytest.raises(CflError):
-            step(m, rho, 0.01, dt, n_substeps_half=1)
+    with pytest.raises(CflError):
+        zakai_step(m, rho, 0.01, dt, n_substeps_half=1)
 
 
 def test_batched_zakai_rows_match_single_density():
@@ -431,9 +418,13 @@ def test_batched_zakai_rows_match_single_density():
 
 def test_zakai_advance_per_column_controls():
     # each column equals its density stepped alone under its own control,
-    # and the shared-operator correction matches the per-column drift v + beta
+    # and the shared-operator correction matches the per-column drift v + beta;
+    # on 144 cells the mesh Peclet number of v + beta stays below 2 for
+    # |beta| <= 1.88, while 96 cells, where v's alone is 2.7, are refused
     m = models.double_well()
-    grid = Grid1D(-2.5, 2.5, 96)
+    with pytest.raises(ConfigError, match="Peclet"):
+        face_fields(m, Grid1D(-2.5, 2.5, 96)).operator(1e-4)
+    grid = Grid1D(-2.5, 2.5, 144)
     dt = 1e-3
     n_cols = 9
     rng = np.random.default_rng(7)
@@ -533,9 +524,9 @@ def test_transport_substep_properties(seed, peclet, cfl):
        cfl=st.floats(0.05, 0.9))
 @settings(max_examples=50, deadline=None)
 def test_peclet_check_is_the_sign_of_the_couplings(seed, peclet, cfl):
-    # under the CFL guard T's diagonal is >= 0, so T has a negative entry
-    # exactly where a face's |v| dx / (sigma/2), with the sigma of the cell
-    # v points into, exceeds 2; the check refuses exactly those fields
+    # within the CFL limit T's diagonal is >= 0, so T would have a negative
+    # entry exactly where a face's |v| dx / (sigma/2), with the sigma of the
+    # cell v points into, exceeds 2; the operator refuses exactly those fields
     rng = np.random.default_rng(seed)
     grid = Grid1D(-1.0, 1.0, 40)
     sigma = rng.uniform(0.2, 2.0, size=grid.n_cells)
@@ -544,55 +535,52 @@ def test_peclet_check_is_the_sign_of_the_couplings(seed, peclet, cfl):
     ff = FaceFields(v_face, sigma, grid.dx)
     into = np.where(v_face > 0.0, sigma[1:], sigma[:-1])
     too_steep = bool(np.any(np.abs(v_face) * grid.dx / (0.5 * into) > 2.0))
-    assert ff.operator(cfl * ff.cfl_limit())[1] is not too_steep
+    h = cfl * ff.cfl_limit()
     if too_steep:
-        with pytest.raises(ConfigError, match="Peclet"):
-            ff.check_peclet()
+        for refusal in (ff.check_peclet, lambda: ff.operator(h)):
+            with pytest.raises(ConfigError, match="Peclet"):
+                refusal()
     else:
         ff.check_peclet()
+        assert float(np.min(ff.operator(h)[0].data)) >= 0.0
 
 
 @pytest.mark.parametrize("spike", [1.0, 1e-15])
 def test_negative_coefficients_take_the_guard(spike):
-    # mesh Peclet > 2 makes upper < 0: a spike drives the cell below it
-    # negative; below -1e-14 that raises, in [-1e-14, 0) it is clipped.
-    # Substep 1 lands in the workspace, substep 2 back in the values.
+    # mesh Peclet 3 makes upper < 0: a step would drive the cell below a
+    # spike of any size negative, so T is refused before any cell changes,
+    # for one substep and for two
     grid = Grid1D(-1.0, 1.0, 32)
     sigma = np.full(grid.n_cells, 0.1)
     v_face = np.full(grid.n_cells - 1, 3.0 * 0.5 * 0.1 / grid.dx)
-    drift = np.tile(v_face[:, None], (1, 2))
     ff = FaceFields(v_face, sigma, grid.dx)
     h = 0.5 * ff.cfl_limit()
     values = np.zeros((grid.n_cells, 2))
     values[10, 1] = spike
-    expected = _flux_form_step(values, drift, sigma, grid.dx, h)
+    expected = _flux_form_step(values, np.tile(v_face[:, None], (1, 2)), sigma,
+                               grid.dx, h)
     assert expected[9, 1] < 0.0
+    before = values.copy()
     for n in (1, 2):
-        if expected[9, 1] < -1e-14:
-            with pytest.raises(UnstableStepError, match="at cell 9$"):
-                advance_values(values.copy(), ff, n * h, n)
-            continue
-        out = advance_values(values.copy(), ff, n * h, n)
-        assert out[9, 1] == 0.0
-        assert float(np.max(np.abs(out - np.maximum(expected, 0.0)))) <= 1e-28
-        expected = _flux_form_step(np.maximum(expected, 0.0), drift, sigma,
-                                   grid.dx, h)
-        assert float(np.min(expected)) < 0.0       # substep 2 clips too
+        with pytest.raises(ConfigError, match="Peclet number .* at interior face 0 "):
+            advance_values(values, ff, n * h, n)
+        assert np.array_equal(values, before)
 
 
 def test_negative_input_takes_the_guard():
+    # a negative cell of any size is refused, the input left as it was
     m = models.ou()
     grid = Grid1D(-6, 6, 64)
     ff = face_fields(m, grid)
     h = 0.5 * ff.cfl_limit()
     values = np.zeros(grid.n_cells)
     values[:8] = 1.0
-    values[40] = -5e-15               # stays in [-1e-14, 0): clipped
-    out = advance_values(values.copy(), ff, h, 1)
-    assert out[40] == 0.0 and float(np.min(out)) == 0.0
-    values[40] = -1e-13
-    with pytest.raises(UnstableStepError, match="at cell 40$"):
-        advance_values(values.copy(), ff, h, 1)
+    for low in (-5e-15, -1e-13, -5e-324):
+        values[40] = low
+        before = values.copy()
+        with pytest.raises(ConfigError, match=r"non-negative .* at \(40,\)$"):
+            advance_values(values, ff, h, 1)
+        assert np.array_equal(values, before)
 
 
 def _transport_case(shape, beta=None):
@@ -760,13 +748,17 @@ def test_overflow_guard_changes_no_cell():
 
 
 def _controlled_product(values, op, cb):
-    """One controlled substep exactly as the kernel computes it, unscanned."""
-    out = np.empty_like(values)
+    """One controlled substep exactly as the kernel computes it: c D(X) plus
+    T X on the interior rows, and each wall row of T + c D from its two
+    coefficients."""
+    out = np.zeros_like(values)
     np.subtract(values[:-2], values[2:], out=out[1:-1])
-    out[0], out[-1] = -(values[0] + values[1]), values[-2] + values[-1]
-    out *= cb
+    out[1:-1] *= cb
     _sparsetools.csr_matvecs(op.shape[0], op.shape[1], values.shape[1], op.indptr,
                              op.indices, op.data, values.reshape(-1), out.reshape(-1))
+    diag_0, upper_0, lower_m, diag_m = op.data[[0, 1, -2, -1]]
+    out[0] = (diag_0 - cb) * values[0] + (upper_0 - cb) * values[1]
+    out[-1] = (lower_m + cb) * values[-2] + (diag_m + cb) * values[-1]
     return out
 
 
@@ -774,10 +766,10 @@ def _controlled_product(values, op, cb):
        cfl=st.floats(0.05, 0.9))
 @settings(max_examples=80, deadline=None)
 def test_controls_inside_the_bounds_are_proved_non_negative(seed, reach, cfl):
-    # T + c D >= 0 entrywise for c in T's bounds.  Inside them no interior
-    # cell of a non-negative input goes below zero, unscanned, even beside
-    # zeros and subnormals; outside them the guarded substep raises below
-    # -1e-14 or clips [-1e-14, 0).
+    # T + c D >= 0 entrywise for c in T's bounds.  Inside them no cell of a
+    # non-negative input, wall rows included, goes below zero, unscanned,
+    # even beside zeros and subnormals; outside them the step is refused
+    # before any cell changes.
     rng = np.random.default_rng(seed)
     n_cols, n_cells = 6, 40
     grid = Grid1D(-1.0, 1.0, n_cells)
@@ -786,8 +778,8 @@ def test_controls_inside_the_bounds_are_proved_non_negative(seed, reach, cfl):
               * rng.uniform(-1.0, 1.0, size=n_cells - 1))
     base = FaceFields(v_face, sigma, grid.dx)
     h = cfl * base.cfl_limit()
-    op, nonneg, (lo, hi) = base.operator(h)
-    assert nonneg and lo < 0.0 < hi
+    op, (lo, hi) = base.operator(h)
+    assert lo < 0.0 < hi
     cb = reach * rng.uniform(lo, hi, size=n_cols)
     cb[:2] = reach * lo, reach * hi
     ff = FaceFields(v_face, sigma, grid.dx, beta=cb * (2.0 * grid.dx / h))
@@ -795,16 +787,42 @@ def test_controls_inside_the_bounds_are_proved_non_negative(seed, reach, cfl):
     values = (rng.uniform(0.0, 1.0, size=(n_cells, n_cols))
               * 10.0 ** rng.integers(-322, 3, size=(n_cells, n_cols)))
     values[rng.uniform(size=values.shape) < 0.4] = 0.0
-    raw = _controlled_product(values, op, cb)
     if lo <= float(np.min(cb)) and float(np.max(cb)) <= hi:
-        assert float(np.min(raw[1:-1])) >= 0.0
-        out = advance_values(values.copy(), ff, h, 1)
-        assert np.array_equal(out, np.maximum(raw, 0.0))
-        assert float(np.min(out)) >= 0.0
+        raw = _controlled_product(values, op, cb)
+        assert float(np.min(raw)) >= 0.0
+        assert np.array_equal(advance_values(values.copy(), ff, h, 1), raw)
         return
-    if float(np.min(raw)) < -1e-14:
-        with pytest.raises(UnstableStepError):
-            advance_values(values.copy(), ff, h, 1)
-    else:
-        out = advance_values(values.copy(), ff, h, 1)
-        assert np.array_equal(out, np.maximum(raw, 0.0))
+    before = values.copy()
+    with pytest.raises(UnstableStepError, match="column [01] "):
+        advance_values(values, ff, h, 1)
+    assert np.array_equal(values, before)
+
+
+@pytest.mark.parametrize("kind, error, match", [
+    ("peclet", ConfigError, "Peclet"),
+    ("cfl", CflError, "stability limit"),
+    ("negative", ConfigError, "non-negative"),
+    ("nan", ConfigError, "non-negative"),
+    ("control", UnstableStepError, "column")],
+    ids=["peclet", "cfl", "negative", "nan", "control"])
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["density", "bank"])
+def test_every_refusal_changes_no_cell(shape, kind, error, match):
+    # one positivity rule: a step that cannot be proved >= 0 is refused
+    # by the transport and by the Zakai step before any cell changes
+    beta = {(): 50.0, (3,): np.array([0.1, 50.0, -0.2])}[shape]
+    ff, values, h = _transport_case(shape, beta=beta if kind == "control" else None)
+    if kind == "peclet":                # |v| dx / (sigma/2) = 3 at every face
+        ff = replace(ff, v_face=np.full_like(ff.v_face, 1.5 * ff.sigma_centers[0] / ff.dx))
+    if kind == "cfl":
+        h *= 4.0
+    if kind in ("negative", "nan"):
+        values[(20, 1)[:values.ndim]] = -1e-300 if kind == "negative" else np.nan
+    if kind == "control":
+        match += f" {1 if shape else 0} "
+    before = values.copy()
+    h_vals = observation_values(models.ou(), Grid1D(-2.5, 2.5, 64))
+    with pytest.raises(error, match=match):
+        advance_values(values, ff, h, 1)
+    with pytest.raises(error, match=match):
+        zakai_advance(values, ff, 1, h_vals, np.zeros(shape), 2.0 * h)
+    assert np.array_equal(values, before, equal_nan=True)
