@@ -96,7 +96,7 @@ def _timed(check: Callable[..., CheckResult]) -> Callable[..., CheckResult]:
 # ---------------------------------------------------------------------------
 
 @_timed
-def check_lqg_free_surprise(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_lqg_free_surprise() -> CheckResult:
     dt = 1e-4
     series = gaussian_relax_series(a=-1.0, sigma_sq=2.0, v0=0.25,
                                    mu0=1.0, horizon=10.0, dt=dt)
@@ -114,7 +114,7 @@ def check_lqg_free_surprise(seed: int = DEFAULT_SEED) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 @_timed
-def check_kb_identity(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_kb_identity() -> CheckResult:
     scan = kb_identity_scan(a=-1.0, sigma_sq=2.0, c=1.0, v0=0.25,
                             vhat0=0.25, horizon=5.0, dt=1e-4)
     target = (math.sqrt(3.0) - 1.0) / 2.0
@@ -150,7 +150,7 @@ def _entropy_rate_scan(n_cells: int, dt: float) -> float:
 
 
 @_timed
-def check_entropy_production_grid(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_entropy_production_grid() -> CheckResult:
     dev_512 = _entropy_rate_scan(512, 1e-4)
     dev_1024 = _entropy_rate_scan(1024, 5e-5)  # finer dt to stay within CFL
     ratio = dev_512 / max(dev_1024, 1e-300)
@@ -164,7 +164,7 @@ def check_entropy_production_grid(seed: int = DEFAULT_SEED) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 @_timed
-def check_de_bruijn(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_de_bruijn() -> CheckResult:
     res = metrics.de_bruijn_check(v0=0.25, t_grid=np.linspace(0.1, 2.0, 20),
                                   sigma_sq=1.0, n_cells=1024)
     return CheckResult("4 de_bruijn", (
@@ -411,7 +411,7 @@ def check_gamma_properties(seed: int = DEFAULT_SEED) -> CheckResult:
 
 
 @_timed
-def check_mass_conservation(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_mass_conservation() -> CheckResult:
     model = ou(rate=1.0, sigma_sq=2.0)
     grid = Grid1D(-6.0, 6.0, 128)
     ff = face_fields(model, grid)
@@ -430,7 +430,7 @@ def check_mass_conservation(seed: int = DEFAULT_SEED) -> CheckResult:
 
 
 @_timed
-def check_zakai_linearity(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_zakai_linearity() -> CheckResult:
     model = double_well()
     grid = Grid1D(-2.5, 2.5, 256)
     z1 = gaussian_density(grid, -0.8, 0.2)
@@ -486,7 +486,7 @@ def check_ks_zakai_agreement(seed: int = DEFAULT_SEED) -> CheckResult:
 
 
 @_timed
-def check_cramer_rao(seed: int = DEFAULT_SEED) -> CheckResult:
+def check_cramer_rao() -> CheckResult:
     grid = Grid1D(-8.0, 8.0, 512)
     mix_vals = 0.5 * (gaussian_density(grid, -2.5, 0.3).values
                       + gaussian_density(grid, 2.5, 0.3).values)
@@ -513,15 +513,12 @@ def run_suite(suite: str, seed: int = DEFAULT_SEED,
     n_big = 2000 if scale == "full" else 300
     n_mid = 100 if scale == "full" else 20
     suites = {
-        "gaussian": [lambda: check_lqg_free_surprise(seed),
-                     lambda: check_kb_identity(seed)],
-        "grid": [lambda: check_entropy_production_grid(seed),
-                 lambda: check_de_bruijn(seed),
+        "gaussian": [check_lqg_free_surprise, check_kb_identity],
+        "grid": [check_entropy_production_grid, check_de_bruijn,
                  lambda: check_gamma_properties(seed),
-                 lambda: check_mass_conservation(seed),
-                 lambda: check_zakai_linearity(seed),
+                 check_mass_conservation, check_zakai_linearity,
                  lambda: check_ks_zakai_agreement(seed),
-                 lambda: check_cramer_rao(seed)],
+                 check_cramer_rao],
         "infoflow": [lambda: check_lqg_grid_filter(seed, n_mid),
                      lambda: check_double_well_mwz(seed, n_big),
                      lambda: check_tower_property(seed, n_big)],

@@ -21,7 +21,7 @@ from . import __version__
 from .checks import DEFAULT_SEED, run_suite
 from .config import load_scenario, model_has_steady_state, scenario_template
 from .control import POLICIES, run_controlled_experiment
-from .errors import ConfigError, InfoflowError, NumericalError
+from .errors import ConfigError, NumericalError
 from .grid import steady_state_grid
 from .models import PRESETS, preset_signature
 from .report import write_check_report, write_csv, write_run_report
@@ -66,9 +66,6 @@ def _cmd_run(args) -> int:
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except InfoflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -82,11 +82,9 @@ def make_policy(name: str, **params) -> ControlPolicy:
 
 @dataclass
 class ControlledLedger:
-    """InfoLedger of a controlled run plus the control and mean-drift paths."""
+    """InfoLedger of a controlled run and the number of clamped controls."""
 
     ledger: InfoLedger
-    mean_control: np.ndarray           # (S,)
-    v_bar: Optional[np.ndarray]        # (S, n_cells) or None
     clamp_count: int = 0
 
 
@@ -102,13 +100,8 @@ def run_controlled_experiment(model, grid: Grid1D, config: EnsembleConfig,
     """
     run = run_filter_ensemble(model, grid, config, policy)
     ledger = assemble_info_ledger(run, rho_ss=rho_ss, prior=prior, d_form=d_form)
-    if run.controls is not None:
-        mean_control = run.controls.mean(axis=1)
-    else:
-        mean_control = np.zeros(run.n_samples)
     ledger.metadata["policy"] = None if policy is None else policy.name
-    return ControlledLedger(ledger=ledger, mean_control=mean_control,
-                            v_bar=run.v_bar, clamp_count=run.clamp_count), run
+    return ControlledLedger(ledger=ledger, clamp_count=run.clamp_count), run
 
 
 # ---------------------------------------------------------------------------

@@ -175,17 +175,10 @@ def apply_policy(policy, t: float, posterior_summary):
 
 
 def mean_drift(model, xs, beta) -> np.ndarray:
-    """Ensemble-mean drift field v_bar(x) = v(x) + mean_k beta_k at ``xs``.
-
-    Identical controls add that control itself, not their mean, so a
-    zero-gain policy reproduces the uncontrolled arithmetic bit for bit.
-    """
+    """Ensemble-mean drift field v_bar(x) = v(x) + mean_k beta_k at ``xs``."""
     xs = np.asarray(xs, dtype=float)
     v = np.broadcast_to(np.asarray(model.drift(xs), dtype=float), xs.shape)
-    if beta is None:
-        return v.astype(float)
-    beta = np.asarray(beta, dtype=float)
-    return v + (beta.flat[0] if np.all(beta == beta.flat[0]) else np.mean(beta))
+    return v + np.mean(beta)
 
 
 def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,

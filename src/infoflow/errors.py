@@ -30,7 +30,10 @@ class CflError(NumericalError):
 
 
 class UnstableStepError(NumericalError):
-    """A grid step produced negative density beyond tolerance."""
+    """A grid step refused before it could lose positivity or overflow: a
+    control outside the bounds of the transport matrix T, an observation
+    exponent bound above the limit, a NaN or infinite dY, or a
+    Kushner-Stratonovich factor that is not > 0."""
 
 
 class FilterCollapseError(NumericalError):

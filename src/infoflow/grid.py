@@ -53,6 +53,7 @@ DENSITY_FLOOR = 1e-300       # log-domain floor
 SCORE_GATE = 1e-12           # score integrands gated at this fraction of max
 EXPONENT_LIMIT = 700.0
 FUSED_SUBSTEPS = 8           # up to 8 uncontrolled substeps: one product, T^n
+INF_BITS = 0x7FF0000000000000  # +inf as uint64: exactly the finite floats >= +0 lie below
 
 
 @dataclass(frozen=True)
@@ -84,12 +85,10 @@ class Grid1D:
 
 @dataclass
 class GridDensity:
-    """One cell-averaged density, values of shape (n_cells,).  ``log_norm``
-    is the log of mass divided out so far; for Zakai, ln sigma_t(1)."""
+    """One cell-averaged density, values of shape (n_cells,)."""
 
     grid: Grid1D
     values: np.ndarray
-    log_norm: float = 0.0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -100,7 +99,7 @@ class GridDensity:
         return float(np.sum(self.values) * self.grid.dx)
 
     def copy(self) -> "GridDensity":
-        return GridDensity(self.grid, self.values.copy(), self.log_norm)
+        return GridDensity(self.grid, self.values.copy())
 
 
 def gaussian_density(grid: Grid1D, mean: float, var: float) -> GridDensity:
@@ -257,9 +256,9 @@ def advance_values(values: np.ndarray, ff: FaceFields, duration: float,
     and each wall row is formed from its own coefficients, which are >= 0
     (:meth:`FaceFields.controls`).
     Refused before any cell changes: values that are not C-contiguous
-    float64, are the work array or hold a negative or NaN cell
-    (ConfigError), T's refusals, a control outside T's bounds
-    (UnstableStepError)."""
+    float64, are the work array or hold a cell that is not a finite number
+    >= +0 (ConfigError; one pass over the cells' bits, read as uint64),
+    T's refusals, a control outside T's bounds (UnstableStepError)."""
     m = ff.sigma_centers.size
     if values.dtype != np.float64 or not values.flags.c_contiguous \
             or values.shape[:1] != (m,):
@@ -271,9 +270,11 @@ def advance_values(values: np.ndarray, ff: FaceFields, duration: float,
                           "with the array the previous step returned")
     h = duration / n_substeps
     op, (lo, hi) = ff.operator(h)
-    if not float(np.min(values)) >= 0.0:
-        bad = tuple(np.argwhere(~(values >= 0.0))[0].tolist())
-        raise ConfigError(f"transport needs non-negative cells, got {values[bad]} at {bad}")
+    bits = values.view(np.uint64)
+    if np.maximum.reduce(bits, axis=None) >= INF_BITS:
+        bad = tuple(np.argwhere(bits >= INF_BITS)[0].tolist())
+        raise ConfigError(f"transport needs finite non-negative cells (>= +0), "
+                          f"got {values[bad]} at {bad}")
     walls = ff.controls(h)
     if walls is not None:
         cb, a_0, b_0, a_m, b_m = walls
@@ -337,7 +338,7 @@ def fp_step(model: DiffusionModel, rho: GridDensity, dt: float) -> GridDensity:
     ff = face_fields(model, rho.grid)
     vals = advance_values(rho.values.copy(), ff, dt,
                           substeps_for(ff, dt, n_substeps=1))
-    return GridDensity(rho.grid, vals, rho.log_norm)
+    return GridDensity(rho.grid, vals)
 
 
 def fp_evolve(model: DiffusionModel, rho: GridDensity, duration: float,
@@ -346,7 +347,7 @@ def fp_evolve(model: DiffusionModel, rho: GridDensity, duration: float,
     ff = face_fields(model, rho.grid)
     vals = advance_values(rho.values.copy(), ff, duration,
                           substeps_for(ff, duration, safety))
-    return GridDensity(rho.grid, vals, rho.log_norm)
+    return GridDensity(rho.grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +371,13 @@ def _increments(delta_y, values: np.ndarray) -> np.ndarray:
     return dy
 
 
+def _non_finite(dy) -> UnstableStepError:
+    """The refusal of increments ``dy`` that hold a NaN or an infinity."""
+    bad = int(np.argmax(~np.isfinite(dy)))
+    return UnstableStepError(f"observation increment dY of density {bad} is "
+                             f"{np.ravel(dy)[bad]}, not finite")
+
+
 def zakai_advance(values: np.ndarray, ff: FaceFields, n_half: int,
                   h_vals: np.ndarray, delta_y, dt: float) -> np.ndarray:
     """One Strang-split Zakai step of one density (M,) or a bank (M, N):
@@ -379,16 +387,19 @@ def zakai_advance(values: np.ndarray, ff: FaceFields, n_half: int,
     Nothing is rescaled, so the step is linear in the values and the
     caller reads ln sigma_t(1) from the masses.  The exponent is bounded
     from O(M + N) data, |h dY - h^2 dt/2| <= max|h| max|dY| + max(h^2) dt/2,
-    and a bound above ``EXPONENT_LIMIT`` raises UnstableStepError before
-    any cell changes.  Returns the stepped values, which callers go on with
-    (see :func:`advance_values`); after a transport error they are left
-    partly advanced.
+    and a bound above ``EXPONENT_LIMIT``, like a non-finite dY, raises
+    UnstableStepError before any cell changes.  Returns the stepped
+    values, which callers go on with (see :func:`advance_values`); after a
+    transport error they are left partly advanced.
     """
     if values.ndim > 2:
         raise ConfigError("zakai_advance takes one density or an (M, N) bank")
     dy = _increments(delta_y, values)
+    dy_max = float(np.max(np.abs(dy)))
+    if not dy_max < math.inf:
+        raise _non_finite(dy)
     h_max = float(np.max(np.abs(h_vals)))
-    bound = h_max * float(np.max(np.abs(dy))) + 0.5 * h_max * h_max * dt
+    bound = h_max * dy_max + 0.5 * h_max * h_max * dt
     if bound > EXPONENT_LIMIT:
         raise UnstableStepError(
             f"observation update overflow: max|h| max|dY| + max(h^2) dt/2 = "
@@ -409,14 +420,14 @@ def zakai_step(model: DiffusionModel, zeta: GridDensity, delta_y, dt: float,
                n_substeps_half: Optional[int] = None) -> GridDensity:
     """One Strang-split step of the unnormalized filter density.
 
-    Linear in the density: the values carry the step's factor, so
-    ``log_norm`` + ln(mass) stays ln sigma_t(1).
+    Linear in the density: the values carry the step's factor, so ln(mass)
+    stays ln sigma_t(1).
     """
     ff = face_fields(model, zeta.grid)
     n_sub = substeps_for(ff, 0.5 * dt, n_substeps=n_substeps_half)
     vals = zakai_advance(zeta.values.copy(), ff, n_sub,
                          observation_values(model, zeta.grid), delta_y, dt)
-    return GridDensity(zeta.grid, vals, log_norm=zeta.log_norm)
+    return GridDensity(zeta.grid, vals)
 
 
 def ks_advance(values: np.ndarray, ff: FaceFields, n_half: int,
@@ -428,12 +439,15 @@ def ks_advance(values: np.ndarray, ff: FaceFields, n_half: int,
     observation fluctuation h - pi(h).  The scalar innovation admits the
     Milstein second-order term, so the pathwise gap to the normalized Zakai
     solution is O(dt).  Renormalizes afterwards (the grid update preserves
-    mass only to O(dt^2)).  After an error the values are left partly
-    advanced.
+    mass only to O(dt^2)).  A non-finite dY is refused before any cell
+    changes, a factor that is not > 0 after the first half, which leaves
+    the values partly advanced.
     """
     if values.ndim != 1:
         raise ConfigError("ks_advance takes one density")
     dy = float(_increments(delta_y, values))
+    if not math.isfinite(dy):
+        raise _non_finite(dy)
     values = advance_values(values, ff, 0.5 * dt, n_half)
     mass = np.sum(values) * ff.dx
     pi_h = np.sum(values * h_vals) * ff.dx / mass
@@ -442,7 +456,7 @@ def ks_advance(values: np.ndarray, ff: FaceFields, n_half: int,
     di = dy - pi_h * dt
     fluct = h_vals - pi_h
     factor = 1.0 + fluct * di + 0.5 * (fluct * fluct - var_h) * (di * di - dt)
-    if np.min(factor) <= 0.0:
+    if not np.min(factor) > 0.0:
         raise UnstableStepError("Kushner-Stratonovich factor lost positivity; "
                                 "reduce dt")
     values *= factor
@@ -452,18 +466,12 @@ def ks_advance(values: np.ndarray, ff: FaceFields, n_half: int,
 
 
 def normalize(zeta: GridDensity):
-    """Split a filter density into its normalized shape and log-mass.
-
-    Returns (rho_hat, log_mass) where ``log_mass`` is the cumulative
-    ln sigma_t(1): the log of the mass just divided out plus everything
-    already accumulated in ``zeta.log_norm``.
-    """
+    """Split a filter density into its normalized shape and log-mass:
+    (rho_hat, ln mass), for a Zakai density ln sigma_t(1)."""
     mass = zeta.mass()
     if not math.isfinite(mass) or mass <= 0.0:
         raise FilterCollapseError(f"filter collapse: total mass {mass:.3e}")
-    log_mass = zeta.log_norm + math.log(mass)
-    rho_hat = GridDensity(zeta.grid, zeta.values / mass, log_norm=log_mass)
-    return rho_hat, log_mass
+    return GridDensity(zeta.grid, zeta.values / mass), math.log(mass)
 
 
 # ---------------------------------------------------------------------------

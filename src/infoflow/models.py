@@ -22,7 +22,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -30,44 +30,28 @@ from .errors import ConfigError, SimulationBlowupError
 from .rng import (CHANNEL_DYNAMICS, CHANNEL_INITIAL, CHANNEL_OBSERVATION,
                   substreams)
 
-FD_STEP = 1e-5   # central-difference step of SmoothField gradients
-
 
 @dataclass
 class SmoothField:
-    """Scalar test function with an optional analytic gradient.
-
-    A missing gradient falls back to central differences of ``value`` with
-    step ``FD_STEP``, accurate to O(step^2).
-    """
+    """Scalar test function with its analytic gradient."""
 
     value: Callable
-    gradient: Optional[Callable] = None
+    gradient: Callable
 
     def __call__(self, x):
         return self.value(x)
 
     def gradient_at(self, x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.gradient is not None:
-            return np.atleast_1d(np.asarray(self.gradient(x), dtype=float))
-        h = FD_STEP
-        g = np.empty_like(x)
-        for i in range(x.size):
-            xp, xm = x.copy(), x.copy()
-            xp[i] += h
-            xm[i] -= h
-            g[i] = (self.value(xp) - self.value(xm)) / (2.0 * h)
-        return g
+        return np.atleast_1d(np.asarray(self.gradient(x), dtype=float))
 
 
 def product_field(f: SmoothField, g: SmoothField) -> SmoothField:
     """Pointwise product f*g with the product-rule gradient."""
     return SmoothField(
         value=lambda x: f.value(x) * g.value(x),
-        gradient=(None if f.gradient is None or g.gradient is None else
-                  lambda x: np.asarray(f.gradient(x)) * g.value(x)
-                  + f.value(x) * np.asarray(g.gradient(x))),
+        gradient=lambda x: np.asarray(f.gradient(x)) * g.value(x)
+        + f.value(x) * np.asarray(g.gradient(x)),
     )
 
 
@@ -131,8 +115,6 @@ class JointPath:
     states: np.ndarray         # (K+1, N)
     observations: np.ndarray   # (K+1, N), Y(0) = 0
     obs_increments: np.ndarray  # (K, N)
-    seed: int
-    trajectory_index: object   # the int or index array simulated
 
     @property
     def dt(self) -> float:
@@ -272,8 +254,7 @@ def simulate_joint(model: DiffusionModel, x0_sampler: Callable, horizon: float,
         states[k + 1], incs[k] = step(states[k], None, dw[k], du[k], times[k + 1])
         obs[k + 1] = obs[k] + incs[k]
     return JointPath(times=times, states=states, observations=obs,
-                     obs_increments=incs, seed=seed,
-                     trajectory_index=trajectory_index)
+                     obs_increments=incs)
 
 
 # ---------------------------------------------------------------------------

@@ -94,9 +94,7 @@ class TestMeanDrift:
     def test_zero_gain_reproduces_uncontrolled(self):
         m = models.double_well()
         xs = np.linspace(-2, 2, 21)
-        v_plain = mean_drift(m, xs, None)
-        v_zero = mean_drift(m, xs, np.zeros(16))
-        assert np.array_equal(v_plain, v_zero)
+        assert np.array_equal(mean_drift(m, xs, np.zeros(16)), m.drift(xs))
 
 
 class TestControlledKalman:
@@ -168,9 +166,8 @@ class TestControlledEnsemble:
         policy = linear_gain_policy(gain=0.5, bound=5.0)
         controlled, run = run_controlled_experiment(model, grid, cfg, policy,
                                                     rho_ss=rho_ss)
-        assert controlled.v_bar is not None
-        assert controlled.v_bar.shape == (run.n_samples, grid.n_cells)
-        assert controlled.mean_control.shape == (run.n_samples,)
+        assert run.v_bar.shape == (run.n_samples, grid.n_cells)
+        assert run.controls.shape == (run.n_samples, cfg.n_trajectories)
         assert controlled.ledger.metadata["mwz_control_correction"] is True
 
     def test_unbounded_controls_checked_against_cfl(self):

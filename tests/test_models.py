@@ -108,14 +108,6 @@ class TestGamma:
         assert left == pytest.approx(4.0, abs=1e-12)
         assert left == pytest.approx(right, abs=1e-12)
 
-    def test_fd_gradient_fallback(self):
-        m = models.ou(sigma_sq=2.0)
-        f = SmoothField(lambda x: math.sin(float(x[0])))
-        g = SmoothField(lambda x: float(x[0]) ** 2)
-        x = [0.6]
-        exact = math.cos(0.6) * 2.0 * 1.2
-        assert gamma(m, f, g, x) == pytest.approx(exact, rel=1e-8)
-
     @given(a=st.floats(-3, 3), b=st.floats(-3, 3), c=st.floats(-3, 3),
            x=st.floats(-2, 2))
     @settings(max_examples=50, deadline=None)
