@@ -140,7 +140,7 @@ def _entropy_rate_scan(n_cells: int, dt: float) -> float:
     vals = rho.values
     for ts in sample_times:
         n = step_count(ts - t_now, dt)
-        vals = advance_values(vals, ff, ts - t_now, n)
+        vals = advance_values(vals, ff, n * dt, n)
         t_now = ts
         dens = GridDensity(grid, vals)
         fd = metrics.entropy_rate_fd(model, dens, dt)

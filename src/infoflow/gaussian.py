@@ -155,14 +155,25 @@ def _rk4_step(f: Callable, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _rk4_linear_series(rate: float, y0: float, h: float, n: int) -> np.ndarray:
+    """y_0..y_n of ``n`` RK4 steps of dy/dt = rate y: y0 R^k by one running
+    product of RK4's own factor, its stability polynomial R(z) = 1 + z + z^2/2
+    + z^3/6 + z^4/24 at z = rate h (not exp(z)), from one step of y = 1."""
+    out = np.full(n + 1, _rk4_step(lambda y: rate * y, 1.0, h))
+    out[0] = y0
+    return np.multiply.accumulate(out, out=out)
+
+
 def propagate_gaussian(A, sigma, belief0: GaussianBelief, t: float,
                        dt: float = 1e-3) -> GaussianBelief:
     """Propagate an unconditioned Gaussian law by RK4.
 
     Mean solves d mu/dt = A mu, covariance solves dV/dt = A V + V A^T + sigma.
     """
-    if t < 0:
-        raise ValueError("t must be non-negative")
+    if not (math.isfinite(t) and t >= 0):
+        raise ConfigError(f"t must be finite and >= 0, got {t}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigError(f"dt must be finite and > 0, got {dt}")
     A = np.atleast_2d(np.asarray(A, dtype=float))
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     if t == 0:
@@ -304,18 +315,8 @@ def gaussian_relax_series(a: float, sigma_sq: float, v0: float, mu0: float,
     n_steps = step_count(horizon, dt)
     times = dt * np.arange(n_steps + 1)
     # exact-step propagation factors would hide integrator error; keep RK4
-    dev = np.empty(n_steps + 1)
-    mu = np.empty(n_steps + 1)
-    dev[0] = v0 - v_ss
-    mu[0] = mu0
-    f_d = lambda y: 2.0 * a * y
-    f_m = lambda y: a * y
-    d, m = float(dev[0]), float(mu[0])
-    for k in range(n_steps):
-        d = _rk4_step(f_d, d, dt)
-        m = _rk4_step(f_m, m, dt)
-        dev[k + 1] = d
-        mu[k + 1] = m
+    dev = _rk4_linear_series(2.0 * a, v0 - v_ss, dt, n_steps)
+    mu = _rk4_linear_series(a, mu0, dt, n_steps)
     v = v_ss + dev
     rel = dev / v_ss
     f = 0.5 * (rel - np.log1p(rel) + mu * mu / v_ss)
@@ -391,18 +392,14 @@ def kb_identity_scan(a: float, sigma_sq: float, c: float, v0: float,
     n_steps = step_count(horizon, dt)
     times = dt * np.arange(n_steps + 1)
 
-    dev = np.empty(n_steps + 1)    # V - V_ss
-    dev_h = np.empty(n_steps + 1)  # Vhat - Vhat_ss
-    d, dh = v0 - v_ss, vhat0 - vhat_ss
-    dev[0], dev_h[0] = d, dh
+    dev = _rk4_linear_series(2.0 * a, v0 - v_ss, dt, n_steps)  # V - V_ss
+    dev_h = np.empty(n_steps + 1)  # Vhat - Vhat_ss, nonlinear: stepped
+    dh = dev_h[0] = vhat0 - vhat_ss
     c2 = c * c
     lin = 2.0 * (a - c2 * vhat_ss)
-    f_d = lambda y: 2.0 * a * y
     f_dh = lambda y: lin * y - c2 * y * y
     for k in range(n_steps):
-        d = _rk4_step(f_d, d, dt)
-        dh = _rk4_step(f_dh, dh, dt)
-        dev[k + 1], dev_h[k + 1] = d, dh
+        dh = dev_h[k + 1] = _rk4_step(f_dh, dh, dt)
 
     v = v_ss + dev
     vh = vhat_ss + dev_h

@@ -21,8 +21,8 @@ and is refused, before any cell changes, otherwise.
 
 Densities are stored cell-major, a bank of N as an (n_cells, N) array, so
 a substep of all of them is one compiled sparse product T X.  The immutable
-face fields build T for their substep length on first use, and T^n for n
-uncontrolled substeps, a band of 2n + 1 diagonals applied as one product.
+face fields build T for their substep length on first use, and its powers
+by squaring: n uncontrolled substeps are n // 8 products T^8 X and one T^(n % 8) X.
 They own a work array of the bank's shape that each product accumulates
 into; the bank and the work array trade roles after each product.
 A control beta_r added to the drift of column r adds (h/2dx) beta_r D(X_r),
@@ -52,7 +52,7 @@ from .models import DiffusionModel
 DENSITY_FLOOR = 1e-300       # log-domain floor
 SCORE_GATE = 1e-12           # score integrands gated at this fraction of max
 EXPONENT_LIMIT = 700.0
-FUSED_SUBSTEPS = 8           # up to 8 uncontrolled substeps: one product, T^n
+FUSED_SUBSTEPS = 8           # uncontrolled substeps per product: T^8, and T^(n mod 8)
 INF_BITS = 0x7FF0000000000000  # +inf as uint64: exactly the finite floats >= +0 lie below
 
 
@@ -209,11 +209,12 @@ class FaceFields:
         return self._substep[3]
 
     def power(self, h: float, n: int):
-        """T^n, ``n`` uncontrolled substeps of length ``h`` as one band of
-        2n + 1 diagonals, built on first use and kept while ``h`` is."""
-        op, powers = self.operator(h)[0], self._substep[2]
+        """T^n, ``n`` uncontrolled substeps of length ``h``: a band of 2n + 1
+        diagonals built on first use as T^(n//2) T^(n - n//2), kept while ``h`` is."""
+        self.operator(h)
+        powers = self._substep[2]
         if n not in powers:
-            powers[n] = op @ self.power(h, n - 1)
+            powers[n] = self.power(h, n // 2) @ self.power(h, n - n // 2)
         return powers[n]
 
     def workspace(self, shape) -> np.ndarray:
@@ -249,8 +250,8 @@ def advance_values(values: np.ndarray, ff: FaceFields, duration: float,
 
     No cell is checked after a product: each new cell is a sum of products
     of non-negative numbers, so >= 0 exactly.  T has no negative entry
-    (:meth:`FaceFields.operator`); up to ``FUSED_SUBSTEPS`` uncontrolled
-    substeps are one product with T^n.  Under controls inside T's bounds an
+    (:meth:`FaceFields.operator`), nor T^n; uncontrolled, ``FUSED_SUBSTEPS``
+    substeps are one product with T^8.  Under controls inside T's bounds an
     interior cell's one negative term, c X_{i+1} (or -c X_{i-1}), rounds to
     no more than the product it cancels, upper_i X_{i+1} (lower_i X_{i-1}),
     and each wall row is formed from its own coefficients, which are >= 0
@@ -283,10 +284,13 @@ def advance_values(values: np.ndarray, ff: FaceFields, duration: float,
             raise UnstableStepError(
                 f"control {np.ravel(ff.beta)[out[0]]:.4g} of column {out[0]} puts "
                 f"(h/2dx) beta outside [{lo:.4g}, {hi:.4g}]: T + c D has a negative entry")
-    elif n_substeps <= FUSED_SUBSTEPS:
-        op, n_substeps = ff.power(h, n_substeps), 1
-    csr = (op.indptr, op.indices, op.data)
-    for _ in range(n_substeps):
+        ops = [op] * n_substeps
+    else:                                       # T^8 only when it is applied
+        fused, rest = divmod(n_substeps, FUSED_SUBSTEPS)
+        ops = [ff.power(h, FUSED_SUBSTEPS)] * fused if fused else []
+        ops += [ff.power(h, rest)] if rest else []
+    for op in ops:
+        csr = (op.indptr, op.indices, op.data)
         if walls is None:
             dst.fill(0.0)
         else:                                   # c D(X) of the old values

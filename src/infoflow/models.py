@@ -221,7 +221,7 @@ def euler_maruyama(model: DiffusionModel, dt: float, indices) -> Callable:
         if beta is not None:
             v = v + beta
         x = x + v * dt + np.sqrt(model.sigma(x)) * dw
-        if not np.all(np.isfinite(x)) or np.any(x < lo) or np.any(x > hi):
+        if not (lo <= x.min() and x.max() <= hi):     # a NaN fails both
             bad = int(np.argmax(~np.isfinite(x) | (x < lo) | (x > hi)))
             raise SimulationBlowupError(
                 f"trajectory {indices[bad]} left 10x the domain box at "
@@ -252,7 +252,7 @@ def simulate_joint(model: DiffusionModel, x0_sampler: Callable, horizon: float,
     states[0] = x0
     for k in range(n_steps):
         states[k + 1], incs[k] = step(states[k], None, dw[k], du[k], times[k + 1])
-        obs[k + 1] = obs[k] + incs[k]
+    np.cumsum(incs, axis=0, out=obs[1:])
     return JointPath(times=times, states=states, observations=obs,
                      obs_increments=incs)
 

@@ -7,9 +7,10 @@ renamed or re-signed function fails here rather than in a benchmark run.
 They also run each ensemble workload's operation once at the benchmark's
 default seed through ``bench/worker.py``'s output checks, so a change that
 moves a ledger off the recorded reference fails here too, and run the check
-workload twice, so criterion ids, verdicts or a ``measured`` or ``detail``
-that the benchmark could not repeat fail here as well.  They read ``bench/``
-and never change it.
+workload twice, the first time traced, so criterion ids, verdicts or a
+``measured`` or ``detail`` that the benchmark could not repeat fail here as
+well, and so does a change in its transport calls or cell-substeps.  They
+read ``bench/`` and never change it.
 """
 
 import sys
@@ -74,9 +75,14 @@ def test_ensemble_workload_passes_the_output_gate(name, tmp_path, monkeypatch):
                                     worker.load_reference(name), None) == []
 
 
-def test_check_workload_repeats_exactly():
+def test_check_workload_repeats_exactly(patches):
+    # the first pass runs traced: its transport work is pinned, so a faster
+    # pass must come from fewer kernel passes, not from fewer substeps
     workload = WORKLOADS["checks_exact_grid"]
     first = worker.checks_op(workload)
+    advance = spans.totals(patches.recorder.spans)["grid.advance"]
+    assert (advance["calls"], advance["work"]) == (22_126, 45_263_872)
+    patches.restore()
     second = worker.checks_op(workload)
     assert worker.checks_failures(second, worker.check_signature(first)) == []
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from infoflow import checks, models
 from infoflow.ensemble import EnsembleConfig
 from infoflow.errors import ConfigError, CovarianceError, NonHurwitzError
-from infoflow.gaussian import (GaussianBelief, LinearModel, gaussian_kl,
+from infoflow.gaussian import (GaussianBelief, LinearModel, _rk4_linear_series,
+                               _rk4_step, gaussian_kl,
                                gaussian_relax_series, kalman_bucy_run,
                                kb_identity_scan, kb_info_rates,
                                lyapunov_series, lyapunov_steady,
@@ -57,6 +59,22 @@ class TestPropagation:
         b = propagate_gaussian([[-1.0]], [[2.0]], GaussianBelief([1.0], [[1.0]]),
                                t=1.0, dt=1e-3)
         assert b.mean[0] == pytest.approx(math.exp(-1.0), rel=1e-9)
+
+    @pytest.mark.parametrize("t, dt", [
+        (5.0, -1e-3), (1.0, 0.0), (1.0, math.nan), (1.0, math.inf),
+        (-1.0, 1e-3), (math.nan, 1e-3), (math.inf, 1e-3), (-math.inf, 1e-3)])
+    def test_bad_times_are_refused(self, t, dt):
+        # before any step: dt = -1e-3 once took one step of length t = 5,
+        # a variance of -217.25
+        with pytest.raises(ConfigError):
+            propagate_gaussian([[-1.0]], [[2.0]], GaussianBelief([0.0], [[1.0]]),
+                               t=t, dt=dt)
+
+    def test_zero_time_is_a_copy(self):
+        b0 = GaussianBelief([0.3], [[1.5]])
+        b = propagate_gaussian([[-1.0]], [[2.0]], b0, t=0.0)
+        assert b.mean is not b0.mean and b.cov is not b0.cov
+        assert np.array_equal(b.mean, b0.mean) and np.array_equal(b.cov, b0.cov)
 
     def test_log_det_rate_identity(self):
         # d/dt ln|V| equals tr{2A + V^-1 Sigma} along the covariance flow
@@ -296,3 +314,27 @@ def test_scalar_scans_share_the_time_grid_rule(horizon, dt):
         gaussian_relax_series(-1.0, 2.0, 0.5, 0.0, horizon, dt)
     with pytest.raises(ConfigError):
         kb_identity_scan(-1.0, 2.0, 1.0, 0.25, 0.25, horizon, dt)
+
+
+@pytest.mark.parametrize("rate, h, n", [(-2.0, 1e-4, 100_000), (-1.0, 1e-4, 100_000)])
+def test_linear_rk4_series_is_the_stepped_loop(rate, h, n):
+    # y0 R^k by one running product, against n RK4 steps of dy/dt = rate y
+    y0 = -0.75
+    series = _rk4_linear_series(rate, y0, h, n)
+    looped = np.empty(n + 1)
+    y = looped[0] = y0
+    f = lambda v: rate * v
+    for k in range(n):
+        y = looped[k + 1] = _rk4_step(f, y, h)
+    assert series.shape == (n + 1,) and series[0] == y0
+    assert float(np.max(np.abs(series - looped) / np.abs(looped))) <= 1e-11
+
+
+@pytest.mark.parametrize("rate, h", [(-2.0, 1e-4), (-1.0, 1e-4), (-1.0, 1e-3),
+                                     (-0.5, 2e-2)])
+def test_linear_rk4_factor_is_the_stability_polynomial(rate, h):
+    # R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, z = rate h, not exp(z)
+    z = Fraction(rate) * Fraction(h)
+    poly = float(1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24)
+    factor = float(_rk4_linear_series(rate, 1.0, h, 1)[1])
+    assert abs(factor - poly) <= np.spacing(poly)

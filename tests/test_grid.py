@@ -626,6 +626,58 @@ def test_uncontrolled_advance_is_repeated_product(shape, n):
     assert float(np.max(np.abs(out - expected))) <= 1e-15 * float(np.max(expected))
 
 
+def _chunk_case(name, shape):
+    """A preset's face fields on 128 cells, a substep of half the CFL
+    limit, and one off-center Gaussian per column."""
+    m = models.preset(name)
+    (low, high), = m.domain_box
+    grid = Grid1D(low, high, 128)
+    means = np.linspace(0.2 * low, 0.3 * high, int(np.prod(shape)))
+    values = np.stack([gaussian_density(grid, mean, 0.01 * (high - low) ** 2).values
+                       for mean in means], axis=1).reshape((128,) + shape)
+    ff = face_fields(m, grid)
+    return ff, values, 0.5 * ff.cfl_limit()
+
+
+@pytest.mark.parametrize("n", [8, 9, 17, 500])
+@pytest.mark.parametrize("shape", [(), (3,)])
+@pytest.mark.parametrize("name", ["ou", "double_well", "brownian"])
+def test_long_uncontrolled_advance_is_chunked(name, shape, n, monkeypatch):
+    # n substeps are n // 8 products with T^8 and one with T^(n % 8): n
+    # products with T up to rounding, each one compiled kernel call
+    ff, values, h = _chunk_case(name, shape)
+    op = _operator(ff, h)
+    expected = values
+    for _ in range(n):
+        expected = op @ expected
+    calls = []
+    for kernel in ("csr_matvec", "csr_matvecs"):
+        def counted(*args, kernel=kernel, run=getattr(_sparsetools, kernel)):
+            calls.append(kernel)
+            return run(*args)
+        monkeypatch.setattr(_sparsetools, kernel, counted)
+    out = advance_values(values.copy(), ff, n * h, n)
+    monkeypatch.undo()
+    assert calls == ["csr_matvecs" if shape else "csr_matvec"] * -(-n // 8)
+    assert float(np.min(out)) >= 0.0
+    scale = np.max(expected, axis=0)
+    assert float(np.max(np.abs(out - expected) / scale)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 4, 5, 8])
+@pytest.mark.parametrize("name", ["ou", "double_well", "brownian"])
+def test_powers_by_squaring_are_non_negative_bands(name, n):
+    # T^n = T^(n//2) T^(n - n//2): a band of 2n + 1 diagonals, no entry < 0
+    ff, _, h = _chunk_case(name, ())
+    power = ff.power(h, n)
+    assert float(np.min(power.data)) >= 0.0
+    rows, cols = power.nonzero()
+    assert int(np.max(np.abs(rows - cols))) == n
+    repeated = _operator(ff, h).toarray()
+    expected = np.linalg.matrix_power(repeated, n)
+    assert float(np.max(np.abs(power.toarray() - expected))) <= 1e-15 * n
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("shape", [(), (5,)])
 def test_controlled_advance_adds_the_correction(shape, n):

@@ -204,6 +204,25 @@ class TestSimulateJoint:
         with pytest.raises(SimulationBlowupError):
             simulate_joint(m, lambda r: np.zeros(1), 1.0, 0.01, seed=0)
 
+    @pytest.mark.parametrize("dw", [math.nan, math.inf, -math.inf, -250.0, 250.0])
+    def test_step_refuses_a_state_outside_ten_boxes(self, dw):
+        # brownian's box is [-20, 20]: a new state must lie in [-200, 200]
+        step = models.euler_maruyama(models.brownian(), 0.01, np.array([7, 8, 9]))
+        dws = np.array([199.0, dw, -199.0])
+        with pytest.raises(SimulationBlowupError,
+                           match=r"trajectory 8 left 10x the domain box at t=0\.25"):
+            step(np.zeros(3), None, dws, np.zeros(3), 0.25)
+        x, _ = step(np.zeros(3), None, np.array([199.0, 0.0, -199.0]), np.zeros(3), 0.25)
+        assert np.array_equal(x, [199.0, 0.0, -199.0])
+
+    def test_observation_path_is_the_running_sum(self):
+        path = simulate_joint(models.ou(), lambda r: r.normal(size=1), 1.0, 0.01,
+                              seed=4, trajectory_index=np.arange(5))
+        running = np.zeros_like(path.observations)
+        for k, inc in enumerate(path.obs_increments):
+            running[k + 1] = running[k] + inc
+        assert np.array_equal(path.observations, running)
+
     def test_bad_arguments(self):
         # a whole number of dt > 0 steps, as EnsembleConfig requires
         m = models.ou()
