@@ -265,7 +265,8 @@ def check_tower_property(seed: int = DEFAULT_SEED,
                          n_trajectories: int = 2000) -> CheckResult:
     ledger, run = _double_well_cached(seed, n_trajectories)
     dx = run.grid.dx
-    mean_post = run.posterior_final.mean(axis=0)
+    final = np.ascontiguousarray(run.posterior_final)   # rows to resample
+    mean_post = final.mean(axis=0)
     dist = float(np.sum(np.abs(mean_post - run.prior_fp[-1])) * dx)
     rng = substream(seed, 0, CHANNEL_BOOTSTRAP)
     n = run.n_trajectories
@@ -273,7 +274,7 @@ def check_tower_property(seed: int = DEFAULT_SEED,
     for b in range(200):
         idx = rng.integers(0, n, size=n)
         boot[b] = float(np.sum(np.abs(
-            run.posterior_final[idx].mean(axis=0) - mean_post)) * dx)
+            final[idx].mean(axis=0) - mean_post)) * dx)
     return CheckResult("7 tower_property", (
         Condition("L1 distance", dist, "<=", 3.0 * float(np.mean(boot))),),
         detail=f"L1(mean posterior, FP density), 200 bootstrap draws, N={n}")

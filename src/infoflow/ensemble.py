@@ -92,7 +92,7 @@ class EnsembleRun:
     excluded: np.ndarray              # (S, N) bool
     prior_fp: np.ndarray              # (S, M) shared FP density
     posterior_mean: np.ndarray        # (S, M) ensemble-mean posterior
-    posterior_final: np.ndarray       # (N, M) posterior at the horizon
+    posterior_final: np.ndarray       # (N, M) view of the horizon bank
     controls: Optional[np.ndarray] = None   # (S, N)
     v_bar: Optional[np.ndarray] = None      # (S, M) mean drift at centers
     clamp_count: int = 0
@@ -115,6 +115,23 @@ class EnsembleRun:
         return float(self.excluded.mean())
 
 
+def _cells_at(grid: Grid1D, x) -> tuple:
+    """(i0, w, inside): each point's left cell, the weight of cell i0 + 1
+    (edge-clamped in the half cells) and whether it lies in the box."""
+    x = np.asarray(x, dtype=float)
+    pos = (x - grid.x_min) / grid.dx - 0.5
+    i0 = np.clip(np.floor(pos).astype(int), 0, grid.n_cells - 2)
+    w = np.clip(pos - i0, 0.0, 1.0)
+    return i0, w, (x >= grid.x_min) & (x <= grid.x_max)
+
+
+def _lerp(values: np.ndarray, i0, w, inside) -> np.ndarray:
+    """(1 - w) values[i0] + w values[i0 + 1], per column of (M, N) values."""
+    cols = () if values.ndim == 1 else (np.arange(values.shape[1]),)
+    out = (1.0 - w) * values[(i0,) + cols] + w * values[(i0 + 1,) + cols]
+    return np.where(inside, out, 0.0)
+
+
 def interp_rows(values: np.ndarray, grid: Grid1D, x: np.ndarray) -> np.ndarray:
     """Linear interpolation of cell values at one point per trajectory.
 
@@ -122,14 +139,7 @@ def interp_rows(values: np.ndarray, grid: Grid1D, x: np.ndarray) -> np.ndarray:
     ``x`` is (N,).  Returns 0 outside the grid box, edge-clamped inside the
     half cells.
     """
-    x = np.asarray(x, dtype=float)
-    pos = (x - grid.x_min) / grid.dx - 0.5
-    i0 = np.clip(np.floor(pos).astype(int), 0, grid.n_cells - 2)
-    w = np.clip(pos - i0, 0.0, 1.0)
-    cols = () if values.ndim == 1 else (np.arange(values.shape[1]),)
-    out = (1.0 - w) * values[(i0,) + cols] + w * values[(i0 + 1,) + cols]
-    inside = (x >= grid.x_min) & (x <= grid.x_max)
-    return np.where(inside, out, 0.0)
+    return _lerp(values, *_cells_at(grid, x))
 
 
 def _column_sums(values: np.ndarray) -> np.ndarray:
@@ -145,9 +155,17 @@ def _column_sums(values: np.ndarray) -> np.ndarray:
 
 
 def _eval_log_and_score(values, grid, x):
-    """(log density, score) rows evaluated at the per-trajectory points."""
-    dens = interp_rows(values, grid, x)
-    score = interp_rows(score_values(values, grid.dx), grid, x)
+    """(density, log density, score) at the points, as :func:`interp_rows`.
+    The score comes from four cells per point, from start = clip(i0 - 1, 0,
+    M - 4): a stencil row is one-sided only where its cell is a wall, so
+    rows i0 and i0 + 1 are bitwise those of the whole column's score."""
+    i0, w, inside = _cells_at(grid, x)
+    start = np.clip(i0 - 1, 0, grid.n_cells - 4)
+    rows = start + np.arange(4)[:, None]
+    cols = () if values.ndim == 1 else (np.arange(values.shape[1]),)
+    stencil = score_values(values[(rows,) + cols], grid.dx)
+    dens = _lerp(values, i0, w, inside)
+    score = _lerp(stencil, i0 - start, w, inside)
     logs = np.log(np.maximum(dens, DENSITY_FLOOR))
     return dens, logs, score
 
@@ -248,8 +266,11 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
             raise FilterCollapseError(
                 f"filter collapse at t={t:.6g} "
                 f"(min mass {float(np.min(mass)):.3e})")
-        # column moments by einsum, not BLAS: independent of its thread count
-        pi_mean = np.einsum("i,ij->j", xc, post_vals) * dx / mass
+        sampling = k == sample_steps[s_idx]
+        # column moments by einsum, not BLAS: independent of its thread count;
+        # the first only where a policy or the record reads it
+        if sampling or policy is not None:
+            pi_mean = np.einsum("i,ij->j", xc, post_vals) * dx / mass
         pi_h = np.einsum("i,ij->j", h_c, post_vals) * dx / mass
 
         beta = None
@@ -257,7 +278,7 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
             beta, n_clamped = apply_policy(policy, t, pi_mean)
             clamp_count += n_clamped
 
-        if k == sample_steps[s_idx]:
+        if sampling:
             raw_at_x = interp_rows(post_vals, grid, x)
             rec["log_zeta_at_x"][s_idx] = \
                 np.log(np.maximum(raw_at_x, DENSITY_FLOOR)) + ledger
@@ -289,7 +310,7 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
                 controls_rec[s_idx] = beta
                 v_bar_rec[s_idx] = mean_drift(model, xc, beta)
             if k == n_steps:
-                posterior_final = post_vals.T.copy()
+                posterior_final = post_vals.T
             s_idx += 1
 
         if k == n_steps:
@@ -301,7 +322,10 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
 
         # --- per-trajectory Zakai step (Strang split)
         if beta is not None:
-            ff_post = replace(ff_post, beta=beta)
+            # the new controls' face fields take over the bank's work array
+            ff_next = replace(ff_post, beta=beta)
+            ff_next.trade(ff_post.workspace(post_vals.shape))
+            ff_post = ff_next
             substeps_for(ff_post, 0.5 * dt, n_substeps=n_half)
             ff_prior = replace(ff_prior, v_face=mean_drift(model, xf, beta))
         post_vals = zakai_advance(post_vals, ff_post, n_half, h_c, dy, dt)

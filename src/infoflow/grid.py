@@ -237,6 +237,12 @@ def face_fields(model: DiffusionModel, grid: Grid1D) -> FaceFields:
     return FaceFields(v, model.sigma_profile(grid.centers), grid.dx)
 
 
+def _check_count(n_substeps) -> None:
+    """ConfigError unless ``n_substeps`` is an integer >= 1."""
+    if not isinstance(n_substeps, (int, np.integer)) or n_substeps < 1:
+        raise ConfigError(f"the substep count must be an integer >= 1, got {n_substeps!r}")
+
+
 def advance_values(values: np.ndarray, ff: FaceFields, duration: float,
                    n_substeps: int) -> np.ndarray:
     """Advance cell values, (n_cells,) or (n_cells, N) with one density per
@@ -259,8 +265,10 @@ def advance_values(values: np.ndarray, ff: FaceFields, duration: float,
     Refused before any cell changes: values that are not C-contiguous
     float64, are the work array or hold a cell that is not a finite number
     >= +0 (ConfigError; one pass over the cells' bits, read as uint64),
-    T's refusals, a control outside T's bounds (UnstableStepError)."""
+    T's refusals, a control outside T's bounds (UnstableStepError), a
+    substep count that is not an integer >= 1 (ConfigError)."""
     m = ff.sigma_centers.size
+    _check_count(n_substeps)
     if values.dtype != np.float64 or not values.flags.c_contiguous \
             or values.shape[:1] != (m,):
         raise ConfigError(f"transport needs C-contiguous float64 cell "
@@ -317,11 +325,12 @@ def substeps_for(ff: FaceFields, duration: float, safety: float = 0.9,
                  n_substeps: Optional[int] = None) -> int:
     """Fewest substeps of ``duration`` within ``safety`` x the CFL limit.
 
-    A given ``n_substeps`` is returned as is, after a CflError if its
-    substep exceeds that limit.
+    A given ``n_substeps`` is returned as is, after a ConfigError if it is
+    not an integer >= 1 and a CflError if its substep exceeds that limit.
     """
     limit = safety * ff.cfl_limit()
     if n_substeps is not None:
+        _check_count(n_substeps)
         step = abs(duration) / n_substeps
         if step > limit:
             controls = "" if ff.beta is None else f", max|beta|={np.max(np.abs(ff.beta)):.3e}"
@@ -342,15 +351,6 @@ def fp_step(model: DiffusionModel, rho: GridDensity, dt: float) -> GridDensity:
     ff = face_fields(model, rho.grid)
     vals = advance_values(rho.values.copy(), ff, dt,
                           substeps_for(ff, dt, n_substeps=1))
-    return GridDensity(rho.grid, vals)
-
-
-def fp_evolve(model: DiffusionModel, rho: GridDensity, duration: float,
-              safety: float = 0.9) -> GridDensity:
-    """Evolve over a finite horizon with automatic CFL substepping."""
-    ff = face_fields(model, rho.grid)
-    vals = advance_values(rho.values.copy(), ff, duration,
-                          substeps_for(ff, duration, safety))
     return GridDensity(rho.grid, vals)
 
 

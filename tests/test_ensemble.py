@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from infoflow import ensemble, models
+from infoflow import ensemble, grid as grid_mod, models
+from infoflow.control import linear_gain_policy
 from infoflow.ensemble import EnsembleConfig, interp_rows, run_filter_ensemble
 from infoflow.errors import ConfigError, SimulationBlowupError
-from infoflow.grid import Grid1D
+from infoflow.grid import Grid1D, score_values
 from infoflow.models import simulate_joint
 
 
@@ -154,6 +157,71 @@ def test_interp_rows_reads_columns():
     mine = interp_rows(values, grid, xs)
     for r in range(6):
         assert mine[r] == interp_rows(values[:, r], grid, xs[r:r + 1])[0]
+
+
+def test_stencil_score_is_the_whole_column_score():
+    # four cells per point give bitwise the score of the whole column: in
+    # the first and last half cells, next to each wall, inside and outside
+    # the box, on a bank and on one density, with floored empty cells
+    grid = Grid1D(-2, 2, 32)
+    m = grid.n_cells
+    pos = np.array([-0.9, -0.5, -0.3, 0.0, 0.4, 1.0, 1.6, 2.5, 15.3,
+                    m - 3.5, m - 2.6, m - 1.5, m - 1.2, m - 0.7, m - 0.5, m - 0.1])
+    xs = grid.x_min + grid.dx * (pos + 0.5)
+    rng = np.random.default_rng(4)
+    bank = rng.uniform(0.0, 1.0, size=(m, xs.size))
+    bank[rng.uniform(size=bank.shape) < 0.1] = 0.0
+    for values in (bank, bank[:, 3].copy()):
+        dens, _, score = ensemble._eval_log_and_score(values, grid, xs)
+        whole = interp_rows(score_values(values, grid.dx), grid, xs)
+        assert np.array_equal(score.view(np.uint64), whole.view(np.uint64))
+        assert np.array_equal(dens, interp_rows(values, grid, xs))
+        assert np.any(score != 0.0)
+
+
+def test_controlled_run_allocates_one_work_array(monkeypatch):
+    # each step's controls are new face fields; they take over the bank's
+    # work array instead of allocating and faulting in a new one
+    made = []
+    workspace = grid_mod.FaceFields.workspace
+
+    def counted(self, shape):
+        if shape == (128, 100) and (self._scratch is None or self._scratch.shape != shape):
+            made.append(shape)
+        return workspace(self, shape)
+
+    monkeypatch.setattr(grid_mod.FaceFields, "workspace", counted)
+    grid = Grid1D(-2.5, 2.5, 128)
+    cfg = small_config(horizon=5e-3, n_trajectories=100, sample_stride=5)
+    run_filter_ensemble(models.double_well(), grid, cfg,
+                        linear_gain_policy(gain=0.5, bound=5.0))
+    assert len(made) == 1
+
+
+@pytest.mark.parametrize("policy", [None, linear_gain_policy(gain=0.5, bound=5.0)],
+                         ids=["plain", "policy"])
+def test_run_holds_its_bank_and_one_work_array(policy):
+    # sampling reads four cells per trajectory and the horizon bank is kept
+    # as a view, so the traced peak is the bank, its work array, the noise
+    # draws and the records, plus per-trajectory vectors (64 of N floats:
+    # truths, masses, ledgers, the values evaluated at X and their stencils)
+    # and 5 % of a bank (operators, interpreter caches); one more bank-sized
+    # array would exceed it
+    m, n, k, stride = 128, 400, 10, 5
+    cfg = EnsembleConfig(dt=1e-3, horizon=k * 1e-3, n_trajectories=n, seed=3,
+                         sample_stride=stride)
+    tracemalloc.start()
+    try:
+        run = run_filter_ensemble(models.double_well(), Grid1D(-2.5, 2.5, m),
+                                  cfg, policy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bank, vector = 8 * m * n, 8 * n
+    draws = 2 * k * vector
+    records = sum(v.nbytes for v in vars(run).values()
+                  if isinstance(v, np.ndarray) and v.shape == (k // stride + 1, n))
+    assert peak <= 2 * bank + draws + records + 64 * vector + 0.05 * bank
 
 
 def test_config_steps_and_stride_contract():

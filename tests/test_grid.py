@@ -13,7 +13,7 @@ from infoflow import checks, models
 from infoflow.errors import (CflError, ConfigError, FilterCollapseError,
                              UnstableStepError)
 from infoflow.grid import (Grid1D, GridDensity, advance_values, entropy,
-                           face_fields, fp_evolve, fp_step, gaussian_density,
+                           face_fields, fp_step, gaussian_density,
                            kl_divergence, normalize, score_values,
                            steady_state_grid, zakai_step)
 from infoflow.grid import (FaceFields, ks_advance, observation_values,
@@ -76,9 +76,11 @@ class TestFpStep:
     def test_heat_kernel_variance(self):
         m = models.brownian(sigma_sq=1.0)
         grid = Grid1D(-9, 9, 512)
-        rho = fp_evolve(m, gaussian_density(grid, 0.0, 0.25), 0.5)
+        ff = face_fields(m, grid)
+        vals = advance_values(gaussian_density(grid, 0.0, 0.25).values, ff, 0.5,
+                              substeps_for(ff, 0.5))
         xc = grid.centers
-        var = float(np.sum(xc ** 2 * rho.values) * grid.dx)
+        var = float(np.sum(xc ** 2 * vals) * grid.dx)
         assert var == pytest.approx(0.75, abs=2e-3)
 
     def test_steady_state_fixed_point(self):
@@ -127,8 +129,9 @@ class TestSteadyState:
             domain_box=[[-6.0, 6.0]])
         grid = Grid1D(-6, 6, 128)
         rho_ss = steady_state_grid(m, grid)
-        moved = fp_evolve(m, rho_ss, 0.5)
-        assert float(np.max(np.abs(moved.values - rho_ss.values))) <= 1e-13
+        ff = face_fields(m, grid)
+        moved = advance_values(rho_ss.values.copy(), ff, 0.5, substeps_for(ff, 0.5))
+        assert float(np.max(np.abs(moved - rho_ss.values))) <= 1e-13
 
     def test_zero_flux_route_refuses_peclet_above_2(self):
         # |v| dx / (sigma/2) is 10.7 at face 0 and up to 12.6 elsewhere: no
@@ -705,6 +708,22 @@ def test_advance_rejects_values_it_cannot_write(bad):
     before = values.copy()
     with pytest.raises(ConfigError, match="C-contiguous float64"):
         advance_values(values, ff, h, 1)
+    assert np.array_equal(values, before)
+
+
+@pytest.mark.parametrize("call, count", [("advance", 0), ("advance", -2),
+                                         ("zakai_step", 0)])
+def test_substep_count_below_one_is_refused(call, count):
+    # a count of 0 once reached the division, and -2 a CFL message about a
+    # negative substep: each is a ConfigError before any cell changes
+    ff, values, _ = _transport_case(())
+    before = values.copy()
+    with pytest.raises(ConfigError, match="substep count must be an integer >= 1"):
+        if call == "zakai_step":
+            zakai_step(models.ou(), GridDensity(Grid1D(-2.5, 2.5, 64), values),
+                       0.0, 1e-3, n_substeps_half=count)
+        else:
+            advance_values(values, ff, 0.01, count)
     assert np.array_equal(values, before)
 
 

@@ -7,8 +7,8 @@ from infoflow import models
 from infoflow.ensemble import EnsembleConfig, run_filter_ensemble
 from infoflow.errors import NumericalError
 from infoflow.gaussian import LinearModel, lyapunov_series, riccati_series
-from infoflow.grid import (Grid1D, GridDensity, fp_evolve, gaussian_density,
-                           steady_state_grid)
+from infoflow.grid import (Grid1D, GridDensity, advance_values, face_fields,
+                           gaussian_density, steady_state_grid, substeps_for)
 from infoflow.metrics import (LEDGER_COLUMNS, assemble_info_ledger,
                               conditional_entropy_identity_residual,
                               conditional_entropy_rate, cramer_rao_check,
@@ -77,7 +77,9 @@ class TestFreeSurpriseRate:
     def test_forms_agree_on_double_well_transient(self):
         m = models.double_well()
         grid = Grid1D(-2.5, 2.5, 512)
-        rho = fp_evolve(m, gaussian_density(grid, 0.3, 0.2), 0.3)
+        ff = face_fields(m, grid)
+        rho = GridDensity(grid, advance_values(gaussian_density(grid, 0.3, 0.2).values,
+                                               ff, 0.3, substeps_for(ff, 0.3)))
         rho_ss = steady_state_grid(m, grid)
         g, f = free_surprise_rate(m, rho, rho_ss)
         assert g == pytest.approx(f, rel=2e-3)
