@@ -14,8 +14,8 @@ from .models import (DiffusionModel, JointPath, SmoothField, gamma, preset,
 from .gaussian import (GaussianBelief, KBRates, LinearModel,
                        SurpriseLedgerPoint, kalman_bucy_run, kb_info_rates,
                        lyapunov_steady, propagate_gaussian, surprise_ledger)
-from .grid import (Grid1D, GridDensity, entropy, fp_step, kl_divergence,
-                   normalize, steady_state_grid, zakai_step)
+from .grid import (Grid1D, GridDensity, entropy, kl_divergence, normalize,
+                   steady_state_grid, zakai_step)
 from .ensemble import (EnsembleConfig, EnsembleRun, apply_policy, mean_drift,
                        run_filter_ensemble)
 from .metrics import (InfoLedger, LEDGER_COLUMNS, assemble_info_ledger,

@@ -4,8 +4,9 @@
     infoflow check <suite> [--seed S] [--scale small|full] [--report PATH]
     infoflow list-scenarios
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure; ``check``
-exits 1 when a criterion fails.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure; ``run``
+exits 1 when a ledger invariant is violated, after writing its outputs, and
+``check`` when a criterion fails.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def _cmd_run(args) -> int:
         for name, value in sorted(inv.items()):
             print(f"  {name}: {'ok' if value else 'VIOLATED'}")
         print(f"wrote {outdir / 'ledger.csv'}")
-        return 0
+        return 0 if inv["all_pass"] else 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

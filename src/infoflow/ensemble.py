@@ -3,11 +3,12 @@
 Each trajectory owns a grid filter density advanced by the Strang-split
 Zakai update with its own observation path (and, when a policy is supplied,
 its own control).  One shared prior density follows the Fokker-Planck flow
-with the ensemble-mean drift.  At sample times the runner records everything
-the information-flow estimators need: the true state, the filter and prior
-log-densities and scores evaluated at the true state, the filtered
-observation estimate pi_t(h), and the running log-normalization and
-integrated |pi(h)|^2 ledgers.
+with the ensemble-mean drift.  At sample times the runner records what only
+the run knows: the true state, the filter and prior log-densities and
+scores evaluated at the true state, the filtered observation estimate
+pi_t(h), the controls, and the running log-normalization and integrated
+|pi(h)|^2 ledgers.  Functions of these (h and sigma at the state, the mean
+drift of the controls) are evaluated by their readers.
 
 The true states take the Euler-Maruyama step of :mod:`infoflow.models`, and
 all randomness is drawn there from per-trajectory substreams of the master
@@ -24,7 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, FilterCollapseError, NumericalError
+from .errors import (ConfigError, FilterCollapseError, NumericalError,
+                     check_integer)
 from .grid import (DENSITY_FLOOR, Grid1D, advance_values, face_fields,
                    gaussian_density, observation_values, score_values,
                    substeps_for, zakai_advance)
@@ -46,10 +48,10 @@ class EnsembleConfig:
     x0_var: float = 0.25
 
     def __post_init__(self):
-        if self.sample_stride < 1 or self.n_steps % self.sample_stride != 0:
+        check_integer(self.n_trajectories, "n_trajectories", 1)
+        check_integer(self.sample_stride, "sample_stride", 1)
+        if self.n_steps % self.sample_stride != 0:
             raise ConfigError("sample_stride must divide horizon/dt")
-        if self.n_trajectories < 1:
-            raise ConfigError("need at least one trajectory")
         check_seed(self.seed)
         if not (math.isfinite(self.x0_mean) and math.isfinite(self.x0_var)
                 and self.x0_var > 0):
@@ -76,8 +78,6 @@ class EnsembleRun:
     times: np.ndarray                 # (S,)
     states: np.ndarray                # (S, N)
     pi_h: np.ndarray                  # (S, N)
-    h_at_x: np.ndarray                # (S, N)
-    sigma_at_x: np.ndarray            # (S, N)
     log_post_at_x: np.ndarray         # (S, N)
     score_post_at_x: np.ndarray       # (S, N)
     log_zeta_at_x: np.ndarray         # (S, N)
@@ -94,7 +94,6 @@ class EnsembleRun:
     posterior_mean: np.ndarray        # (S, M) ensemble-mean posterior
     posterior_final: np.ndarray       # (N, M) view of the horizon bank
     controls: Optional[np.ndarray] = None   # (S, N)
-    v_bar: Optional[np.ndarray] = None      # (S, M) mean drift at centers
     clamp_count: int = 0
 
     @property
@@ -246,7 +245,7 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
 
     shape = (n_samples, n_traj)
     rec = {name: np.empty(shape) for name in
-           ("states", "pi_h", "h_at_x", "sigma_at_x", "log_post_at_x",
+           ("states", "pi_h", "log_post_at_x",
             "score_post_at_x", "log_zeta_at_x", "log_sigma1", "int_pi_h_sq",
             "log_prior_fp_at_x", "score_prior_fp_at_x", "log_prior_mix_at_x",
             "score_prior_mix_at_x", "post_mean", "post_var")}
@@ -254,7 +253,6 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
     prior_snap = np.empty((n_samples, grid.n_cells))
     post_mean_snap = np.empty((n_samples, grid.n_cells))
     controls_rec = np.empty(shape) if policy is not None else None
-    v_bar_rec = np.empty((n_samples, grid.n_cells)) if policy is not None else None
     posterior_final = None
     clamp_count = 0
 
@@ -294,10 +292,8 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
             mix_at_x, log_mix, score_mix = _eval_log_and_score(mix_vals, grid, x)
 
             for name, val in dict(
-                    states=x, pi_h=pi_h, sigma_at_x=model.sigma_profile(x),
-                    h_at_x=np.asarray(model.observation_map(x), dtype=float),
-                    log_post_at_x=log_post, score_post_at_x=score_post,
-                    log_sigma1=ledger, int_pi_h_sq=int_pi2,
+                    states=x, pi_h=pi_h, log_post_at_x=log_post,
+                    score_post_at_x=score_post, log_sigma1=ledger, int_pi_h_sq=int_pi2,
                     log_prior_fp_at_x=log_prior, score_prior_fp_at_x=score_prior,
                     log_prior_mix_at_x=log_mix, score_prior_mix_at_x=score_mix).items():
                 rec[name][s_idx] = val
@@ -308,7 +304,6 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
             post_mean_snap[s_idx] = mix_vals
             if policy is not None:
                 controls_rec[s_idx] = beta
-                v_bar_rec[s_idx] = mean_drift(model, xc, beta)
             if k == n_steps:
                 posterior_final = post_vals.T
             s_idx += 1
@@ -346,4 +341,4 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
         times=dt * sample_steps.astype(float),
         excluded=excluded, prior_fp=prior_snap, posterior_mean=post_mean_snap,
         posterior_final=posterior_final, controls=controls_rec,
-        v_bar=v_bar_rec, clamp_count=clamp_count, **rec)
+        clamp_count=clamp_count, **rec)

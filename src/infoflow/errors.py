@@ -1,8 +1,11 @@
-"""Exception hierarchy shared by all solvers and the CLI.
+"""Exception hierarchy shared by all solvers and the CLI, and the one check
+of an integer count or seed.
 
 Configuration problems map to CLI exit code 2, numerical failures to
 exit code 3.
 """
+
+import numbers
 
 
 class InfoflowError(Exception):
@@ -11,6 +14,14 @@ class InfoflowError(Exception):
 
 class ConfigError(InfoflowError):
     """Invalid scenario configuration or CLI usage."""
+
+
+def check_integer(value, name: str, least: int) -> None:
+    """ConfigError unless ``value`` is an integer >= ``least``; a bool, a
+    float with an integral value or a string is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 class NumericalError(InfoflowError):

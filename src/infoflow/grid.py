@@ -46,7 +46,7 @@ import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from .errors import (CflError, ConfigError, FilterCollapseError,
-                     UnstableStepError)
+                     UnstableStepError, check_integer)
 from .models import DiffusionModel
 
 DENSITY_FLOOR = 1e-300       # log-domain floor
@@ -63,8 +63,7 @@ class Grid1D:
     n_cells: int
 
     def __post_init__(self):
-        if self.n_cells < 16:
-            raise ConfigError("grid needs at least 16 cells")
+        check_integer(self.n_cells, "n_cells", 16)
         if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
             raise ConfigError("grid bounds must be finite")
         if not self.x_max > self.x_min:
@@ -97,9 +96,6 @@ class GridDensity:
 
     def mass(self) -> float:
         return float(np.sum(self.values) * self.grid.dx)
-
-    def copy(self) -> "GridDensity":
-        return GridDensity(self.grid, self.values.copy())
 
 
 def gaussian_density(grid: Grid1D, mean: float, var: float) -> GridDensity:
@@ -237,12 +233,6 @@ def face_fields(model: DiffusionModel, grid: Grid1D) -> FaceFields:
     return FaceFields(v, model.sigma_profile(grid.centers), grid.dx)
 
 
-def _check_count(n_substeps) -> None:
-    """ConfigError unless ``n_substeps`` is an integer >= 1."""
-    if not isinstance(n_substeps, (int, np.integer)) or n_substeps < 1:
-        raise ConfigError(f"the substep count must be an integer >= 1, got {n_substeps!r}")
-
-
 def advance_values(values: np.ndarray, ff: FaceFields, duration: float,
                    n_substeps: int) -> np.ndarray:
     """Advance cell values, (n_cells,) or (n_cells, N) with one density per
@@ -268,7 +258,7 @@ def advance_values(values: np.ndarray, ff: FaceFields, duration: float,
     T's refusals, a control outside T's bounds (UnstableStepError), a
     substep count that is not an integer >= 1 (ConfigError)."""
     m = ff.sigma_centers.size
-    _check_count(n_substeps)
+    check_integer(n_substeps, "the substep count", 1)
     if values.dtype != np.float64 or not values.flags.c_contiguous \
             or values.shape[:1] != (m,):
         raise ConfigError(f"transport needs C-contiguous float64 cell "
@@ -330,7 +320,7 @@ def substeps_for(ff: FaceFields, duration: float, safety: float = 0.9,
     """
     limit = safety * ff.cfl_limit()
     if n_substeps is not None:
-        _check_count(n_substeps)
+        check_integer(n_substeps, "the substep count", 1)
         step = abs(duration) / n_substeps
         if step > limit:
             controls = "" if ff.beta is None else f", max|beta|={np.max(np.abs(ff.beta)):.3e}"
@@ -340,18 +330,6 @@ def substeps_for(ff: FaceFields, duration: float, safety: float = 0.9,
     if not math.isfinite(limit) or limit <= 0:
         return 1
     return max(1, int(math.ceil(abs(duration) / limit)))
-
-
-def fp_step(model: DiffusionModel, rho: GridDensity, dt: float) -> GridDensity:
-    """One explicit Fokker-Planck step.  Mass is conserved to roundoff.
-
-    Raises CflError before stepping if |dt| exceeds 0.9 x the stability
-    limit, and the refusals of :func:`advance_values`.
-    """
-    ff = face_fields(model, rho.grid)
-    vals = advance_values(rho.values.copy(), ff, dt,
-                          substeps_for(ff, dt, n_substeps=1))
-    return GridDensity(rho.grid, vals)
 
 
 # ---------------------------------------------------------------------------

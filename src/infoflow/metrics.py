@@ -32,10 +32,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .ensemble import EnsembleRun
+from .ensemble import EnsembleRun, mean_drift
 from .grid import (DENSITY_FLOOR, Grid1D, GridDensity, SCORE_GATE,
-                   advance_values, entropy, face_fields, fp_step,
-                   gaussian_density, kl_divergence, score_values, substeps_for)
+                   advance_values, entropy, face_fields, gaussian_density,
+                   kl_divergence, score_values, substeps_for)
 from .models import DiffusionModel, brownian
 from .report import csv_text, write_csv
 
@@ -190,9 +190,9 @@ def integrands(run: EnsembleRun, prior: str = "fp") -> dict:
         log_prior, sr = run.log_prior_mix_at_x, run.score_prior_mix_at_x
     else:
         raise ConfigError("prior must be 'fp' or 'mixture'")
-    err = run.h_at_x - run.pi_h
+    err = np.asarray(run.model.observation_map(run.states), dtype=float) - run.pi_h
     sp = run.score_post_at_x
-    sig = run.sigma_at_x
+    sig = run.model.sigma_profile(run.states)
     out = dict(supply=0.5 * err * err, j_pi=sig * sp * sp,
                d_gamma=0.5 * sig * (sp - sr) ** 2,
                i_mc=run.log_post_at_x - log_prior,
@@ -201,6 +201,14 @@ def integrands(run: EnsembleRun, prior: str = "fp") -> dict:
     out["d_fisher"] = 0.5 * (out["j_pi"] - sig * sr * sr)
     out["di_dt"] = _stencil_rows(out["i_mc"], run.times)
     return out
+
+
+def _drift_at(run: EnsembleRun, s: int) -> Optional[np.ndarray]:
+    """The shared prior's drift at the centers at sample ``s``: under a
+    policy v + mean beta of the recorded controls, else None (the model's v)."""
+    if run.controls is None:
+        return None
+    return mean_drift(run.model, run.grid.centers, run.controls[s])
 
 
 def _window_mask(run: EnsembleRun, s: int) -> np.ndarray:
@@ -257,7 +265,7 @@ def mutual_information(run: EnsembleRun, t: float, prior: str = "fp"):
 
 
 def mwz_residual(run: EnsembleRun, t: float, prior: str = "fp",
-                 d_form: str = "gamma", control_correction: bool = False):
+                 control_correction: bool = False):
     """Residual of the information balance dI/dt = supply - dissipation.
 
     The derivative of the mutual information uses a five-sample window with
@@ -274,16 +282,15 @@ def mwz_residual(run: EnsembleRun, t: float, prior: str = "fp",
     control.  ``control_correction=True`` includes that term (it vanishes
     identically without a policy or with a zero-gain one).
     """
-    return _balance(run, integrands(run, prior), run.sample_index(t), d_form,
+    return _balance(run, integrands(run, prior), run.sample_index(t), "gamma",
                     control_correction)
 
 
 def conditional_entropy_rate(run: EnsembleRun, t: float):
     """d/dt H(X(t) | Y_0^t) = (1/2) tr J^pi + E[div u] - supply rate."""
     s = run.sample_index(t)
-    drift_vals = run.v_bar[s] if run.v_bar is not None else None
     rho = GridDensity(run.grid, run.prior_fp[s])
-    div_u = mean_divergence_u(run.model, rho, drift_vals)
+    div_u = mean_divergence_u(run.model, rho, _drift_at(run, s))
     (j_pi, j_se), (s_rate, s_se) = _at_sample(run, t, "fp", "j_pi", "supply")
     value = 0.5 * j_pi + div_u - s_rate
     return value, math.sqrt(0.25 * j_se ** 2 + s_se ** 2)
@@ -309,47 +316,55 @@ def conditional_entropy_identity_residual(run: EnsembleRun, t: float,
 # Stand-alone identity checks
 # ---------------------------------------------------------------------------
 
-def entropy_rate_fd(model: DiffusionModel, rho: GridDensity,
-                    delta: float) -> float:
-    """dH/dt = -int (1 + ln rho) d_t rho of the semi-discrete flow, with the
-    trapezoid weights of :func:`entropy`.  One forward step gives d_t rho
-    exactly, as the step is linear in its length; a backward step would be
-    anti-diffusive and can drive tail cells negative.
+def entropy_rate_scan(model: DiffusionModel, grid: Grid1D, values,
+                      times, substep: float) -> np.ndarray:
+    """|dH/dt - entropy_production_rate| at each of the ascending ``times``.
+
+    One set of face fields steps the density from ``values`` at t = 0 by
+    whole substeps to each time, reached to within half a substep.  There
+    dH/dt = -int (1 + ln rho) d_t rho of the semi-discrete flow, with the
+    trapezoid weights of :func:`entropy`, and one forward substep gives
+    d_t rho exactly, as the step is linear in its length; a backward step
+    would be anti-diffusive and can drive tail cells negative.  A substep
+    above 0.9 x the CFL limit raises CflError before any step.
     """
-    drho = (fp_step(model, rho, delta).values - rho.values) / delta
-    integrand = -(1.0 + np.log(np.maximum(rho.values, DENSITY_FLOOR))) * drho
-    return float(np.trapezoid(integrand, dx=rho.grid.dx))
+    ff = face_fields(model, grid)
+    substeps_for(ff, substep, n_substeps=1)
+    vals = np.array(values, dtype=float)
+    deviations = np.empty(len(times))
+    t_now = 0.0
+    for i, t in enumerate(times):
+        n = round((t - t_now) / substep)
+        if n:
+            vals = advance_values(vals, ff, n * substep, n)
+            t_now += n * substep
+        drho = (advance_values(vals.copy(), ff, substep, 1) - vals) / substep
+        integrand = -(1.0 + np.log(np.maximum(vals, DENSITY_FLOOR))) * drho
+        fd = float(np.trapezoid(integrand, dx=grid.dx))
+        deviations[i] = abs(fd - entropy_production_rate(model, GridDensity(grid, vals)))
+    return deviations
 
 
 def de_bruijn_check(v0: float, t_grid, sigma_sq: float = 1.0,
                     n_cells: int = 1024) -> dict:
     """Deviation |dH/dt - (1/2) tr J^rho| for pure diffusion.
 
-    Evolves a centered Gaussian of variance ``v0`` on the grid and compares
-    the finite-difference entropy rate against half the sigma-weighted
-    Fisher trace at each requested time, reached to within half of the
-    first interval's substep: one T and its powers serve every interval.
+    With v = 0 and constant sigma, E[div u] is 0, so the entropy-production
+    theorem is de Bruijn's identity and this is :func:`entropy_rate_scan` of
+    a centered Gaussian of variance ``v0``.  Its substep splits the first
+    positive time into the fewest substeps within 0.45 x the CFL limit, or
+    is 0.45 x that limit when no time is positive.
     """
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
     model = brownian(sigma_sq=sigma_sq)
     half = 6.0 * math.sqrt(v0 + sigma_sq * float(t_grid[-1]))
     grid = Grid1D(-half, half, n_cells)
-    vals = gaussian_density(grid, 0.0, v0).values
     ff = face_fields(model, grid)
-    step = 0.45 * ff.cfl_limit()
-    deviations = np.empty(t_grid.size)
-    t_now, substep = 0.0, None
-    for i, t in enumerate(t_grid):
-        if t > t_now:
-            substep = substep or t / substeps_for(ff, t, 0.45)
-            n = round((t - t_now) / substep)
-            if n:
-                vals = advance_values(vals, ff, n * substep, n)
-                t_now += n * substep
-        rho = GridDensity(grid, vals)
-        fd = entropy_rate_fd(model, rho, step)
-        half_j = 0.5 * fisher_trace_unconditional(model, rho)
-        deviations[i] = abs(fd - half_j)
+    first = t_grid[t_grid > 0.0]
+    substep = first[0] / substeps_for(ff, first[0], 0.45) if first.size \
+        else 0.45 * ff.cfl_limit()
+    deviations = entropy_rate_scan(model, grid, gaussian_density(grid, 0.0, v0).values,
+                                   t_grid, substep)
     return dict(times=t_grid, deviations=deviations,
                 max_deviation=float(np.max(deviations)))
 
@@ -416,7 +431,7 @@ def assemble_info_ledger(run: EnsembleRun, rho_ss: Optional[GridDensity] = None,
                   "D_rate_fisher": terms["d_fisher"],
                   "D_rate_gamma": terms["d_gamma"], "I_mc": terms["i_mc"]}
     for s in range(s_n):
-        drift_vals = run.v_bar[s] if run.v_bar is not None else None
+        drift_vals = _drift_at(run, s)
         rho = GridDensity(grid, run.prior_fp[s])
         cols["H"][s] = entropy(rho)
         cols["dH_dt"][s] = entropy_production_rate(model, rho, drift_vals)

@@ -15,7 +15,7 @@ TR-2014-0905; stream stability: NumPy NEP 19).
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import check_integer
 
 CHANNEL_DYNAMICS = 0   # dW, the dynamical Wiener noise
 CHANNEL_OBSERVATION = 1  # dU, the observation Wiener noise
@@ -126,5 +126,4 @@ def substreams(seed: int, indices, channel: int):
 
 def check_seed(seed) -> None:
     """A master seed is an integer >= 0: ConfigError otherwise."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+    check_integer(seed, "seed", 0)

@@ -11,7 +11,7 @@ from infoflow.config import build_model, load_scenario
 from infoflow.control import run_controlled_experiment
 from infoflow.errors import ConfigError
 from infoflow.grid import face_fields
-from infoflow.metrics import LEDGER_COLUMNS
+from infoflow.metrics import LEDGER_COLUMNS, InfoLedger
 from infoflow.models import PRESETS
 
 OU_CONFIG = """
@@ -65,6 +65,21 @@ def test_run_produces_ledger_and_report(tmp_path, capsys):
     snap = (outdir / "snapshots.csv").read_text().splitlines()
     assert snap[0] == "t,x,rho,rho_hat_mean"
     assert len(snap) == 1 + 6 * 64
+
+
+def test_violated_invariant_exits_1_after_writing(tmp_path, capsys, monkeypatch):
+    report = InfoLedger.invariant_report
+
+    def violated(ledger):
+        return dict(report(ledger), D_forms_agree=False, all_pass=False)
+
+    monkeypatch.setattr(InfoLedger, "invariant_report", violated)
+    cfg, outdir = write_config(tmp_path, OU_CONFIG)
+    assert cli.main(["run", str(cfg)]) == 1
+    assert "all_pass: VIOLATED" in capsys.readouterr().out
+    assert (outdir / "ledger.csv").read_text().startswith(",".join(LEDGER_COLUMNS))
+    invariants = json.loads((outdir / "report.json").read_text())["invariants"]
+    assert not invariants["D_forms_agree"] and not invariants["all_pass"]
 
 
 def test_snapshots_match_the_row_loop(tmp_path, monkeypatch):

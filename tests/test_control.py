@@ -12,7 +12,8 @@ from infoflow.ensemble import (EnsembleConfig, apply_policy, mean_drift,
                                run_filter_ensemble)
 from infoflow.errors import CflError, ConfigError, NumericalError
 from infoflow.gaussian import GaussianBelief, LinearModel, kalman_bucy_run
-from infoflow.grid import Grid1D, steady_state_grid
+from infoflow.grid import Grid1D, GridDensity, steady_state_grid
+from infoflow.metrics import entropy_production_rate
 from infoflow.models import simulate_joint
 
 SQRT2 = math.sqrt(2.0)
@@ -166,9 +167,15 @@ class TestControlledEnsemble:
         policy = linear_gain_policy(gain=0.5, bound=5.0)
         controlled, run = run_controlled_experiment(model, grid, cfg, policy,
                                                     rho_ss=rho_ss)
-        assert run.v_bar.shape == (run.n_samples, grid.n_cells)
         assert run.controls.shape == (run.n_samples, cfg.n_trajectories)
         assert controlled.ledger.metadata["mwz_control_correction"] is True
+        # the prior's drift is the mean drift of the recorded controls
+        s = run.n_samples - 1
+        v_bar = mean_drift(model, grid.centers, run.controls[s])
+        rho = GridDensity(grid, run.prior_fp[s])
+        assert controlled.ledger.data["dH_dt"][s] == entropy_production_rate(
+            model, rho, v_bar)
+        assert v_bar[0] != model.drift(grid.centers)[0]
 
     def test_unbounded_controls_checked_against_cfl(self):
         # gain 20 on posterior means near 2 asks for |beta| near 40, past

@@ -31,8 +31,11 @@ def test_config_validation():
 @pytest.mark.parametrize("field, value", [
     ("seed", -1), ("seed", 1.5), ("seed", True), ("x0_mean", np.inf),
     ("x0_mean", np.nan), ("x0_var", np.nan), ("x0_var", np.inf),
-    ("horizon", np.inf)])
+    ("horizon", np.inf), ("sample_stride", 2.5), ("sample_stride", 5.0),
+    ("sample_stride", True), ("n_trajectories", 10.5),
+    ("n_trajectories", True)])
 def test_config_refuses_bad_values(field, value):
+    # a stride of 2.5 divides 100 steps and left sampled rows unwritten
     with pytest.raises(ConfigError):
         small_config(**{field: value})
 

@@ -13,7 +13,7 @@ from infoflow import checks, models
 from infoflow.errors import (CflError, ConfigError, FilterCollapseError,
                              UnstableStepError)
 from infoflow.grid import (Grid1D, GridDensity, advance_values, entropy,
-                           face_fields, fp_step, gaussian_density,
+                           face_fields, gaussian_density,
                            kl_divergence, normalize, score_values,
                            steady_state_grid, zakai_step)
 from infoflow.grid import (FaceFields, ks_advance, observation_values,
@@ -46,6 +46,10 @@ def test_grid_validation():
     for lo, hi in ((-1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)):
         with pytest.raises(ConfigError):
             Grid1D(lo, hi, 64)
+    for n_cells in (16.5, 32.0, True, "32"):
+        with pytest.raises(ConfigError, match="n_cells must be an integer >= 16"):
+            Grid1D(-1.0, 1.0, n_cells)
+    assert Grid1D(-1.0, 1.0, np.int64(32)).centers.size == 32
     g = Grid1D(-2.0, 2.0, 64)
     assert g.dx == pytest.approx(4.0 / 64)
     assert g.centers.size == 64
@@ -60,18 +64,28 @@ def test_grid_density_holds_one_density(shape):
         GridDensity(Grid1D(-1.0, 1.0, 16), np.ones(shape))
 
 
+def _one_substep(m, rho: GridDensity, dt: float) -> GridDensity:
+    """One explicit Fokker-Planck substep of ``rho`` on fresh face fields."""
+    ff = face_fields(m, rho.grid)
+    vals = advance_values(rho.values.copy(), ff, dt, substeps_for(ff, dt, n_substeps=1))
+    return GridDensity(rho.grid, vals)
+
+
 class TestFpStep:
     def test_mass_conserved(self):
         m = models.ou()
         rho = gaussian_density(Grid1D(-6, 6, 128), 0.3, 0.5)
-        out = fp_step(m, rho, 1e-4)
+        out = _one_substep(m, rho, 1e-4)
         assert out.mass() == pytest.approx(rho.mass(), abs=1e-13)
 
     def test_cfl_guard(self):
+        # refused before any cell changes
         m = models.ou()
         rho = gaussian_density(Grid1D(-6, 6, 256), 0.0, 0.5)
+        before = rho.values.copy()
         with pytest.raises(CflError):
-            fp_step(m, rho, 1.0)
+            _one_substep(m, rho, 1.0)
+        np.testing.assert_array_equal(rho.values, before)
 
     def test_heat_kernel_variance(self):
         m = models.brownian(sigma_sq=1.0)
@@ -87,7 +101,7 @@ class TestFpStep:
         m = models.ou()
         grid = Grid1D(-6, 6, 512)
         rho_ss = steady_state_grid(m, grid)
-        stepped = fp_step(m, rho_ss, 1e-5)
+        stepped = _one_substep(m, rho_ss, 1e-5)
         assert float(np.max(np.abs(stepped.values - rho_ss.values))) <= 1e-8
 
 

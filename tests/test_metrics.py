@@ -3,17 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from infoflow import models
+from infoflow import checks, models
 from infoflow.ensemble import EnsembleConfig, run_filter_ensemble
-from infoflow.errors import NumericalError
+from infoflow.errors import CflError, NumericalError
 from infoflow.gaussian import LinearModel, lyapunov_series, riccati_series
-from infoflow.grid import (Grid1D, GridDensity, advance_values, face_fields,
-                           gaussian_density, steady_state_grid, substeps_for)
+from infoflow.grid import (FaceFields, Grid1D, GridDensity, advance_values,
+                           face_fields, gaussian_density, steady_state_grid,
+                           substeps_for)
 from infoflow.metrics import (LEDGER_COLUMNS, assemble_info_ledger,
                               conditional_entropy_identity_residual,
                               conditional_entropy_rate, cramer_rao_check,
                               de_bruijn_check, dissipated_rate,
-                              entropy_production_rate,
+                              entropy_production_rate, entropy_rate_scan,
                               fisher_trace_conditional,
                               fisher_trace_unconditional, free_surprise_rate,
                               mutual_information, mwz_residual, supplied_rate)
@@ -40,6 +41,9 @@ class TestEntropyProduction:
             rho = gaussian_density(grid, 0.0, v)
             assert entropy_production_rate(m, rho) == pytest.approx(
                 1.0 / (2.0 * v), rel=1e-3)
+            # E[div u] is exactly 0: the theorem is de Bruijn's identity
+            assert entropy_production_rate(m, rho) == \
+                0.5 * fisher_trace_unconditional(m, rho)
 
     def test_deterministic_flow_divergence(self):
         # with sigma = 0 the rate reduces to the mean divergence of the drift
@@ -155,6 +159,34 @@ class TestDeBruijn:
         assert res["max_deviation"] <= 1e-3
 
 
+class TestEntropyRateScan:
+    def test_substep_above_cfl_refused(self):
+        m = models.ou()
+        grid = Grid1D(-6, 6, 256)
+        values = gaussian_density(grid, 0.0, 0.5).values
+        before = values.copy()
+        with pytest.raises(CflError):
+            entropy_rate_scan(m, grid, values, [0.1], 1e-2)
+        np.testing.assert_array_equal(values, before)
+
+    def test_criteria_3_and_4_build_one_operator_per_scan(self, monkeypatch):
+        # criterion 3 scans two grids, criterion 4 one; each scan's face
+        # fields build T once, for its stepping and its difference alike
+        built = []
+        operator = FaceFields.operator
+
+        def counted(self, h):
+            pair = operator(self, h)
+            if not any(pair[0] is op for op in built):
+                built.append(pair[0])
+            return pair
+
+        monkeypatch.setattr(FaceFields, "operator", counted)
+        assert checks.check_entropy_production_grid().passed
+        assert checks.check_de_bruijn().passed
+        assert len(built) == 3
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo estimators
 # ---------------------------------------------------------------------------
@@ -198,7 +230,8 @@ class TestSuppliedRate:
     def test_perfect_observation_limit(self, lqg_run):
         # collapse the filtered estimate onto the truth: no supply left
         import dataclasses
-        run = dataclasses.replace(lqg_run[0], pi_h=lqg_run[0].h_at_x.copy())
+        run = lqg_run[0]
+        run = dataclasses.replace(run, pi_h=run.model.observation_map(run.states))
         s, se = supplied_rate(run, 0.5)
         assert s == 0.0 and se == 0.0
 
