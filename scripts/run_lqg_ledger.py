@@ -6,27 +6,23 @@ their rates) for a scalar model, then the Kalman-Bucy information-rate
 identity scan.
 
     python3 scripts/run_lqg_ledger.py --v0 0.25 --mu0 1.0
+
+Exits 2 on a configuration error and 3 on a numerical failure, with one
+line on stderr, as ``infoflow run`` does.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
+from infoflow.errors import ConfigError, NumericalError
 from infoflow.gaussian import (GaussianBelief, gaussian_relax_series,
                                kb_identity_scan, lyapunov_steady,
                                propagate_gaussian, surprise_ledger)
 
 
-def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--a", type=float, default=-1.0)
-    ap.add_argument("--sigma-sq", type=float, default=2.0)
-    ap.add_argument("--c", type=float, default=1.0)
-    ap.add_argument("--v0", type=float, default=0.25)
-    ap.add_argument("--mu0", type=float, default=1.0)
-    ap.add_argument("--horizon", type=float, default=5.0)
-    args = ap.parse_args()
-
+def print_ledgers(args):
     a_mat = [[args.a]]
     sig = [[args.sigma_sq]]
     vss = lyapunov_steady(a_mat, sig)
@@ -51,5 +47,24 @@ def main():
           f"V_ss = {scan['v_ss']:.6f}, Vhat_ss = {scan['vhat_ss']:.6f}")
 
 
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--a", type=float, default=-1.0)
+    ap.add_argument("--sigma-sq", type=float, default=2.0)
+    ap.add_argument("--c", type=float, default=1.0)
+    ap.add_argument("--v0", type=float, default=0.25)
+    ap.add_argument("--mu0", type=float, default=1.0)
+    ap.add_argument("--horizon", type=float, default=5.0)
+    try:
+        print_ledgers(ap.parse_args(argv))
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except NumericalError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    return 0
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

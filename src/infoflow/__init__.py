@@ -11,9 +11,9 @@ from .errors import (CflError, ConfigError, CovarianceError,
                      UnstableStepError)
 from .models import (DiffusionModel, JointPath, SmoothField, gamma, preset,
                      sigma_at, simulate_joint, u_field)
-from .gaussian import (GaussianBelief, KBRates, LinearModel,
-                       SurpriseLedgerPoint, kalman_bucy_run, kb_info_rates,
-                       lyapunov_steady, propagate_gaussian, surprise_ledger)
+from .gaussian import (GaussianBelief, KBRates, SurpriseLedgerPoint,
+                       kalman_bucy_run, kb_info_rates, lyapunov_steady,
+                       propagate_gaussian, surprise_ledger)
 from .grid import (Grid1D, GridDensity, entropy, kl_divergence, normalize,
                    steady_state_grid, zakai_step)
 from .ensemble import (EnsembleConfig, EnsembleRun, apply_policy, mean_drift,

@@ -19,13 +19,11 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import metrics
-from .control import (ControlPolicy, controlled_kb_experiment,
-                      linear_gain_policy, run_controlled_experiment,
-                      zero_policy)
+from .control import (ControlPolicy, linear_gain_policy,
+                      run_controlled_experiment, zero_policy)
 from .ensemble import EnsembleConfig, run_filter_ensemble
 from .errors import ConfigError
-from .gaussian import (GaussianBelief, KalmanRun, LinearModel,
-                       gaussian_relax_series, kalman_bucy_run,
+from .gaussian import (gaussian_relax_series, kalman_bucy_run,
                        kb_identity_scan, kb_info_rates, lyapunov_series)
 from .grid import (Grid1D, GridDensity, advance_values, face_fields,
                    gaussian_density, ks_advance, normalize, observation_values,
@@ -161,18 +159,6 @@ def check_de_bruijn() -> CheckResult:
 # Criterion 5: Gaussian-oracle filter equivalence
 # ---------------------------------------------------------------------------
 
-def _kalman_oracle(model, cfg: EnsembleConfig) -> KalmanRun:
-    """Kalman-Bucy filter of an lqg ensemble's observation paths, which
-    ``simulate_joint`` reproduces from its seed, indices and x0 sampler."""
-    x0_sd = math.sqrt(cfg.x0_var)
-    path = simulate_joint(model, lambda rng: cfg.x0_mean + x0_sd * rng.normal(),
-                          cfg.horizon, cfg.dt, cfg.seed,
-                          np.arange(cfg.n_trajectories))
-    lin = LinearModel(model.params["A"], model.params["B"], model.params["C"])
-    return kalman_bucy_run(lin, path,
-                           GaussianBelief([cfg.x0_mean], [[cfg.x0_var]]))
-
-
 @_timed
 def check_lqg_grid_filter(seed: int = DEFAULT_SEED,
                           n_trajectories: int = 100) -> CheckResult:
@@ -183,9 +169,11 @@ def check_lqg_grid_filter(seed: int = DEFAULT_SEED,
                          seed=seed, sample_stride=400, x0_mean=0.0,
                          x0_var=0.5)
     run = run_filter_ensemble(model, grid, cfg)
-    kb = _kalman_oracle(model, cfg)
+    # the Kalman-Bucy filter of the ensemble's own truths and observations
+    kb = kalman_bucy_run(model, cfg.x0_mean, cfg.x0_var, cfg.horizon, dt,
+                         seed, np.arange(n_trajectories))
     sample_steps = (run.times / dt).round().astype(int)
-    vhat = kb.covs[sample_steps, 0, 0][:, None]
+    vhat = kb.covs[sample_steps][:, None]
     var_err = float(np.max(np.abs(run.post_var - vhat)))
     mean_err = float(np.max(np.abs(run.post_mean - kb.means[sample_steps])
                             / np.sqrt(vhat)))
@@ -268,22 +256,23 @@ def check_tower_property(seed: int = DEFAULT_SEED,
 
 @_timed
 def check_feedback_lqg(seed: int = DEFAULT_SEED) -> CheckResult:
-    model = LinearModel([[-1.0]], [[SQRT2]], [[1.0]])
-    kw = dict(x0_mean=1.0, x0_var=0.25, horizon=2.0, dt=1e-3, seed=seed)
-    controlled = controlled_kb_experiment(model, gain=0.5, **kw)
-    plain = controlled_kb_experiment(model, gain=0.0, **kw)
-    dv = float(np.max(np.abs(controlled["vhat"] - plain["vhat"])))
-    times = controlled["times"]
+    model = lqg(A=[[-1.0]], B=[[SQRT2]], C=[[1.0]])
+    controlled, plain = (kalman_bucy_run(model, x0_mean=1.0, x0_var=0.25,
+                                         horizon=2.0, dt=1e-3, seed=seed,
+                                         indices=0, gain=gain)
+                         for gain in (0.5, 0.0))
+    dv = float(np.max(np.abs(controlled.covs - plain.covs)))
+    times = controlled.times
     v_unc = lyapunov_series([[-1.0]], [[2.0]], [[0.25]], times)[:, 0, 0]
     d_rates = 0.0
     for k in range(0, times.size, 200):
-        rc = kb_info_rates([[v_unc[k]]], [[controlled["vhat"][k]]],
+        rc = kb_info_rates([[v_unc[k]]], [[controlled.covs[k]]],
                            [[2.0]], [[1.0]])
-        ru = kb_info_rates([[v_unc[k]]], [[plain["vhat"][k]]],
+        ru = kb_info_rates([[v_unc[k]]], [[plain.covs[k]]],
                            [[2.0]], [[1.0]])
         d_rates = max(d_rates, abs(rc.S_rate - ru.S_rate),
                       abs(rc.D_rate - ru.D_rate))
-    mean_gap = float(np.max(np.abs(controlled["xhat"] - plain["xhat"])))
+    mean_gap = float(np.max(np.abs(controlled.means - plain.means)))
     return CheckResult("8a feedback_lqg_invariance", (
         Condition("max |dVhat|", dv, "<=", 1e-10),
         Condition("max |d rates|", d_rates, "<=", 1e-10),

@@ -1,10 +1,11 @@
-"""Exception hierarchy shared by all solvers and the CLI, and the one check
-of an integer count or seed.
+"""Exception hierarchy shared by all solvers and the CLI, and the checks of
+an integer count or seed and of a finite parameter.
 
 Configuration problems map to CLI exit code 2, numerical failures to
 exit code 3.
 """
 
+import math
 import numbers
 
 
@@ -22,6 +23,13 @@ def check_integer(value, name: str, least: int) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
             or value < least:
         raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_finite(value, name: str, positive: bool = False) -> None:
+    """ConfigError unless ``value`` is finite, and > 0 when ``positive``."""
+    if not (math.isfinite(value) and (value > 0 or not positive)):
+        raise ConfigError(f"{name} must be finite{' and positive' * positive}, "
+                          f"got {value}")
 
 
 class NumericalError(InfoflowError):

@@ -26,8 +26,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, CovarianceError, NonHurwitzError
-from .models import JointPath, step_count
+from .errors import (ConfigError, CovarianceError, NonHurwitzError,
+                     check_finite)
+from .models import (DiffusionModel, draw_increments, euler_maruyama,
+                     step_count)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -35,29 +37,6 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # ---------------------------------------------------------------------------
 # Types
 # ---------------------------------------------------------------------------
-
-@dataclass
-class LinearModel:
-    """dX = A X dt + B dW,  dY = C X dt + dU."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-
-    def __post_init__(self):
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        n = self.A.shape[0]
-        self.B = np.asarray(self.B, dtype=float).reshape(n, -1)
-        self.C = np.asarray(self.C, dtype=float).reshape(-1, n)
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def sigma(self) -> np.ndarray:
-        return self.B @ self.B.T
-
 
 @dataclass
 class GaussianBelief:
@@ -94,10 +73,10 @@ class KBRates:
 
 @dataclass
 class KalmanRun:
-    times: np.ndarray        # (K+1,)
-    means: np.ndarray        # (K+1, N), one column per trajectory
-    covs: np.ndarray         # (K+1, 1, 1), shared by every trajectory
-    innovations: np.ndarray  # (K, N)
+    times: np.ndarray   # (K+1,)
+    states: np.ndarray  # (K+1, N), the truths, one column per trajectory
+    means: np.ndarray   # (K+1, N), their conditioned means
+    covs: np.ndarray    # (K+1,), shared by every trajectory and every gain
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +113,8 @@ def lyapunov_steady(A, sigma) -> np.ndarray:
     linear system (A (x) I + I (x) A) vec V = -vec sigma."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(sigma))):
+        raise ConfigError("the drift matrix and sigma must be finite")
     if not np.all(np.linalg.eigvals(A).real < 0):
         raise NonHurwitzError("no steady state: drift matrix is not Hurwitz")
     eye = np.eye(A.shape[0])
@@ -210,29 +191,37 @@ def lyapunov_series(A, sigma, v0, times) -> np.ndarray:
     return out
 
 
-def riccati_series(model: LinearModel, v0, times) -> np.ndarray:
-    """Conditioned variance V^(t) of a scalar model, shaped (K+1, 1, 1),
+def _lqg_coefficients(model: DiffusionModel) -> tuple:
+    """(a, sigma, c) of the scalar ``lqg`` preset; ConfigError for any other
+    model."""
+    if model.name != "lqg":
+        raise ConfigError("the Kalman-Bucy filter needs the lqg preset, "
+                          f"got {model.name!r}")
+    b = float(model.params["B"][0, 0])
+    return float(model.params["A"][0, 0]), b * b, float(model.params["C"][0, 0])
+
+
+def riccati_series(model: DiffusionModel, v0, times) -> np.ndarray:
+    """Conditioned variance V^(t) of the ``lqg`` preset, shaped (K+1,),
     solving the Kalman-Bucy Riccati equation
 
         dV^/dt = 2 a V^ + sigma - c^2 V^^2,
 
-    one RK4 step per grid step.  Raises ConfigError for a model that is not
-    scalar, and CovarianceError with a time stamp if positivity is lost.
+    one RK4 step per grid step.  Raises ConfigError for any other model, and
+    CovarianceError with a time stamp if positivity is lost.
     """
-    if model.n != 1 or model.C.shape != (1, 1):
-        raise ConfigError("riccati_series is scalar: A and C must be 1x1")
-    a, s = float(model.A[0, 0]), float(model.sigma[0, 0])
-    c2 = float(model.C[0, 0]) ** 2
+    a, s, c = _lqg_coefficients(model)
+    c2 = c ** 2
     times = np.asarray(times, dtype=float)
-    out = np.empty((times.size, 1, 1))
-    v = out[0, 0, 0] = float(np.asarray(v0, dtype=float).reshape(()))
+    out = np.empty(times.size)
+    v = out[0] = float(np.asarray(v0, dtype=float).reshape(()))
     rhs = lambda y: 2 * a * y + s - c2 * y * y
     for k in range(times.size - 1):
         v = _rk4_step(rhs, v, times[k + 1] - times[k])
         if not (v > 0) or not math.isfinite(v):
             raise CovarianceError(
                 f"Riccati solution lost positivity at t={times[k + 1]:.6g}")
-        out[k + 1, 0, 0] = v
+        out[k + 1] = v
     return out
 
 
@@ -309,7 +298,11 @@ def gaussian_relax_series(a: float, sigma_sq: float, v0: float, mu0: float,
     mean by RK4, then evaluates F and dF/dt in forms that stay exact in
     relative terms down to F ~ 1e-18.
     """
-    if a >= 0:
+    for name, value in (("a", a), ("mu0", mu0)):
+        check_finite(value, name)
+    for name, value in (("sigma_sq", sigma_sq), ("v0", v0)):
+        check_finite(value, name, positive=True)
+    if not a < 0:
         raise NonHurwitzError("scalar relaxation requires a < 0")
     v_ss = -sigma_sq / (2.0 * a)
     n_steps = step_count(horizon, dt)
@@ -329,29 +322,41 @@ def gaussian_relax_series(a: float, sigma_sq: float, v0: float, mu0: float,
 # Kalman-Bucy filter
 # ---------------------------------------------------------------------------
 
-def kalman_bucy_run(model: LinearModel, path: JointPath,
-                    belief0: GaussianBelief) -> KalmanRun:
-    """Run the scalar Kalman-Bucy filter along every column of a path.
+def kalman_bucy_run(model: DiffusionModel, x0_mean: float, x0_var: float,
+                    horizon: float, dt: float, seed: int, indices,
+                    gain: float = 0.0) -> KalmanRun:
+    """Scalar Kalman-Bucy filter of ``lqg`` trajectories in closed loop with
+    beta = -gain Xhat.
 
-    The conditioned variance solves the Riccati equation (deterministic,
-    independent of the realization); each trajectory's conditioned mean is
-    advanced per observation increment,
+    X(0) ~ N(x0_mean, x0_var), and each truth is drawn and stepped as the
+    ensemble and :func:`simulate_joint` do, column by column from
+    (seed, index).  The filter knows the control it applied, so the
+    conditioned mean gains the beta drift,
 
-        Xhat_{k+1} = Xhat_k + a Xhat_k dt + Vhat_k c dI_k,
+        Xhat_{k+1} = Xhat_k + (a Xhat_k + beta_k) dt + Vhat_k c (dY_k - c Xhat_k dt),
 
-    with innovations dI_k = dY_k - c Xhat_k dt.
+    while the conditioned variance Vhat solves the Riccati equation, the
+    same for every trajectory and every gain.  Gain 0 is the uncontrolled
+    filter.
     """
-    covs = riccati_series(model, belief0.cov, path.times)
-    a, c = float(model.A[0, 0]), float(model.C[0, 0])
-    dt = path.dt
-    incs = path.obs_increments
-    means = np.empty((incs.shape[0] + 1, incs.shape[1]))
-    innov = np.empty_like(incs)
-    x = means[0] = float(belief0.mean[0])
-    for k in range(incs.shape[0]):
-        innov[k] = incs[k] - c * x * dt
-        x = means[k + 1] = x + a * x * dt + covs[k, 0, 0] * c * innov[k]
-    return KalmanRun(times=path.times, means=means, covs=covs, innovations=innov)
+    a, _, c = _lqg_coefficients(model)
+    n_steps = step_count(horizon, dt)
+    indices = np.atleast_1d(indices)
+    step = euler_maruyama(model, dt, indices)
+    x0_sd = math.sqrt(x0_var)
+    dw, du, x0 = draw_increments(seed, indices, n_steps, dt,
+                                 lambda rng: x0_mean + x0_sd * rng.normal())
+    times = dt * np.arange(n_steps + 1)
+    covs = riccati_series(model, x0_var, times)
+    states = np.empty((n_steps + 1, indices.size))
+    means = np.empty_like(states)
+    states[0], means[0] = x0, x0_mean
+    for k in range(n_steps):
+        xh = means[k]
+        beta = -gain * xh
+        states[k + 1], dy = step(states[k], beta, dw[k], du[k], times[k + 1])
+        means[k + 1] = xh + (a * xh + beta) * dt + covs[k] * c * (dy - c * xh * dt)
+    return KalmanRun(times=times, states=states, means=means, covs=covs)
 
 
 def kb_info_rates(v, v_hat, sigma, C) -> KBRates:
@@ -385,7 +390,13 @@ def kb_identity_scan(a: float, sigma_sq: float, c: float, v0: float,
     interior times, the centered finite difference of the closed-form mutual
     information, the closed-form rate, and their max relative error.
     """
-    if a >= 0:
+    for name, value in (("a", a), ("c", c)):
+        check_finite(value, name)
+    for name, value in (("sigma_sq", sigma_sq), ("v0", v0), ("vhat0", vhat0)):
+        check_finite(value, name, positive=True)
+    if c == 0:
+        raise ConfigError("the identity scan needs an observation gain c != 0")
+    if not a < 0:
         raise NonHurwitzError("identity scan requires a < 0")
     v_ss = -sigma_sq / (2.0 * a)
     vhat_ss = (a + math.sqrt(a * a + c * c * sigma_sq)) / (c * c)

@@ -46,7 +46,7 @@ import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from .errors import (CflError, ConfigError, FilterCollapseError,
-                     UnstableStepError, check_integer)
+                     UnstableStepError, check_finite, check_integer)
 from .models import DiffusionModel
 
 DENSITY_FLOOR = 1e-300       # log-domain floor
@@ -99,10 +99,17 @@ class GridDensity:
 
 
 def gaussian_density(grid: Grid1D, mean: float, var: float) -> GridDensity:
-    """Gaussian cell values rescaled to unit mass on the grid."""
+    """Gaussian cell values rescaled to unit mass on the grid.  ConfigError
+    for a variance that is not finite and > 0, or a law whose every cell
+    underflows to 0."""
+    check_finite(var, "the variance", positive=True)
     xc = grid.centers
     vals = np.exp(-0.5 * (xc - mean) ** 2 / var) / math.sqrt(2.0 * math.pi * var)
-    return GridDensity(grid, vals / (np.sum(vals) * grid.dx))
+    total = np.sum(vals)
+    if not total > 0:
+        raise ConfigError(f"N({mean}, {var}) has no mass on the grid "
+                          f"[{grid.x_min}, {grid.x_max}]")
+    return GridDensity(grid, vals / (total * grid.dx))
 
 
 # ---------------------------------------------------------------------------

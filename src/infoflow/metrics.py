@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, check_finite
 from .ensemble import EnsembleRun, mean_drift
 from .grid import (DENSITY_FLOOR, Grid1D, GridDensity, SCORE_GATE,
                    advance_values, entropy, face_fields, gaussian_density,
@@ -326,8 +326,12 @@ def entropy_rate_scan(model: DiffusionModel, grid: Grid1D, values,
     trapezoid weights of :func:`entropy`, and one forward substep gives
     d_t rho exactly, as the step is linear in its length; a backward step
     would be anti-diffusive and can drive tail cells negative.  A substep
-    above 0.9 x the CFL limit raises CflError before any step.
+    above 0.9 x the CFL limit, or times that are not finite, >= 0 and
+    ascending, raise before any step.
     """
+    times = np.asarray(times, dtype=float)
+    if not (np.all(np.isfinite(times)) and np.all(np.diff(times, prepend=0.0) >= 0)):
+        raise ConfigError("the scan times must be finite, >= 0 and ascending")
     ff = face_fields(model, grid)
     substeps_for(ff, substep, n_substeps=1)
     vals = np.array(values, dtype=float)
@@ -356,6 +360,9 @@ def de_bruijn_check(v0: float, t_grid, sigma_sq: float = 1.0,
     is 0.45 x that limit when no time is positive.
     """
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
+    if t_grid.size == 0:
+        raise ConfigError("the de Bruijn check needs at least one time")
+    check_finite(v0, "v0", positive=True)
     model = brownian(sigma_sq=sigma_sq)
     half = 6.0 * math.sqrt(v0 + sigma_sq * float(t_grid[-1]))
     grid = Grid1D(-half, half, n_cells)

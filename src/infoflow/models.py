@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, SimulationBlowupError
+from .errors import ConfigError, SimulationBlowupError, check_finite
 from .rng import (CHANNEL_DYNAMICS, CHANNEL_INITIAL, CHANNEL_OBSERVATION,
                   substreams)
 
@@ -261,14 +261,10 @@ def simulate_joint(model: DiffusionModel, x0_sampler: Callable, horizon: float,
 # Model presets
 # ---------------------------------------------------------------------------
 
-def _require_positive(name: str, value: float) -> None:
-    if not (value > 0 and math.isfinite(value)):
-        raise ConfigError(f"{name} must be finite and positive, got {value}")
-
-
 def brownian(sigma_sq: float = 1.0, obs_gain: float = 0.0) -> DiffusionModel:
     """Pure diffusion: v = 0, constant sigma.  No steady state."""
-    _require_positive("sigma_sq", sigma_sq)
+    check_finite(sigma_sq, "sigma_sq", positive=True)
+    check_finite(obs_gain, "obs_gain")
     return DiffusionModel(
         dim_state=1,
         drift=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
@@ -280,8 +276,9 @@ def brownian(sigma_sq: float = 1.0, obs_gain: float = 0.0) -> DiffusionModel:
 
 def ou(rate: float = 1.0, sigma_sq: float = 2.0, obs_gain: float = 1.0) -> DiffusionModel:
     """Scalar Ornstein-Uhlenbeck: v = -rate*x, steady variance sigma_sq/(2 rate)."""
-    _require_positive("rate", rate)
-    _require_positive("sigma_sq", sigma_sq)
+    check_finite(rate, "rate", positive=True)
+    check_finite(sigma_sq, "sigma_sq", positive=True)
+    check_finite(obs_gain, "obs_gain")
     sd = math.sqrt(sigma_sq / (2.0 * rate))
     return DiffusionModel(
         dim_state=1,
@@ -299,7 +296,9 @@ def lqg(A=(-1.0,), B=(1.4142135623730951,), C=(1.0,)) -> DiffusionModel:
         raise ConfigError("the lqg preset is scalar: A, B and C must be 1x1")
     a, cc = A[0, 0], C[0, 0]
     sigma_sq = B[0, 0] * B[0, 0]
-    _require_positive("sigma_sq = B^2", sigma_sq)
+    check_finite(a, "A")
+    check_finite(sigma_sq, "sigma_sq = B^2", positive=True)
+    check_finite(cc, "C")
     box = np.array([[-10.0, 10.0]])
     if a < 0:   # six steady standard deviations, V_ss = -b^2 / 2a
         sd = math.sqrt(max(-sigma_sq / (2.0 * a), 1e-12))
@@ -316,7 +315,9 @@ def lqg(A=(-1.0,), B=(1.4142135623730951,), C=(1.0,)) -> DiffusionModel:
 def double_well(scale: float = 1.0, sigma_sq: float = 0.5,
                 obs_gain: float = 1.0) -> DiffusionModel:
     """Bistable drift v = scale*(x - x^3) with constant sigma."""
-    _require_positive("sigma_sq", sigma_sq)
+    check_finite(scale, "scale")
+    check_finite(sigma_sq, "sigma_sq", positive=True)
+    check_finite(obs_gain, "obs_gain")
     return DiffusionModel(
         dim_state=1,
         drift=lambda x: scale * (np.asarray(x, dtype=float)

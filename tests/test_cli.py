@@ -46,6 +46,9 @@ density_snapshots = true
 """
 
 
+OU_MODEL = "preset = ou\nrate = 1.0\nsigma_sq = 2.0\nobs_gain = 1.0"
+
+
 def write_config(tmp_path, text, name="scenario.ini", outdir=None):
     outdir = outdir or (tmp_path / "out")
     cfg = tmp_path / name
@@ -196,7 +199,18 @@ def test_non_numeric_value_exits_2(tmp_path, capsys, line):
     ("x0_var = 0.5", "x0_var = nan"),
     ("x_max = 6.0", "x_max = inf"),
     ("[output]", "[policy]\nname = linear_gain\ngain = 0.5\nbound = -5\n[output]"),
-    ("[output]", "[policy]\nname = linear_gain\ngain = 0.5\nbound = nan\n[output]")])
+    ("[output]", "[policy]\nname = linear_gain\ngain = 0.5\nbound = nan\n[output]"),
+    # a non-finite preset or policy parameter
+    (OU_MODEL, "preset = lqg\na = nan"),
+    (OU_MODEL, "preset = lqg\nc = nan"),
+    (OU_MODEL, "preset = lqg\nc = inf"),
+    (OU_MODEL, "preset = double_well\nscale = nan\nsigma_sq = 0.5"),
+    ("obs_gain = 1.0", "obs_gain = nan"),
+    ("[output]", "[policy]\nname = linear_gain\ngain = nan\nbound = 5\n[output]"),
+    ("[output]", "[policy]\nname = bang_bang\nthreshold = nan\nlevel = 1\n[output]"),
+    ("[output]", "[policy]\nname = bang_bang\nthreshold = 0.5\nlevel = nan\n[output]"),
+    # N(40, 0.5) underflows in every cell of [-6, 6]: no mass to filter
+    ("x0_mean = 0.0", "x0_mean = 40.0")])
 def test_bad_value_exits_2(tmp_path, capsys, line, bad):
     # one validation contract: the library types refuse what the INI refuses
     cfg, outdir = write_config(tmp_path, OU_CONFIG.replace(line, bad))

@@ -5,16 +5,14 @@ import pytest
 
 from infoflow import models
 from infoflow.control import (ControlPolicy, bang_bang_policy,
-                              controlled_kb_experiment, linear_gain_policy,
-                              make_policy, run_controlled_experiment,
-                              zero_policy)
+                              linear_gain_policy, make_policy,
+                              run_controlled_experiment, zero_policy)
 from infoflow.ensemble import (EnsembleConfig, apply_policy, mean_drift,
                                run_filter_ensemble)
 from infoflow.errors import CflError, ConfigError, NumericalError
-from infoflow.gaussian import GaussianBelief, LinearModel, kalman_bucy_run
+from infoflow.gaussian import kalman_bucy_run
 from infoflow.grid import Grid1D, GridDensity, steady_state_grid
 from infoflow.metrics import entropy_production_rate
-from infoflow.models import simulate_joint
 
 SQRT2 = math.sqrt(2.0)
 
@@ -39,6 +37,14 @@ class TestPolicies:
         policy = bang_bang_policy(threshold=0.5, level=2.0)
         beta, _ = apply_policy(policy, 0.0, np.array([0.2, 0.9, -1.4]))
         np.testing.assert_allclose(beta, [0.0, -2.0, 2.0])
+
+    @pytest.mark.parametrize("name, params", [
+        ("linear_gain", dict(gain=math.nan)), ("linear_gain", dict(gain=-math.inf)),
+        ("bang_bang", dict(threshold=math.nan, level=1.0)),
+        ("bang_bang", dict(threshold=0.5, level=math.inf))])
+    def test_non_finite_parameter_refused(self, name, params):
+        with pytest.raises(ConfigError, match="finite"):
+            make_policy(name, **params)
 
     def test_replay_purity(self):
         policy = linear_gain_policy(gain=0.7, bound=5.0)
@@ -99,34 +105,22 @@ class TestMeanDrift:
 
 
 class TestControlledKalman:
-    def test_zero_gain_matches_filter_run(self):
-        model = LinearModel([[-1.0]], [[SQRT2]], [[1.0]])
-        kw = dict(x0_mean=0.5, x0_var=0.25, horizon=1.0, dt=1e-3, seed=21)
-        res = controlled_kb_experiment(model, gain=0.0, **kw)
-        diff = models.lqg(A=model.A, B=model.B, C=model.C)
-        path = simulate_joint(diff,
-                              lambda r: np.array([0.5 + 0.5 * r.normal()]),
-                              1.0, 1e-3, seed=21, trajectory_index=0)
-        np.testing.assert_array_equal(res["x"], path.states[:, 0])
-        kb = kalman_bucy_run(model, path, GaussianBelief([0.5], [[0.25]]))
-        np.testing.assert_allclose(res["xhat"], kb.means[:, 0], atol=1e-12)
-        np.testing.assert_allclose(res["vhat"], kb.covs[:, 0, 0], atol=1e-14)
-
     def test_riccati_invariant_under_gain(self):
-        model = LinearModel([[-1.0]], [[SQRT2]], [[1.0]])
-        kw = dict(x0_mean=1.0, x0_var=0.25, horizon=1.0, dt=1e-3, seed=4)
-        a = controlled_kb_experiment(model, gain=0.5, **kw)
-        b = controlled_kb_experiment(model, gain=0.0, **kw)
-        assert float(np.max(np.abs(a["vhat"] - b["vhat"]))) == 0.0
-        assert float(np.max(np.abs(a["xhat"] - b["xhat"]))) > 1e-2
+        model = models.lqg(A=[[-1.0]], B=[[SQRT2]], C=[[1.0]])
+        kw = dict(x0_mean=1.0, x0_var=0.25, horizon=1.0, dt=1e-3, seed=4,
+                  indices=0)
+        a = kalman_bucy_run(model, gain=0.5, **kw)
+        b = kalman_bucy_run(model, gain=0.0, **kw)
+        assert np.array_equal(a.covs, b.covs)
+        assert float(np.max(np.abs(a.means - b.means))) > 1e-2
 
     @pytest.mark.parametrize("horizon, dt", [(1.0, -1e-3), (0.0104, 1e-3)])
     def test_time_grid_contract(self, horizon, dt):
         # a whole number of dt > 0 steps, as EnsembleConfig requires
-        model = LinearModel([[-1.0]], [[SQRT2]], [[1.0]])
+        model = models.lqg(A=[[-1.0]], B=[[SQRT2]], C=[[1.0]])
         with pytest.raises(ConfigError):
-            controlled_kb_experiment(model, gain=0.5, x0_mean=0.0, x0_var=0.25,
-                                     horizon=horizon, dt=dt, seed=0)
+            kalman_bucy_run(model, x0_mean=0.0, x0_var=0.25, horizon=horizon,
+                            dt=dt, seed=0, indices=0, gain=0.5)
 
 
 @pytest.mark.filterwarnings("ignore:mean-drift estimation")

@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infoflow import checks, models
-from infoflow.ensemble import EnsembleConfig
+from infoflow import models
+from infoflow.ensemble import EnsembleConfig, run_filter_ensemble
 from infoflow.errors import ConfigError, CovarianceError, NonHurwitzError
-from infoflow.gaussian import (GaussianBelief, LinearModel, _rk4_linear_series,
+from infoflow.gaussian import (GaussianBelief, _rk4_linear_series,
                                _rk4_step, gaussian_kl,
                                gaussian_relax_series, kalman_bucy_run,
                                kb_identity_scan, kb_info_rates,
                                lyapunov_series, lyapunov_steady,
                                propagate_gaussian, riccati_series,
                                surprise_ledger)
+from infoflow.grid import Grid1D
 from infoflow.rng import (CHANNEL_DYNAMICS, CHANNEL_INITIAL,
                           CHANNEL_OBSERVATION, substream)
 
@@ -173,73 +174,71 @@ class TestSurpriseLedger:
 
 class TestRiccati:
     def test_no_observation_matches_lyapunov(self):
-        model = LinearModel([[-1.0]], [[SQRT2]], [[0.0]])
+        model = models.lqg(A=[[-1.0]], B=[[SQRT2]], C=[[0.0]])
         times = 1e-3 * np.arange(501)
-        ric = riccati_series(model, [[0.25]], times)
-        lya = lyapunov_series(model.A, model.sigma, [[0.25]], times)
-        assert np.array_equal(ric, lya)
+        ric = riccati_series(model, 0.25, times)
+        lya = lyapunov_series([[-1.0]], [[SQRT2 * SQRT2]], [[0.25]], times)
+        assert np.array_equal(ric, lya[:, 0, 0])
 
     def test_scalar_fixed_point(self):
-        model = LinearModel([[-1.0]], [[SQRT2]], [[1.0]])
+        model = models.lqg(A=[[-1.0]], B=[[SQRT2]], C=[[1.0]])
         times = 1e-3 * np.arange(15001)
-        ric = riccati_series(model, [[0.25]], times)
-        assert ric[-1, 0, 0] == pytest.approx(math.sqrt(3.0) - 1.0, abs=1e-9)
+        ric = riccati_series(model, 0.25, times)
+        assert ric[-1] == pytest.approx(math.sqrt(3.0) - 1.0, abs=1e-9)
 
     def test_positivity_loss_reported(self):
-        model = LinearModel([[-1.0]], [[SQRT2]], [[1.0]])
+        model = models.lqg(A=[[-1.0]], B=[[SQRT2]], C=[[1.0]])
         with pytest.raises(CovarianceError):
-            riccati_series(model, [[-0.1]], 1e-3 * np.arange(50))
+            riccati_series(model, -0.1, 1e-3 * np.arange(50))
 
-    @pytest.mark.parametrize("A, B, C", [
-        (np.diag([-1.0, -2.0]), np.eye(2), [[1.0, 0.0]]),
-        ([[-1.0]], [[SQRT2]], [[1.0], [0.5]])])
-    def test_matrix_model_refused(self, A, B, C):
-        with pytest.raises(ConfigError, match="scalar"):
-            riccati_series(LinearModel(A, B, C), np.eye(np.shape(A)[0]),
-                           1e-3 * np.arange(5))
+    @pytest.mark.parametrize("name", ["ou", "double_well"])
+    def test_non_lqg_model_refused(self, name):
+        # the exact lane reads a, sigma and c from the lqg preset alone
+        model = models.preset(name)
+        with pytest.raises(ConfigError, match="lqg"):
+            riccati_series(model, 0.25, 1e-3 * np.arange(5))
+        with pytest.raises(ConfigError, match="lqg"):
+            kalman_bucy_run(model, 0.0, 0.25, 0.005, 1e-3, seed=0, indices=0)
 
 
 class TestKalmanBucy:
     def test_no_channel_filter(self):
-        model = LinearModel([[-1.0]], [[SQRT2]], [[0.0]])
-        path = models.simulate_joint(model_to_diffusion(model),
-                                     lambda r: r.normal(size=1), 1.0, 1e-3,
-                                     seed=3)
-        run = kalman_bucy_run(model, path, GaussianBelief([0.5], [[0.25]]))
+        model = models.lqg(A=[[-1.0]], B=[[SQRT2]], C=[[0.0]])
+        run = kalman_bucy_run(model, 0.5, 0.25, 1.0, 1e-3, seed=3, indices=0)
         # no information channel: mean follows dXhat = A Xhat dt
-        expected = 0.5 * np.exp(-path.times)
+        expected = 0.5 * np.exp(-run.times)
         np.testing.assert_allclose(run.means[:, 0], expected, rtol=2e-3)
-        np.testing.assert_allclose(run.innovations, path.obs_increments)
 
     def test_columns_match_single_runs(self):
-        model = LinearModel([[-0.7]], [[1.3]], [[0.8]])
-        diff = model_to_diffusion(model)
-        sampler = lambda r: r.normal(0.2, 0.6, size=1)
-        belief = GaussianBelief([0.2], [[0.36]])
-        whole = kalman_bucy_run(model, models.simulate_joint(
-            diff, sampler, 0.5, 1e-3, seed=8, trajectory_index=np.arange(6)),
-            belief)
-        assert whole.means.shape == (501, 6)
+        model = models.lqg(A=[[-0.7]], B=[[1.3]], C=[[0.8]])
+        kw = dict(x0_mean=0.2, x0_var=0.36, horizon=0.5, dt=1e-3, seed=8,
+                  gain=0.5)
+        whole = kalman_bucy_run(model, indices=np.arange(6), **kw)
+        assert whole.means.shape == whole.states.shape == (501, 6)
+        assert whole.covs.shape == (501,)
         for j in (0, 3, 5):
-            single = kalman_bucy_run(model, models.simulate_joint(
-                diff, sampler, 0.5, 1e-3, seed=8, trajectory_index=j), belief)
+            single = kalman_bucy_run(model, indices=j, **kw)
+            np.testing.assert_array_equal(whole.states[:, j], single.states[:, 0])
             np.testing.assert_array_equal(whole.means[:, j], single.means[:, 0])
-            np.testing.assert_array_equal(whole.innovations[:, j],
-                                          single.innovations[:, 0])
             np.testing.assert_array_equal(whole.covs, single.covs)
 
     def test_criterion_5_oracle_is_bitwise(self):
-        # the inline filter loop criterion 5 once ran on the ensemble's dY
+        # criterion 5's oracle: the ensemble's truths, and the inline filter
+        # loop criterion 5 once ran on the ensemble's dY
         cfg = EnsembleConfig(dt=2.5e-4, horizon=0.1, n_trajectories=7,
                              seed=12, sample_stride=40, x0_mean=0.3,
                              x0_var=0.5)
         model = models.lqg(A=[[-1.0]], B=[[SQRT2]], C=[[1.0]])
-        kb = checks._kalman_oracle(model, cfg)
+        kb = kalman_bucy_run(model, cfg.x0_mean, cfg.x0_var, cfg.horizon,
+                             cfg.dt, cfg.seed, np.arange(cfg.n_trajectories))
         path = models.simulate_joint(
             model, lambda r: cfg.x0_mean + math.sqrt(cfg.x0_var) * r.normal(),
             cfg.horizon, cfg.dt, cfg.seed, np.arange(cfg.n_trajectories))
-        lin = LinearModel([[-1.0]], [[SQRT2]], [[1.0]])
-        vhat = riccati_series(lin, [[cfg.x0_var]], path.times)[:, 0, 0]
+        np.testing.assert_array_equal(kb.states, path.states)
+        run = run_filter_ensemble(model, Grid1D(-6.0, 6.0, 128), cfg)
+        sample_steps = (run.times / cfg.dt).round().astype(int)
+        np.testing.assert_array_equal(kb.states[sample_steps], run.states)
+        vhat = riccati_series(model, cfg.x0_var, path.times)
         xh = np.full(cfg.n_trajectories, cfg.x0_mean)
         dt = cfg.dt
         for k in range(cfg.n_steps):
@@ -247,16 +246,16 @@ class TestKalmanBucy:
             di = path.obs_increments[k] - xh * dt
             xh = xh - xh * dt + vhat[k] * di
         np.testing.assert_array_equal(kb.means[-1], xh)
-        np.testing.assert_array_equal(kb.covs[:, 0, 0], vhat)
+        np.testing.assert_array_equal(kb.covs, vhat)
 
     def test_conditioned_covariance_monte_carlo(self):
         # ensemble mean of (X - Xhat)^2 matches the Riccati variance
         a, b, c = -1.0, SQRT2, 1.0
-        model = LinearModel([[a]], [[b]], [[c]])
+        model = models.lqg(A=[[a]], B=[[b]], C=[[c]])
         n, horizon, dt = 10_000, 1.0, 1e-3
         k_steps = int(round(horizon / dt))
         times = dt * np.arange(k_steps + 1)
-        vhat = riccati_series(model, [[0.25]], times)[:, 0, 0]
+        vhat = riccati_series(model, 0.25, times)
         seed = 77
         sq = math.sqrt(dt)
         x = np.empty(n)
@@ -276,10 +275,6 @@ class TestKalmanBucy:
         err_sq = (x - xh) ** 2
         se = float(np.std(err_sq, ddof=1) / math.sqrt(n))
         assert abs(float(np.mean(err_sq)) - vhat[-1]) <= 3.0 * se
-
-
-def model_to_diffusion(lin: LinearModel):
-    return models.lqg(A=lin.A, B=lin.B, C=lin.C)
 
 
 class TestInfoRates:
@@ -314,6 +309,37 @@ def test_scalar_scans_share_the_time_grid_rule(horizon, dt):
         gaussian_relax_series(-1.0, 2.0, 0.5, 0.0, horizon, dt)
     with pytest.raises(ConfigError):
         kb_identity_scan(-1.0, 2.0, 1.0, 0.25, 0.25, horizon, dt)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("a", math.nan), ("a", math.inf), ("sigma_sq", 0.0), ("sigma_sq", -1.0),
+    ("v0", 0.0), ("v0", -0.25), ("vhat0", 0.0), ("c", 0.0), ("c", math.nan)])
+def test_scalar_scans_refuse_what_they_cannot_compute(name, value):
+    # refused before any step, as a configuration error
+    kw = dict(a=-1.0, sigma_sq=2.0, c=1.0, v0=0.25, vhat0=0.25, horizon=0.01,
+              dt=1e-3)
+    kw[name] = value
+    with pytest.raises(ConfigError, match=name):
+        kb_identity_scan(**kw)
+    if name in ("a", "sigma_sq", "v0"):
+        relax = dict(a=kw["a"], sigma_sq=kw["sigma_sq"], v0=kw["v0"], mu0=0.5,
+                     horizon=0.01, dt=1e-3)
+        with pytest.raises(ConfigError, match=name):
+            gaussian_relax_series(**relax)
+
+
+def test_scalar_scans_need_a_stable_drift():
+    with pytest.raises(NonHurwitzError):
+        gaussian_relax_series(0.0, 2.0, 0.25, 0.5, 0.01, 1e-3)
+    with pytest.raises(NonHurwitzError):
+        kb_identity_scan(0.5, 2.0, 1.0, 0.25, 0.25, 0.01, 1e-3)
+
+
+@pytest.mark.parametrize("A, sigma", [([[math.nan]], [[2.0]]),
+                                      ([[-1.0]], [[math.inf]])])
+def test_lyapunov_steady_refuses_a_non_finite_matrix(A, sigma):
+    with pytest.raises(ConfigError, match="finite"):
+        lyapunov_steady(A, sigma)
 
 
 @pytest.mark.parametrize("rate, h, n", [(-2.0, 1e-4, 100_000), (-1.0, 1e-4, 100_000)])

@@ -71,6 +71,14 @@ def _one_substep(m, rho: GridDensity, dt: float) -> GridDensity:
     return GridDensity(rho.grid, vals)
 
 
+@pytest.mark.parametrize("mean, var", [(0.0, 0.0), (0.0, -0.5), (0.0, math.nan),
+                                       (0.0, math.inf), (40.0, 0.25),
+                                       (math.nan, 0.25), (-math.inf, 0.25)])
+def test_gaussian_density_refuses_a_law_without_mass_on_the_grid(mean, var):
+    with pytest.raises(ConfigError, match="variance|no mass"):
+        gaussian_density(Grid1D(-2.5, 2.5, 64), mean, var)
+
+
 class TestFpStep:
     def test_mass_conserved(self):
         m = models.ou()

@@ -5,8 +5,8 @@ import pytest
 
 from infoflow import checks, models
 from infoflow.ensemble import EnsembleConfig, run_filter_ensemble
-from infoflow.errors import CflError, NumericalError
-from infoflow.gaussian import LinearModel, lyapunov_series, riccati_series
+from infoflow.errors import CflError, ConfigError, NumericalError
+from infoflow.gaussian import lyapunov_series, riccati_series
 from infoflow.grid import (FaceFields, Grid1D, GridDensity, advance_values,
                            face_fields, gaussian_density, steady_state_grid,
                            substeps_for)
@@ -158,8 +158,26 @@ class TestDeBruijn:
                               n_cells=64)
         assert res["max_deviation"] <= 1e-3
 
+    @pytest.mark.parametrize("kw, match", [
+        (dict(v0=0.25, t_grid=[]), "at least one time"),
+        (dict(v0=0.0, t_grid=[0.5]), "v0"),
+        (dict(v0=-0.5, t_grid=[1.0]), "v0"),
+        (dict(v0=0.25, t_grid=[-0.1, 0.5]), "ascending")])
+    def test_bad_input_refused_by_name(self, kw, match):
+        with pytest.raises(ConfigError, match=match):
+            de_bruijn_check(**kw)
+
 
 class TestEntropyRateScan:
+    @pytest.mark.parametrize("times", [[0.2, 0.1], [-0.01, 0.1], [0.1, math.nan],
+                                       [math.inf]])
+    def test_times_not_finite_ascending_and_nonnegative_refused(self, times):
+        m = models.ou()
+        grid = Grid1D(-6, 6, 256)
+        values = gaussian_density(grid, 0.0, 0.5).values
+        with pytest.raises(ConfigError, match="ascending"):
+            entropy_rate_scan(m, grid, values, times, 1e-4)
+
     def test_substep_above_cfl_refused(self):
         m = models.ou()
         grid = Grid1D(-6, 6, 256)
@@ -199,8 +217,7 @@ def lqg_run():
                          sample_stride=50, x0_mean=0.0, x0_var=0.5)
     run = run_filter_ensemble(model, grid, cfg)
     times = 1e-3 * np.arange(1001)
-    lin = LinearModel([[-1.0]], [[SQRT2]], [[1.0]])
-    vhat = riccati_series(lin, [[0.5]], times)[:, 0, 0]
+    vhat = riccati_series(model, 0.5, times)
     v = lyapunov_series([[-1.0]], [[2.0]], [[0.5]], times)[:, 0, 0]
     return run, times, v, vhat
 

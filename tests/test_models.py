@@ -267,6 +267,19 @@ def test_presets_refuse_bad_sigma_sq(name, sigma_sq):
         preset(name, sigma_sq=sigma_sq)
 
 
+@pytest.mark.parametrize("name, params", [
+    ("brownian", dict(obs_gain=math.nan)),
+    ("ou", dict(rate=math.nan)), ("ou", dict(obs_gain=math.inf)),
+    ("lqg", dict(A=[[math.nan]])), ("lqg", dict(A=[[-math.inf]])),
+    ("lqg", dict(B=[[math.inf]])), ("lqg", dict(C=[[math.nan]])),
+    ("lqg", dict(C=[[math.inf]])),
+    ("double_well", dict(scale=math.nan)),
+    ("double_well", dict(obs_gain=-math.inf))])
+def test_presets_refuse_non_finite_parameters(name, params):
+    with pytest.raises(ConfigError, match="finite"):
+        preset(name, **params)
+
+
 @pytest.mark.parametrize("a, b", [(-1.0, math.sqrt(2.0)), (-0.3, 0.7),
                                   (-13.0, 2.2), (-1e-3, 0.05)])
 def test_lqg_box_is_six_steady_deviations(a, b):
