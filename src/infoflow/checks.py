@@ -394,10 +394,10 @@ def check_mass_conservation() -> CheckResult:
     dt = 0.5 * ff.cfl_limit()
     vals = gaussian_density(grid, 0.5, 0.3).values
     worst = 0.0
-    mass = float(np.sum(vals) * grid.dx)
+    mass = float(vals.sum() * grid.dx)
     for _ in range(10_000):
         vals = advance_values(vals, ff, dt, 1)
-        new_mass = float(np.sum(vals) * grid.dx)
+        new_mass = float(vals.sum() * grid.dx)
         worst = max(worst, abs(new_mass - mass))
         mass = new_mass
     return CheckResult("9b fp_mass_conservation", (

@@ -20,6 +20,8 @@ class ConfigError(InfoflowError):
 def check_integer(value, name: str, least: int) -> None:
     """ConfigError unless ``value`` is an integer >= ``least``; a bool, a
     float with an integral value or a string is not one."""
+    if type(value) is int and value >= least:
+        return
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
             or value < least:
         raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")

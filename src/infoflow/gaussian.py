@@ -110,11 +110,17 @@ def logdet_psd(mat: np.ndarray, what: str = "covariance") -> float:
 
 def lyapunov_steady(A, sigma) -> np.ndarray:
     """Steady covariance solving A V + V A^T + sigma = 0 (A Hurwitz), as the
-    linear system (A (x) I + I (x) A) vec V = -vec sigma."""
+    linear system (A (x) I + I (x) A) vec V = -vec sigma.  ConfigError for a
+    sigma that is not symmetric or has an eigenvalue below -1e-12 max|sigma|."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(sigma))):
         raise ConfigError("the drift matrix and sigma must be finite")
+    tol = 1e-12 * float(np.max(np.abs(sigma)))
+    if sigma.shape != A.shape or np.max(np.abs(sigma - sigma.T)) > tol \
+            or np.linalg.eigvalsh(sigma)[0] < -tol:
+        raise ConfigError(f"sigma must be a symmetric positive semi-definite "
+                          f"matrix of the drift matrix's shape, got {sigma.tolist()}")
     if not np.all(np.linalg.eigvals(A).real < 0):
         raise NonHurwitzError("no steady state: drift matrix is not Hurwitz")
     eye = np.eye(A.shape[0])
@@ -143,6 +149,25 @@ def _rk4_linear_series(rate: float, y0: float, h: float, n: int) -> np.ndarray:
     out = np.full(n + 1, _rk4_step(lambda y: rate * y, 1.0, h))
     out[0] = y0
     return np.multiply.accumulate(out, out=out)
+
+
+def _rk4_quadratic_series(lin: float, quad: float, y0: float, h: float,
+                          n: int) -> np.ndarray:
+    """y_0..y_n of ``n`` RK4 steps of dy/dt = lin y - quad y^2: the stages
+    and sums of :func:`_rk4_step`, in its order, written out for floats."""
+    out = np.empty(n + 1)
+    y = out[0] = y0
+    half, sixth = 0.5 * h, h / 6.0
+    for k in range(1, n + 1):
+        k1 = lin * y - quad * y * y
+        y2 = y + half * k1
+        k2 = lin * y2 - quad * y2 * y2
+        y3 = y + half * k2
+        k3 = lin * y3 - quad * y3 * y3
+        y4 = y + h * k3
+        k4 = lin * y4 - quad * y4 * y4
+        y = out[k] = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return out
 
 
 def propagate_gaussian(A, sigma, belief0: GaussianBelief, t: float,
@@ -337,9 +362,13 @@ def kalman_bucy_run(model: DiffusionModel, x0_mean: float, x0_var: float,
 
     while the conditioned variance Vhat solves the Riccati equation, the
     same for every trajectory and every gain.  Gain 0 is the uncontrolled
-    filter.
+    filter.  ConfigError, before any draw, for a non-finite mean or gain or
+    a variance that is not finite and > 0.
     """
     a, _, c = _lqg_coefficients(model)
+    check_finite(x0_mean, "x0_mean")
+    check_finite(x0_var, "x0_var", positive=True)
+    check_finite(gain, "the gain")
     n_steps = step_count(horizon, dt)
     indices = np.atleast_1d(indices)
     step = euler_maruyama(model, dt, indices)
@@ -404,13 +433,9 @@ def kb_identity_scan(a: float, sigma_sq: float, c: float, v0: float,
     times = dt * np.arange(n_steps + 1)
 
     dev = _rk4_linear_series(2.0 * a, v0 - v_ss, dt, n_steps)  # V - V_ss
-    dev_h = np.empty(n_steps + 1)  # Vhat - Vhat_ss, nonlinear: stepped
-    dh = dev_h[0] = vhat0 - vhat_ss
     c2 = c * c
-    lin = 2.0 * (a - c2 * vhat_ss)
-    f_dh = lambda y: lin * y - c2 * y * y
-    for k in range(n_steps):
-        dh = dev_h[k + 1] = _rk4_step(f_dh, dh, dt)
+    dev_h = _rk4_quadratic_series(2.0 * (a - c2 * vhat_ss), c2, vhat0 - vhat_ss,
+                                  dt, n_steps)  # Vhat - Vhat_ss, nonlinear
 
     v = v_ss + dev
     vh = vhat_ss + dev_h

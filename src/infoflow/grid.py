@@ -21,8 +21,9 @@ and is refused, before any cell changes, otherwise.
 
 Densities are stored cell-major, a bank of N as an (n_cells, N) array, so
 a substep of all of them is one compiled sparse product T X.  The immutable
-face fields build T for their substep length on first use, and its powers
-by squaring: n uncontrolled substeps are n // 8 products T^8 X and one T^(n % 8) X.
+face fields build T for their substep length on first use, its powers by
+squaring, and one step plan per substep count: n uncontrolled substeps are
+n // 8 products T^8 X and one T^(n % 8) X.
 They own a work array of the bank's shape that each product accumulates
 into; the bank and the work array trade roles after each product.
 A control beta_r added to the drift of column r adds (h/2dx) beta_r D(X_r),
@@ -130,9 +131,9 @@ class FaceFields:
     """Drift at interior faces, sigma at cell centers, and an optional control
     ``beta`` (N,) added to the drift of each density column, all kept as
     read-only copies: a new drift or control is a new instance
-    (``dataclasses.replace``).  It builds its substep operator and its
-    powers on first use (:meth:`operator`, :meth:`power`) and holds the
-    step's one work array (:meth:`workspace`)."""
+    (``dataclasses.replace``).  It builds its substep operator, its powers
+    and its step plans on first use (:meth:`operator`, :meth:`power`,
+    :meth:`plan`) and holds the step's one work array (:meth:`workspace`)."""
 
     v_face: np.ndarray
     sigma_centers: np.ndarray
@@ -178,7 +179,7 @@ class FaceFields:
         relative 2^-40 that covers a fused multiply-add.  A T with a negative
         entry is refused: a coupling by :meth:`check_peclet`, a diagonal
         entry by CflError.  Built on first use and kept, with its powers and
-        :meth:`controls`, for the last ``h`` asked for."""
+        plans, for the last ``h`` asked for."""
         if self._substep is not None and self._substep[0] == h:
             return self._substep[1]
         self.check_peclet()
@@ -200,16 +201,30 @@ class FaceFields:
             walls = (cb, diag[0] - cb, minus_q[0] - cb, p[-1] + cb, diag[-1] + cb)
         pair = (sp.csr_array((bands.ravel()[1:-1], *_tridiagonal_pattern(m)),
                              shape=(m, m)), bounds)   # the walls carry no flux
-        object.__setattr__(self, "_substep", (h, pair, {1: pair[0]}, walls))
+        object.__setattr__(self, "_substep", (h, pair, {1: pair[0]}, walls, {}))
         return pair
 
-    def controls(self, h: float) -> Optional[tuple]:
-        """None without a non-zero control, else c = (h/2dx) beta and the
-        coefficients of T + c D's wall rows, >= 0 for c in the bounds:
-        diag_0 - c, upper_0 - c on X_0, X_1 and lower_{m-1} + c,
-        diag_{m-1} + c on X_{m-2}, X_{m-1}."""
-        self.operator(h)
-        return self._substep[3]
+    def plan(self, h: float, n: int) -> tuple:
+        """((lo, hi), walls, products) of ``n`` substeps of length ``h``:
+        the control bounds of :meth:`operator`; None without a non-zero
+        control, else c = (h/2dx) beta and T + c D's wall coefficients,
+        >= 0 for c in the bounds (diag_0 - c, upper_0 - c, lower_{m-1} + c,
+        diag_{m-1} + c); the CSR triples (indptr, indices, data) of n x T under
+        a control, else of (n // 8) x T^8 and T^(n % 8).  Kept while h is."""
+        sub = self._substep
+        if sub is not None and sub[0] == h and n in sub[4]:
+            return sub[4][n]
+        op, bounds = self.operator(h)
+        walls = self._substep[3]
+        if walls is not None:
+            ops = [op] * n
+        else:
+            fused, rest = divmod(n, FUSED_SUBSTEPS)
+            ops = [self.power(h, FUSED_SUBSTEPS)] * fused if fused else []
+            ops += [self.power(h, rest)] if rest else []
+        plan = bounds, walls, tuple((t.indptr, t.indices, t.data) for t in ops)
+        self._substep[4][n] = plan
+        return plan
 
     def power(self, h: float, n: int):
         """T^n, ``n`` uncontrolled substeps of length ``h``: a band of 2n + 1
@@ -258,7 +273,7 @@ def advance_values(values: np.ndarray, ff: FaceFields, duration: float,
     interior cell's one negative term, c X_{i+1} (or -c X_{i-1}), rounds to
     no more than the product it cancels, upper_i X_{i+1} (lower_i X_{i-1}),
     and each wall row is formed from its own coefficients, which are >= 0
-    (:meth:`FaceFields.controls`).
+    (:meth:`FaceFields.plan`).
     Refused before any cell changes: values that are not C-contiguous
     float64, are the work array or hold a cell that is not a finite number
     >= +0 (ConfigError; one pass over the cells' bits, read as uint64),
@@ -274,14 +289,12 @@ def advance_values(values: np.ndarray, ff: FaceFields, duration: float,
     if np.may_share_memory(src, dst):
         raise ConfigError("these values are the face fields' work array: go on "
                           "with the array the previous step returned")
-    h = duration / n_substeps
-    op, (lo, hi) = ff.operator(h)
+    (lo, hi), walls, products = ff.plan(duration / n_substeps, n_substeps)
     bits = values.view(np.uint64)
     if np.maximum.reduce(bits, axis=None) >= INF_BITS:
         bad = tuple(np.argwhere(bits >= INF_BITS)[0].tolist())
         raise ConfigError(f"transport needs finite non-negative cells (>= +0), "
                           f"got {values[bad]} at {bad}")
-    walls = ff.controls(h)
     if walls is not None:
         cb, a_0, b_0, a_m, b_m = walls
         out = np.flatnonzero(~((lo <= cb) & (cb <= hi)))
@@ -289,13 +302,7 @@ def advance_values(values: np.ndarray, ff: FaceFields, duration: float,
             raise UnstableStepError(
                 f"control {np.ravel(ff.beta)[out[0]]:.4g} of column {out[0]} puts "
                 f"(h/2dx) beta outside [{lo:.4g}, {hi:.4g}]: T + c D has a negative entry")
-        ops = [op] * n_substeps
-    else:                                       # T^8 only when it is applied
-        fused, rest = divmod(n_substeps, FUSED_SUBSTEPS)
-        ops = [ff.power(h, FUSED_SUBSTEPS)] * fused if fused else []
-        ops += [ff.power(h, rest)] if rest else []
-    for op in ops:
-        csr = (op.indptr, op.indices, op.data)
+    for csr in products:
         if walls is None:
             dst.fill(0.0)
         else:                                   # c D(X) of the old values
@@ -351,13 +358,16 @@ def observation_values(model: DiffusionModel, grid: Grid1D) -> np.ndarray:
     raise ConfigError("grid filtering expects an elementwise scalar observation map")
 
 
-def _increments(delta_y, values: np.ndarray) -> np.ndarray:
-    """Observation increments, one per density column of ``values``."""
+def _increments(delta_y, values: np.ndarray):
+    """Observation increments, one per density column of ``values``: a float
+    for one density."""
+    if isinstance(delta_y, float) and values.ndim == 1:
+        return delta_y
     dy = np.asarray(delta_y, dtype=float)
     if dy.shape != values.shape[1:]:
         raise ConfigError(f"dY has shape {dy.shape}; one increment per density "
                           f"needs shape {values.shape[1:]}")
-    return dy
+    return float(dy) if values.ndim == 1 else dy
 
 
 def _non_finite(dy) -> UnstableStepError:
@@ -384,10 +394,10 @@ def zakai_advance(values: np.ndarray, ff: FaceFields, n_half: int,
     if values.ndim > 2:
         raise ConfigError("zakai_advance takes one density or an (M, N) bank")
     dy = _increments(delta_y, values)
-    dy_max = float(np.max(np.abs(dy)))
+    dy_max = abs(dy) if values.ndim == 1 else float(np.maximum.reduce(np.abs(dy)))
     if not dy_max < math.inf:
         raise _non_finite(dy)
-    h_max = float(np.max(np.abs(h_vals)))
+    h_max = float(np.maximum.reduce(np.abs(h_vals)))
     bound = h_max * dy_max + 0.5 * h_max * h_max * dt
     if bound > EXPONENT_LIMIT:
         raise UnstableStepError(
@@ -434,23 +444,31 @@ def ks_advance(values: np.ndarray, ff: FaceFields, n_half: int,
     """
     if values.ndim != 1:
         raise ConfigError("ks_advance takes one density")
-    dy = float(_increments(delta_y, values))
+    dy = _increments(delta_y, values)
     if not math.isfinite(dy):
         raise _non_finite(dy)
     values = advance_values(values, ff, 0.5 * dt, n_half)
-    mass = np.sum(values) * ff.dx
-    pi_h = np.sum(values * h_vals) * ff.dx / mass
-    pi_h2 = np.sum(values * h_vals * h_vals) * ff.dx / mass
-    var_h = pi_h2 - pi_h * pi_h
+    mass = values.sum() * ff.dx
+    moment = values * h_vals
+    pi_h = moment.sum() * ff.dx / mass
+    moment *= h_vals
+    var_h = moment.sum() * ff.dx / mass - pi_h * pi_h
     di = dy - pi_h * dt
     fluct = h_vals - pi_h
-    factor = 1.0 + fluct * di + 0.5 * (fluct * fluct - var_h) * (di * di - dt)
-    if not np.min(factor) > 0.0:
+    # 1 + fluct dI + (fluct^2 - var_h)/2 (dI^2 - dt), in place, in this order
+    factor = np.multiply(fluct, di)
+    factor += 1.0
+    fluct *= fluct
+    fluct -= var_h
+    fluct *= 0.5
+    fluct *= di * di - dt
+    factor += fluct
+    if not np.minimum.reduce(factor) > 0.0:
         raise UnstableStepError("Kushner-Stratonovich factor lost positivity; "
                                 "reduce dt")
     values *= factor
     values = advance_values(values, ff, 0.5 * dt, n_half)
-    values /= np.sum(values) * ff.dx
+    values /= values.sum() * ff.dx
     return values
 
 

@@ -221,7 +221,8 @@ def euler_maruyama(model: DiffusionModel, dt: float, indices) -> Callable:
         if beta is not None:
             v = v + beta
         x = x + v * dt + np.sqrt(model.sigma(x)) * dw
-        if not (lo <= x.min() and x.max() <= hi):     # a NaN fails both
+        # a NaN fails both
+        if not (lo <= np.minimum.reduce(x) and np.maximum.reduce(x) <= hi):
             bad = int(np.argmax(~np.isfinite(x) | (x < lo) | (x > hi)))
             raise SimulationBlowupError(
                 f"trajectory {indices[bad]} left 10x the domain box at "

@@ -9,7 +9,7 @@ from infoflow import models
 from infoflow.ensemble import EnsembleConfig, run_filter_ensemble
 from infoflow.errors import ConfigError, CovarianceError, NonHurwitzError
 from infoflow.gaussian import (GaussianBelief, _rk4_linear_series,
-                               _rk4_step, gaussian_kl,
+                               _rk4_quadratic_series, _rk4_step, gaussian_kl,
                                gaussian_relax_series, kalman_bucy_run,
                                kb_identity_scan, kb_info_rates,
                                lyapunov_series, lyapunov_steady,
@@ -340,6 +340,58 @@ def test_scalar_scans_need_a_stable_drift():
 def test_lyapunov_steady_refuses_a_non_finite_matrix(A, sigma):
     with pytest.raises(ConfigError, match="finite"):
         lyapunov_steady(A, sigma)
+
+
+@pytest.mark.parametrize("sigma", [[[-1.0]], [[1.0, 0.5], [0.4, 1.0]],
+                                   [[1.0, 2.0], [2.0, 1.0]]],
+                         ids=["negative", "asymmetric", "indefinite"])
+def test_lyapunov_steady_refuses_a_sigma_that_is_not_psd(sigma):
+    a = -np.eye(np.shape(sigma)[0])
+    with pytest.raises(ConfigError, match="positive semi-definite"):
+        lyapunov_steady(a, sigma)
+
+
+def test_lyapunov_steady_takes_a_singular_sigma():
+    # rank one: an eigenvalue of 0 is semi-definite
+    b = np.array([[1.0], [0.5]])
+    vss = lyapunov_steady([[-1.0, 0.3], [0.0, -2.0]], b @ b.T)
+    assert np.all(np.linalg.eigvalsh(vss) > 0)
+
+
+@pytest.mark.parametrize("kw", [dict(x0_mean=math.nan), dict(x0_mean=math.inf),
+                                dict(x0_var=-1.0), dict(x0_var=0.0),
+                                dict(x0_var=math.inf), dict(gain=math.nan),
+                                dict(gain=-math.inf)],
+                         ids=["mean-nan", "mean-inf", "var-negative", "var-zero",
+                              "var-inf", "gain-nan", "gain-inf"])
+def test_kalman_bucy_run_refuses_a_bad_law_or_gain(kw, monkeypatch):
+    # refused before any draw: the noise is never asked for
+    import infoflow.gaussian as gaussian
+    drawn = []
+    monkeypatch.setattr(gaussian, "draw_increments",
+                        lambda *a: drawn.append(a) or gaussian.draw_increments(*a))
+    model = models.lqg(A=[[-1.0]], B=[[SQRT2]], C=[[1.0]])
+    args = dict(x0_mean=0.0, x0_var=0.25, gain=0.5) | kw
+    name = next(iter(kw))
+    with pytest.raises(ConfigError, match=name if name != "gain" else "the gain"):
+        kalman_bucy_run(model, horizon=0.01, dt=1e-3, seed=0, indices=0, **args)
+    assert not drawn
+
+
+@pytest.mark.parametrize("lin, quad, y0, h, n", [
+    (-2.0 * (math.sqrt(3.0) - 1.0) - 2.0, 1.0, 0.25 - (math.sqrt(3.0) - 1.0), 1e-4, 50_000),
+    (-0.7, 2.5, 1.3, 1e-3, 2_000), (0.4, -1.5, -0.2, 5e-3, 400)])
+def test_quadratic_rk4_series_is_the_stepped_loop(lin, quad, y0, h, n):
+    # criterion 2's Riccati deviation: one written-out loop, bit for bit the
+    # RK4 steps of dy/dt = lin y - quad y^2
+    series = _rk4_quadratic_series(lin, quad, y0, h, n)
+    looped = np.empty(n + 1)
+    y = looped[0] = y0
+    f = lambda v: lin * v - quad * v * v
+    for k in range(n):
+        y = looped[k + 1] = _rk4_step(f, y, h)
+    assert series.shape == (n + 1,)
+    assert np.array_equal(series.view(np.uint64), looped.view(np.uint64))
 
 
 @pytest.mark.parametrize("rate, h, n", [(-2.0, 1e-4, 100_000), (-1.0, 1e-4, 100_000)])

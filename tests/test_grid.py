@@ -11,7 +11,7 @@ from scipy.sparse import _sparsetools
 
 from infoflow import checks, models
 from infoflow.errors import (CflError, ConfigError, FilterCollapseError,
-                             UnstableStepError)
+                             UnstableStepError, check_integer)
 from infoflow.grid import (Grid1D, GridDensity, advance_values, entropy,
                            face_fields, gaussian_density,
                            kl_divergence, normalize, score_values,
@@ -944,4 +944,74 @@ def test_non_finite_increment_is_refused_before_any_cell_changes(shape, bad):
     if not shape:                       # the KS step takes one density
         with pytest.raises(UnstableStepError, match=match):
             ks_advance(values, ff, 1, h_vals, dy, 2.0 * h)
+    assert _same_bits(values, before)
+
+
+def test_step_plan_is_built_once_per_substep_and_count(monkeypatch):
+    # a repeat step of the same (h, n) is one lookup: it re-enters neither
+    # the operator nor its powers; a new n or h builds a new plan, and only
+    # the plans of the last h are kept
+    ff, values, h = _transport_case(())
+    h = 2.0 ** math.floor(math.log2(h))             # n h / n is h exactly
+    calls = {"operator": 0, "power": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _fn=getattr(FaceFields, name)):
+            calls[_name] += 1
+            return _fn(self, *args)
+        monkeypatch.setattr(FaceFields, name, counted)
+    values = advance_values(values, ff, 11 * h, 11)     # T^8 and T^3
+    built = dict(calls)
+    assert built["operator"] >= 1 and built["power"] >= 2
+    eleven = ff.plan(h, 11)
+    values = advance_values(values, ff, 11 * h, 11)
+    assert calls == built and ff.plan(h, 11) is eleven
+    values = advance_values(values, ff, 5 * h, 5)
+    five = ff.plan(h, 5)
+    assert five is not eleven and calls["power"] > built["power"]
+    shorter = ff.plan(0.75 * h, 5)
+    assert not np.array_equal(shorter[2][0][2], five[2][0][2])
+    assert ff.plan(h, 5) is not five
+
+
+def test_out_of_bounds_control_is_refused_on_every_call():
+    # the plan is cached after the first refusal, and the bounds are still
+    # checked before any cell changes on a repeat call to the same fields
+    ff, values, h = _transport_case((3,), beta=np.array([0.1, 50.0, -0.2]))
+    before = values.copy()
+    for _ in range(2):
+        with pytest.raises(UnstableStepError, match="column 1 "):
+            advance_values(values, ff, 2.0 * h, 2)
+        assert _same_bits(values, before)
+
+
+@pytest.mark.parametrize("value", [3, np.int64(3), np.int32(1)])
+def test_check_integer_takes_integers(value):
+    check_integer(value, "the count", 1)
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(True), 2.0, "2", 0, -1,
+                                   np.int64(0)])
+def test_check_integer_refuses_what_is_not_a_count(value):
+    with pytest.raises(ConfigError, match=re.escape(
+            f"the count must be an integer >= 1, got {value!r}")):
+        check_integer(value, "the count", 1)
+
+
+def test_float_increment_steps_as_a_0d_array():
+    # one density's dY is taken as a float without array reductions; a
+    # 0-d array, a Python float and a numpy float step alike, and a
+    # non-finite float is refused before any cell changes
+    ff, values, h = _transport_case(())
+    h_vals = observation_values(models.ou(), Grid1D(-2.5, 2.5, 64))
+    outs = []
+    for dy in (np.array(0.03), 0.03, np.float64(0.03)):
+        for step in (zakai_advance, ks_advance):
+            outs.append(step(values.copy(), ff, 1, h_vals, dy, 2.0 * h))
+    assert all(_same_bits(out, outs[i % 2]) for i, out in enumerate(outs))
+    before = values.copy()
+    for step in (zakai_advance, ks_advance):
+        with pytest.raises(UnstableStepError, match="dY of density 0 is nan"):
+            step(values, ff, 1, h_vals, math.nan, 2.0 * h)
+    with pytest.raises(ConfigError, match="one increment per density"):
+        zakai_advance(values, ff, 1, h_vals, [0.03], 2.0 * h)
     assert _same_bits(values, before)

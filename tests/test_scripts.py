@@ -25,7 +25,7 @@ def test_lqg_ledger_script_runs():
 
 @pytest.mark.parametrize("args, code", [
     (("--a", "nan"), 2), (("--c", "0"), 2),
-    (("--v0", "0"), 3), (("--sigma-sq", "-1"), 3)])
+    (("--v0", "0"), 3), (("--sigma-sq", "-1"), 2)])
 def test_lqg_ledger_script_reports_an_error_in_one_line(args, code):
     # as `infoflow run`: exit 2 or 3 and one line on stderr, no traceback
     proc = run_lqg_ledger(*args)
