@@ -21,9 +21,12 @@ and is refused, before any cell changes, otherwise.
 
 Densities are stored cell-major, a bank of N as an (n_cells, N) array, so
 a substep of all of them is one compiled sparse product T X.  The immutable
-face fields build T for their substep length on first use, its powers by
-squaring, and one step plan per substep count: n uncontrolled substeps are
-n // 8 products T^8 X and one T^(n % 8) X.
+face fields build T for their substep length on first use as an
+(n_cells, 3) band array, its powers by squaring as band arrays, and one
+step plan per substep count, with one CSR triple per power: n uncontrolled
+substeps are n // 8 products T^8 X and one T^(n % 8) X.  The product runs
+scipy's compiled CSR kernels, loaded from their extension file without
+importing the scipy.sparse package (:func:`_load_kernels`).
 They own a work array of the bank's shape that each product accumulates
 into; the bank and the work array trade roles after each product.
 A control beta_r added to the drift of column r adds (h/2dx) beta_r D(X_r),
@@ -38,13 +41,15 @@ log-mass ln sigma_t(1) is read off the masses.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
 from .errors import (CflError, ConfigError, FilterCollapseError,
                      UnstableStepError, check_finite, check_integer)
@@ -55,6 +60,33 @@ SCORE_GATE = 1e-12           # score integrands gated at this fraction of max
 EXPONENT_LIMIT = 700.0
 FUSED_SUBSTEPS = 8           # uncontrolled substeps per product: T^8, and T^(n mod 8)
 INF_BITS = 0x7FF0000000000000  # +inf as uint64: exactly the finite floats >= +0 lie below
+
+
+def _load_kernels():
+    """scipy's compiled CSR kernels, the module ``scipy.sparse._sparsetools``,
+    loaded from its extension file: importing the scipy.sparse package would
+    also import its array-API shim, which costs more time and memory than
+    the rest of the program.  The module is registered under its own name,
+    so a later ``import scipy.sparse`` gets this same module object, and the
+    one scipy.sparse loaded is taken if it came first."""
+    name = "scipy.sparse._sparsetools"
+    if name not in sys.modules:
+        scipy = importlib.util.find_spec("scipy")   # runs none of scipy's code
+        paths = [os.path.join(folder, "sparse", "_sparsetools" + suffix)
+                 for folder in (scipy.submodule_search_locations if scipy else [])
+                 for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next(filter(os.path.isfile, paths), None)
+        if path is None:
+            raise ImportError("scipy's compiled CSR kernels are missing: "
+                              + (f"none of {paths}" if paths else "no scipy package"))
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]
+
+
+_sparsetools = _load_kernels()
 
 
 @dataclass(frozen=True)
@@ -118,12 +150,30 @@ def gaussian_density(grid: Grid1D, mean: float, var: float) -> GridDensity:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _tridiagonal_pattern(m: int):
-    """CSR (indices, indptr) of an m x m tridiagonal matrix, rows in order."""
-    indices = (np.arange(m)[:, None] + np.arange(-1, 2)).ravel()[1:-1].astype(np.int32)
-    indptr = np.r_[0, 2:3 * m - 1:3, 3 * m - 2].astype(np.int32)
-    indices.flags.writeable = indptr.flags.writeable = False   # shared by all
-    return indices, indptr
+def _band_pattern(m: int, n: int):
+    """CSR (indptr, indices) of an m x m band of half-width ``n``, each row
+    in column order, and the mask of the entries inside the matrix in an
+    (m, 2n + 1) band array, whose row i holds columns i - n .. i + n."""
+    cols = np.arange(m)[:, None] + np.arange(-n, n + 1)
+    inside = (cols >= 0) & (cols < m)
+    indptr = np.r_[0, np.cumsum(np.count_nonzero(inside, axis=1))].astype(np.int32)
+    indices = cols[inside].astype(np.int32)
+    for a in (indptr, indices, inside):
+        a.flags.writeable = False                   # shared by all
+    return indptr, indices, inside
+
+
+def _band_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The band of A B from the bands of A, (m, 2p + 1), and B, (m, 2q + 1),
+    each 0 outside the matrix.  Every entry is summed over A's row in column
+    order from 0, as scipy's CSR product sums a row with sorted indices."""
+    m, width = a.shape
+    rows = np.zeros((m + width - 1, b.shape[1]))   # row k of B at k + p
+    rows[width // 2:width // 2 + m] = b
+    out = np.zeros((m, width + b.shape[1] - 1))
+    for s in range(width):                          # column i - p + s of A's row i
+        out[:, s:s + b.shape[1]] += a[:, s:s + 1] * rows[s:s + m]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,9 +181,10 @@ class FaceFields:
     """Drift at interior faces, sigma at cell centers, and an optional control
     ``beta`` (N,) added to the drift of each density column, all kept as
     read-only copies: a new drift or control is a new instance
-    (``dataclasses.replace``).  It builds its substep operator, its powers
-    and its step plans on first use (:meth:`operator`, :meth:`power`,
-    :meth:`plan`) and holds the step's one work array (:meth:`workspace`)."""
+    (``dataclasses.replace``).  It builds its substep operator and its
+    powers as band arrays, and its step plans as CSR triples, on first use
+    (:meth:`operator`, :meth:`power`, :meth:`plan`) and holds the step's
+    one work array (:meth:`workspace`)."""
 
     v_face: np.ndarray
     sigma_centers: np.ndarray
@@ -172,8 +223,9 @@ class FaceFields:
                               f"{bad[0]} (v={self.v_face[bad[0]]:.4g}): refine the grid")
 
     def operator(self, h: float) -> tuple:
-        """(T, (lo, hi)): one uncontrolled substep of length ``h`` as an
-        (n_cells, n_cells) ``csr_array``, and the controls c = (h/2dx) beta
+        """(T, (lo, hi)): one uncontrolled substep of length ``h`` as a
+        read-only (n_cells, 3) band array, row i (lower_i, diag_i, upper_i)
+        with 0 outside the matrix, and the controls c = (h/2dx) beta
         with every entry of T + c D >= 0, lo <= c <= hi: c may exceed no
         upper coupling nor diag_0, -c no lower one nor diag_{m-1}, less a
         relative 2^-40 that covers a fused multiply-add.  A T with a negative
@@ -199,9 +251,9 @@ class FaceFields:
         if self.beta is not None and np.any(self.beta):
             cb = (h / (2.0 * self.dx)) * self.beta
             walls = (cb, diag[0] - cb, minus_q[0] - cb, p[-1] + cb, diag[-1] + cb)
-        pair = (sp.csr_array((bands.ravel()[1:-1], *_tridiagonal_pattern(m)),
-                             shape=(m, m)), bounds)   # the walls carry no flux
-        object.__setattr__(self, "_substep", (h, pair, {1: pair[0]}, walls, {}))
+        bands.flags.writeable = False               # the walls carry no flux
+        pair = (bands, bounds)
+        object.__setattr__(self, "_substep", (h, pair, {1: bands}, walls, {}))
         return pair
 
     def plan(self, h: float, n: int) -> tuple:
@@ -210,29 +262,35 @@ class FaceFields:
         control, else c = (h/2dx) beta and T + c D's wall coefficients,
         >= 0 for c in the bounds (diag_0 - c, upper_0 - c, lower_{m-1} + c,
         diag_{m-1} + c); the CSR triples (indptr, indices, data) of n x T under
-        a control, else of (n // 8) x T^8 and T^(n % 8).  Kept while h is."""
+        a control, else of (n // 8) x T^8 and T^(n % 8), one triple per
+        power, which its repeated products share.  Kept while h is."""
         sub = self._substep
         if sub is not None and sub[0] == h and n in sub[4]:
             return sub[4][n]
-        op, bounds = self.operator(h)
+        _, bounds = self.operator(h)
         walls = self._substep[3]
         if walls is not None:
-            ops = [op] * n
+            counts = [1] * n
         else:
             fused, rest = divmod(n, FUSED_SUBSTEPS)
-            ops = [self.power(h, FUSED_SUBSTEPS)] * fused if fused else []
-            ops += [self.power(h, rest)] if rest else []
-        plan = bounds, walls, tuple((t.indptr, t.indices, t.data) for t in ops)
+            counts = [FUSED_SUBSTEPS] * fused + ([rest] if rest else [])
+        csr = {}
+        for k in set(counts):
+            indptr, indices, inside = _band_pattern(self.sigma_centers.size, k)
+            csr[k] = indptr, indices, self.power(h, k)[inside]
+        plan = bounds, walls, tuple(csr[k] for k in counts)
         self._substep[4][n] = plan
         return plan
 
-    def power(self, h: float, n: int):
-        """T^n, ``n`` uncontrolled substeps of length ``h``: a band of 2n + 1
-        diagonals built on first use as T^(n//2) T^(n - n//2), kept while ``h`` is."""
+    def power(self, h: float, n: int) -> np.ndarray:
+        """T^n, ``n`` uncontrolled substeps of length ``h``, as an
+        (n_cells, 2n + 1) band array, row i holding columns i - n .. i + n
+        with 0 outside the matrix; built on first use as T^(n//2) T^(n - n//2)
+        (:func:`_band_product`), kept while ``h`` is."""
         self.operator(h)
         powers = self._substep[2]
         if n not in powers:
-            powers[n] = self.power(h, n // 2) @ self.power(h, n - n // 2)
+            powers[n] = _band_product(self.power(h, n // 2), self.power(h, n - n // 2))
         return powers[n]
 
     def workspace(self, shape) -> np.ndarray:
@@ -278,9 +336,11 @@ def advance_values(values: np.ndarray, ff: FaceFields, duration: float,
     float64, are the work array or hold a cell that is not a finite number
     >= +0 (ConfigError; one pass over the cells' bits, read as uint64),
     T's refusals, a control outside T's bounds (UnstableStepError), a
-    substep count that is not an integer >= 1 (ConfigError)."""
+    substep count that is not an integer >= 1 or a duration that is not
+    finite and > 0 (ConfigError)."""
     m = ff.sigma_centers.size
     check_integer(n_substeps, "the substep count", 1)
+    check_finite(duration, "the duration", positive=True)
     if values.dtype != np.float64 or not values.flags.c_contiguous \
             or values.shape[:1] != (m,):
         raise ConfigError(f"transport needs C-contiguous float64 cell "

@@ -1,5 +1,8 @@
+import importlib.machinery
 import math
+import os
 import re
+import sys
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -16,8 +19,8 @@ from infoflow.grid import (Grid1D, GridDensity, advance_values, entropy,
                            face_fields, gaussian_density,
                            kl_divergence, normalize, score_values,
                            steady_state_grid, zakai_step)
-from infoflow.grid import (FaceFields, ks_advance, observation_values,
-                           substeps_for, zakai_advance)
+from infoflow.grid import (FaceFields, _load_kernels, ks_advance,
+                           observation_values, substeps_for, zakai_advance)
 from infoflow.models import simulate_joint
 
 
@@ -557,7 +560,7 @@ def test_peclet_check_is_the_sign_of_the_couplings(seed, peclet, cfl):
                 refusal()
     else:
         ff.check_peclet()
-        assert float(np.min(ff.operator(h)[0].data)) >= 0.0
+        assert float(np.min(ff.operator(h)[0])) >= 0.0
 
 
 @pytest.mark.parametrize("spike", [1.0, 1e-15])
@@ -607,8 +610,24 @@ def _transport_case(shape, beta=None):
     return ff, values, 0.5 * ff.cfl_limit()
 
 
+def _dense(band):
+    """The m x m matrix of an (m, 2n + 1) band array, whose row i holds
+    columns i - n .. i + n."""
+    m, n = band.shape[0], band.shape[1] // 2
+    rows, k = np.indices(band.shape)
+    cols = rows - n + k
+    inside = (cols >= 0) & (cols < m)
+    dense = np.zeros((m, m))
+    dense[rows[inside], cols[inside]] = band[inside]
+    return dense
+
+
+def _csr(band):
+    return sp.csr_array(_dense(band))
+
+
 def _operator(ff, h):
-    return ff.operator(h)[0]
+    return _csr(ff.operator(h)[0])
 
 
 def test_csr_kernels_add_the_product():
@@ -637,6 +656,16 @@ def test_csr_kernels_add_the_product():
         assert np.array_equal(y, a @ x)
 
 
+def test_missing_kernel_file_is_an_import_error(monkeypatch):
+    # the kernels have one import route: their extension file, whose paths
+    # the error names
+    monkeypatch.delitem(sys.modules, "scipy.sparse._sparsetools")
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
+    with pytest.raises(ImportError, match=re.escape(
+            os.path.join("scipy", "sparse", "_sparsetools.missing.so"))):
+        _load_kernels()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("shape", [(), (5,)])
 def test_uncontrolled_advance_is_repeated_product(shape, n):
@@ -647,7 +676,7 @@ def test_uncontrolled_advance_is_repeated_product(shape, n):
     for _ in range(n):
         expected = op @ expected
     out = advance_values(values.copy(), ff, n * h, n)
-    assert np.array_equal(out, ff.power(h, n) @ values)
+    assert np.array_equal(out, _csr(ff.power(h, n)) @ values)
     assert float(np.max(np.abs(out - expected))) <= 1e-15 * float(np.max(expected))
 
 
@@ -695,12 +724,64 @@ def test_powers_by_squaring_are_non_negative_bands(name, n):
     # T^n = T^(n//2) T^(n - n//2): a band of 2n + 1 diagonals, no entry < 0
     ff, _, h = _chunk_case(name, ())
     power = ff.power(h, n)
-    assert float(np.min(power.data)) >= 0.0
-    rows, cols = power.nonzero()
+    assert power.shape == (128, 2 * n + 1)
+    assert float(np.min(power)) >= 0.0
+    rows, cols = _dense(power).nonzero()
     assert int(np.max(np.abs(rows - cols))) == n
-    repeated = _operator(ff, h).toarray()
+    repeated = _dense(ff.operator(h)[0])
     expected = np.linalg.matrix_power(repeated, n)
-    assert float(np.max(np.abs(power.toarray() - expected))) <= 1e-15 * n
+    assert float(np.max(np.abs(_dense(power) - expected))) <= 1e-15 * n
+
+
+def _triple_csr(triple):
+    """A plan's CSR triple (indptr, indices, data) as a csr_array."""
+    m = triple[0].size - 1
+    return sp.csr_array(triple[::-1], shape=(m, m))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 17])
+@pytest.mark.parametrize("name", ["brownian", "ou", "double_well"])
+def test_band_powers_are_scipys_products(name, n):
+    # T^n is scipy's CSR product of the same factors: bit for bit up to T^3,
+    # whose left factor is T, with rows in column order; from T^4 on scipy's
+    # left factor T^2 holds its rows out of column order, so scipy sums in
+    # another order.  Each CSR triple of the plan holds its power's band,
+    # every row in column order.
+    ff, _, h = _chunk_case(name, ())
+    scipy_powers = {1: _operator(ff, h)}
+
+    def scipy_power(k):
+        if k not in scipy_powers:
+            scipy_powers[k] = scipy_power(k // 2) @ scipy_power(k - k // 2)
+        return scipy_powers[k]
+
+    band, expected = _dense(ff.power(h, n)), scipy_power(n).toarray()
+    if n <= 3:
+        assert _same_bits(band, expected)
+    else:
+        assert float(np.max(np.abs(band - expected))) <= 1e-15 * n * float(np.max(expected))
+    _, _, products = ff.plan(h, n)
+    counts = [8] * (n // 8) + [n % 8] * (n % 8 > 0)
+    assert len(products) == len(counts)
+    for triple, k in zip(products, counts):
+        csr = _triple_csr(triple)
+        assert csr.has_canonical_format
+        assert _same_bits(csr.toarray(), _dense(ff.power(h, k)))
+
+
+def test_plan_products_share_one_triple():
+    # 500 uncontrolled substeps are 62 products with T^8, which share one
+    # CSR triple, and one with T^4; n controlled substeps share T's triple
+    ff, _, h = _chunk_case("double_well", ())
+    _, _, products = ff.plan(h, 500)
+    assert len(products) == 63 and all(t is products[0] for t in products[:62])
+    assert _same_bits(_triple_csr(products[0]).toarray(), _dense(ff.power(h, 8)))
+    assert _same_bits(_triple_csr(products[-1]).toarray(), _dense(ff.power(h, 4)))
+    controlled = replace(ff, beta=np.full(3, 0.1))
+    _, _, products = controlled.plan(h, 5)
+    assert len(products) == 5 and all(t is products[0] for t in products)
+    assert _same_bits(_triple_csr(products[0]).toarray(),
+                      _dense(controlled.operator(h)[0]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -749,6 +830,21 @@ def test_substep_count_below_one_is_refused(call, count):
     assert np.array_equal(values, before)
 
 
+@pytest.mark.parametrize("duration", [-1e-3, 0.0, -0.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("shape", [(), (3,)], ids=["density", "bank"])
+def test_advance_refuses_a_duration_that_is_not_positive(shape, duration, monkeypatch):
+    # a negative duration was once refused as too long a substep (CflError)
+    # and 0 stepped with T = I; each is a ConfigError before any cell
+    # changes or any plan is built
+    ff, values, _ = _transport_case(shape)
+    monkeypatch.setattr(FaceFields, "plan", lambda *args: pytest.fail("plan built"))
+    before = values.copy()
+    with pytest.raises(ConfigError, match=re.escape(
+            f"the duration must be finite and positive, got {duration}")):
+        advance_values(values, ff, duration, 2)
+    assert _same_bits(values, before)
+
+
 def test_advance_reuses_its_workspace():
     # the values and the work array trade roles; no call allocates
     for beta in (None, np.full(3, 0.2)):
@@ -788,8 +884,8 @@ def test_face_fields_are_immutable():
     assert ff.operator(h) is ff.operator(h)
     doubled = replace(ff, v_face=2 * v)
     fresh = FaceFields(2 * v, base.sigma_centers, grid.dx)
-    assert np.array_equal(doubled.operator(h)[0].data, fresh.operator(h)[0].data)
-    assert not np.array_equal(doubled.operator(h)[0].data, ff.operator(h)[0].data)
+    assert np.array_equal(doubled.operator(h)[0], fresh.operator(h)[0])
+    assert not np.array_equal(doubled.operator(h)[0], ff.operator(h)[0])
 
 
 @pytest.mark.parametrize("name", sorted(models.PRESETS))
@@ -802,7 +898,7 @@ def test_fused_step_matches_substeps(name):
     dt = 1e-3
     ff = face_fields(m, grid)
     n_half = max(3, substeps_for(ff, 0.5 * dt))
-    op = ff.operator(0.5 * dt / n_half)[0]
+    op = _operator(ff, 0.5 * dt / n_half)
     h_vals = observation_values(m, grid)
     bank = np.stack([gaussian_density(grid, mean, 0.3 * (high - low) ** 2 / 25).values
                      for mean in (0.3 * low, 0.0, 0.2 * high)], axis=1)
@@ -830,16 +926,17 @@ def test_overflow_guard_changes_no_cell():
     assert np.array_equal(values, before)
 
 
-def _controlled_product(values, op, cb):
+def _controlled_product(values, band, cb):
     """One controlled substep exactly as the kernel computes it: c D(X) plus
     T X on the interior rows, and each wall row of T + c D from its two
     coefficients."""
     out = np.zeros_like(values)
     np.subtract(values[:-2], values[2:], out=out[1:-1])
     out[1:-1] *= cb
+    op = _csr(band)
     _sparsetools.csr_matvecs(op.shape[0], op.shape[1], values.shape[1], op.indptr,
                              op.indices, op.data, values.reshape(-1), out.reshape(-1))
-    diag_0, upper_0, lower_m, diag_m = op.data[[0, 1, -2, -1]]
+    (diag_0, upper_0), (lower_m, diag_m) = band[0, 1:], band[-1, :2]
     out[0] = (diag_0 - cb) * values[0] + (upper_0 - cb) * values[1]
     out[-1] = (lower_m + cb) * values[-2] + (diag_m + cb) * values[-1]
     return out
