@@ -396,7 +396,7 @@ def check_mass_conservation() -> CheckResult:
     worst = 0.0
     mass = float(vals.sum() * grid.dx)
     for _ in range(10_000):
-        vals = advance_values(vals, ff, dt, 1)
+        advance_values(vals, ff, dt, 1)
         new_mass = float(vals.sum() * grid.dx)
         worst = max(worst, abs(new_mass - mass))
         mass = new_mass
@@ -436,8 +436,8 @@ def _ks_zakai_gap(model, grid: Grid1D, dt: float, horizon: float,
     zak = gaussian_density(grid, 0.0, 0.25).values
     ks = zak.copy()
     for dy in incs:
-        zak = zakai_advance(zak, ff, n_half, h_vals, dy, dt)
-        ks = ks_advance(ks, ff, n_half, h_vals, dy, dt)
+        zakai_advance(zak, ff, n_half, h_vals, dy, dt)
+        ks_advance(ks, ff, n_half, h_vals, dy, dt)
     zak_n, _ = normalize(GridDensity(grid, zak))
     return float(np.sum(np.abs(zak_n.values - ks)) * grid.dx)
 

@@ -39,7 +39,9 @@ Example::
 
 The master seed is mandatory: omitting it is an error, never a clock
 default.  The [grid] and [policy] sections are optional; a missing grid
-derives its box from the model preset with 512 cells.
+derives its box from the model preset with 512 cells.  [output] also takes
+``prior_mode = fp`` or ``mixture``.  Any other section or key is an error,
+as is a [model] or [policy] key that the preset or policy does not take.
 """
 
 from __future__ import annotations
@@ -71,6 +73,33 @@ class ScenarioConfig:
     prior_mode: str = "fp"
     d_form: str = "gamma"
     raw_text: str = ""
+
+
+# the keys each section may hold; [model] and [policy] keys are checked by
+# the preset and the policy they name
+_SECTION_KEYS = {
+    "scenario": {"name"},
+    "model": None,
+    "grid": {"x_min", "x_max", "n_cells"},
+    "time": {"dt", "horizon", "sample_stride"},
+    "ensemble": {"n_trajectories", "seed", "x0_mean", "x0_var"},
+    "policy": None,
+    "output": {"directory", "density_snapshots", "prior_mode"},
+}
+
+
+def _check_sections(parser) -> None:
+    """ConfigError for a section or a key that no part of a scenario reads,
+    which would otherwise leave a misspelled setting at its default."""
+    for section in parser.sections():
+        if section not in _SECTION_KEYS:
+            raise ConfigError(f"unknown section [{section}]; known: "
+                              f"{', '.join(_SECTION_KEYS)}")
+        known = _SECTION_KEYS[section]
+        unknown = sorted(set(parser[section]) - known) if known is not None else []
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r} in [{section}]; known: "
+                              f"{', '.join(sorted(known))}")
 
 
 def _require(parser, section: str, key: str) -> str:
@@ -110,6 +139,7 @@ def load_scenario(path) -> ScenarioConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
+    _check_sections(parser)
 
     name = _require(parser, "scenario", "name")
     if not parser.has_section("model"):

@@ -221,8 +221,8 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
     xf = grid.interior_faces
     dx = grid.dx
 
-    # one per density array, each owning its workspace; under a policy each
-    # step's controls and the prior's mean drift are new instances
+    # one per density array; under a policy each step's controls and the
+    # prior's mean drift are new instances
     ff_post = face_fields(model, grid)
     ff_post.check_peclet()
     ff_prior = replace(ff_post)
@@ -234,7 +234,7 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
 
     rho0 = gaussian_density(grid, config.x0_mean, config.x0_var)
     prior_vals = rho0.values.copy()
-    # (M, N), owning its memory: the transport trades it with its work array
+    # (M, N), C-contiguous: the transport steps it in place
     post_vals = np.repeat(rho0.values[:, None], n_traj, axis=1)
     ledger = np.zeros(n_traj)
     int_pi2 = np.zeros(n_traj)
@@ -317,13 +317,10 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
 
         # --- per-trajectory Zakai step (Strang split)
         if beta is not None:
-            # the new controls' face fields take over the bank's work array
-            ff_next = replace(ff_post, beta=beta)
-            ff_next.trade(ff_post.workspace(post_vals.shape))
-            ff_post = ff_next
+            ff_post = replace(ff_post, beta=beta)
             substeps_for(ff_post, 0.5 * dt, n_substeps=n_half)
             ff_prior = replace(ff_prior, v_face=mean_drift(model, xf, beta))
-        post_vals = zakai_advance(post_vals, ff_post, n_half, h_c, dy, dt)
+        zakai_advance(post_vals, ff_post, n_half, h_c, dy, dt)
         mass = _column_sums(post_vals) * dx       # the next step's masses
         # fold only the columns out of range: no column sees the batch
         fold = (mass < _MASS_FOLD_LO) | (mass > _MASS_FOLD_HI)
@@ -334,7 +331,7 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
             mass[fold] = _column_sums(post_vals[:, fold]) * dx
 
         # --- shared prior with the ensemble-mean drift
-        prior_vals = advance_values(prior_vals, ff_prior, dt, n_full)
+        advance_values(prior_vals, ff_prior, dt, n_full)
 
     return EnsembleRun(
         model=model, grid=grid, config=config,

@@ -27,10 +27,12 @@ step plan per substep count, with one CSR triple per power: n uncontrolled
 substeps are n // 8 products T^8 X and one T^(n % 8) X.  The product runs
 scipy's compiled CSR kernels, loaded from their extension file without
 importing the scipy.sparse package (:func:`_load_kernels`).
-They own a work array of the bank's shape that each product accumulates
-into; the bank and the work array trade roles after each product.
-A control beta_r added to the drift of column r adds (h/2dx) beta_r D(X_r),
-with D the centered difference, written into the work array before T X.
+Each product steps the values in place, in blocks of ``BLOCK_ROWS`` rows
+of a bank or all rows of one density: a block accumulates into a scratch
+block, written back once the next block, which reads up to
+``FUSED_SUBSTEPS`` rows back, is formed.  A control beta_r added to the
+drift of column r adds (h/2dx) beta_r D(X_r), with D the centered
+difference, written into the scratch block before T X.
 
 The Zakai update is Strang split: half a step of the dual generator, the
 multiplicative observation factor exp(h dY - |h|^2 dt / 2), half a step
@@ -59,6 +61,7 @@ DENSITY_FLOOR = 1e-300       # log-domain floor
 SCORE_GATE = 1e-12           # score integrands gated at this fraction of max
 EXPONENT_LIMIT = 700.0
 FUSED_SUBSTEPS = 8           # uncontrolled substeps per product: T^8, and T^(n mod 8)
+BLOCK_ROWS = 2 * FUSED_SUBSTEPS  # bank rows per block, >= any product's half-width
 INF_BITS = 0x7FF0000000000000  # +inf as uint64: exactly the finite floats >= +0 lie below
 
 
@@ -183,15 +186,13 @@ class FaceFields:
     read-only copies: a new drift or control is a new instance
     (``dataclasses.replace``).  It builds its substep operator and its
     powers as band arrays, and its step plans as CSR triples, on first use
-    (:meth:`operator`, :meth:`power`, :meth:`plan`) and holds the step's
-    one work array (:meth:`workspace`)."""
+    (:meth:`operator`, :meth:`power`, :meth:`plan`)."""
 
     v_face: np.ndarray
     sigma_centers: np.ndarray
     dx: float
     beta: Optional[np.ndarray] = None
     _substep: Optional[tuple] = field(default=None, init=False, repr=False)
-    _scratch: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("v_face", "sigma_centers", "beta"):
@@ -293,16 +294,6 @@ class FaceFields:
             powers[n] = _band_product(self.power(h, n // 2), self.power(h, n - n // 2))
         return powers[n]
 
-    def workspace(self, shape) -> np.ndarray:
-        """Scratch of this ``shape``, reused while the shape holds."""
-        if self._scratch is None or self._scratch.shape != shape:
-            object.__setattr__(self, "_scratch", np.empty(shape))
-        return self._scratch
-
-    def trade(self, values: np.ndarray) -> None:
-        """Take ``values``, of the work array's shape, as the work array."""
-        object.__setattr__(self, "_scratch", values)
-
 
 def face_fields(model: DiffusionModel, grid: Grid1D) -> FaceFields:
     """Uncontrolled drift at the interior faces and sigma at the centers."""
@@ -316,13 +307,17 @@ def face_fields(model: DiffusionModel, grid: Grid1D) -> FaceFields:
 def advance_values(values: np.ndarray, ff: FaceFields, duration: float,
                    n_substeps: int) -> np.ndarray:
     """Advance cell values, (n_cells,) or (n_cells, N) with one density per
-    column, by ``duration`` in ``n_substeps`` substeps and return them.
+    column, by ``duration`` in ``n_substeps`` substeps, in place, and
+    return them.
 
-    Each product accumulates into ``ff.workspace``, onto zeros or, under a
-    non-zero control, onto (h/2dx) beta D(X); the two arrays then swap roles.
-    An odd product count leaves the result in the former work array, which
-    is returned while ``values`` becomes the work array (a view is written
-    back instead), so callers go on with the returned array.
+    Each product walks the rows in blocks, ``BLOCK_ROWS`` rows of a bank
+    or all rows of one density.  A block accumulates into one half of a
+    two-block scratch, onto zeros or, under a non-zero control, onto
+    (h/2dx) beta D(X), and is written back once the next block is formed:
+    a product reaches at most ``FUSED_SUBSTEPS`` <= ``BLOCK_ROWS`` rows
+    away, so no later block reads the rows it replaces.  Every cell is the
+    sum a whole-array product forms, in the same order, so the result is
+    that product's bit for bit.
 
     No cell is checked after a product: each new cell is a sum of products
     of non-negative numbers, so >= 0 exactly.  T has no negative entry
@@ -332,26 +327,27 @@ def advance_values(values: np.ndarray, ff: FaceFields, duration: float,
     no more than the product it cancels, upper_i X_{i+1} (lower_i X_{i-1}),
     and each wall row is formed from its own coefficients, which are >= 0
     (:meth:`FaceFields.plan`).
-    Refused before any cell changes: values that are not C-contiguous
-    float64, are the work array or hold a cell that is not a finite number
-    >= +0 (ConfigError; one pass over the cells' bits, read as uint64),
-    T's refusals, a control outside T's bounds (UnstableStepError), a
-    substep count that is not an integer >= 1 or a duration that is not
-    finite and > 0 (ConfigError)."""
+    Refused before any cell changes: values that are not one density or a
+    bank of C-contiguous float64 cells, a control count that is not the
+    number of density columns, values that hold a cell that is not a
+    finite number >= +0 (ConfigError; one pass over the cells' bits, read
+    as uint64), T's refusals, a control outside T's bounds
+    (UnstableStepError), a substep count that is not an integer >= 1 or a
+    duration that is not finite and > 0 (ConfigError)."""
     m = ff.sigma_centers.size
     check_integer(n_substeps, "the substep count", 1)
     check_finite(duration, "the duration", positive=True)
     if values.dtype != np.float64 or not values.flags.c_contiguous \
-            or values.shape[:1] != (m,):
-        raise ConfigError(f"transport needs C-contiguous float64 cell "
-                          f"values with {m} rows, got {values.dtype} {values.shape}")
-    src, dst = values, ff.workspace(values.shape)
-    if np.may_share_memory(src, dst):
-        raise ConfigError("these values are the face fields' work array: go on "
-                          "with the array the previous step returned")
+            or values.ndim > 2 or values.shape[:1] != (m,):
+        raise ConfigError(f"transport needs one density (M,) or a bank (M, N) of "
+                          f"C-contiguous float64 cell values with M = {m}, "
+                          f"got {values.dtype} {values.shape}")
+    if ff.beta is not None and ff.beta.size != values.size // m:
+        raise ConfigError(f"the face fields hold {ff.beta.size} controls for "
+                          f"{values.size // m} density columns")
     (lo, hi), walls, products = ff.plan(duration / n_substeps, n_substeps)
     bits = values.view(np.uint64)
-    if np.maximum.reduce(bits, axis=None) >= INF_BITS:
+    if bits.flat[bits.argmax()] >= INF_BITS:   # argmax: no reduction set-up
         bad = tuple(np.argwhere(bits >= INF_BITS)[0].tolist())
         raise ConfigError(f"transport needs finite non-negative cells (>= +0), "
                           f"got {values[bad]} at {bad}")
@@ -362,27 +358,35 @@ def advance_values(values: np.ndarray, ff: FaceFields, duration: float,
             raise UnstableStepError(
                 f"control {np.ravel(ff.beta)[out[0]]:.4g} of column {out[0]} puts "
                 f"(h/2dx) beta outside [{lo:.4g}, {hi:.4g}]: T + c D has a negative entry")
-    for csr in products:
-        if walls is None:
-            dst.fill(0.0)
-        else:                                   # c D(X) of the old values
-            np.subtract(src[:-2], src[2:], out=dst[1:-1])
-            dst[1:-1] *= cb
-        if values.ndim == 1:                    # dst += T src
-            _sparsetools.csr_matvec(m, m, *csr, src, dst)
-        else:
-            _sparsetools.csr_matvecs(m, m, values.size // m, *csr,
-                                     src.reshape(-1), dst.reshape(-1))
-        if walls is not None:                   # the wall rows of T + c D
-            dst[:1] = a_0 * src[:1] + b_0 * src[1:2]
-            dst[-1:] = a_m * src[-2:-1] + b_m * src[-1:]
-        src, dst = dst, src
-    if src is not values:                       # an odd count ends in the workspace
-        if not values.flags.owndata:
-            values[...] = src
-            return values
-        ff.trade(values)
-    return src
+    rows = m if values.ndim == 1 else BLOCK_ROWS
+    scratch = np.empty((2, rows) + values.shape[1:])
+    for indptr, indices, data in products:
+        for start in range(0, m, rows):
+            stop = min(start + rows, m)
+            block = scratch[start // rows % 2, :stop - start]
+            if walls is None:
+                block.fill(0.0)
+            else:                               # c D(X) of the old values
+                a, b = max(start, 1), min(stop, m - 1)
+                np.subtract(values[a - 1:b - 1], values[a + 1:b + 1],
+                            out=block[a - start:b - start])
+                block[a - start:b - start] *= cb
+            ptr = indptr[start:stop + 1]        # block += T values, its rows
+            if values.ndim == 1:
+                _sparsetools.csr_matvec(stop - start, m, ptr, indices, data,
+                                        values, block)
+            else:
+                _sparsetools.csr_matvecs(stop - start, m, values.shape[1], ptr,
+                                         indices, data, values, block)
+            if walls is not None:               # the wall rows of T + c D
+                if start == 0:
+                    block[:1] = a_0 * values[:1] + b_0 * values[1:2]
+                if stop == m:
+                    block[-1:] = a_m * values[-2:-1] + b_m * values[-1:]
+            if start:                           # the block before is read
+                values[start - rows:start] = scratch[(start // rows - 1) % 2]
+        values[start:] = block
+    return values
 
 
 def substeps_for(ff: FaceFields, duration: float, safety: float = 0.9,
@@ -439,17 +443,18 @@ def _non_finite(dy) -> UnstableStepError:
 
 def zakai_advance(values: np.ndarray, ff: FaceFields, n_half: int,
                   h_vals: np.ndarray, delta_y, dt: float) -> np.ndarray:
-    """One Strang-split Zakai step of one density (M,) or a bank (M, N):
-    half a transport step, the factor exp(h dY - |h|^2 dt / 2), half a
-    transport step, with one increment per density in ``delta_y``.
+    """One Strang-split Zakai step of one density (M,) or a bank (M, N), in
+    place: half a transport step, the factor exp(h dY - |h|^2 dt / 2),
+    half a transport step, with one increment per density in ``delta_y``.
+    The factor is formed and applied in the transport's row blocks, so
+    no array of the bank's shape is made.
 
     Nothing is rescaled, so the step is linear in the values and the
     caller reads ln sigma_t(1) from the masses.  The exponent is bounded
     from O(M + N) data, |h dY - h^2 dt/2| <= max|h| max|dY| + max(h^2) dt/2,
     and a bound above ``EXPONENT_LIMIT``, like a non-finite dY, raises
-    UnstableStepError before any cell changes.  Returns the stepped
-    values, which callers go on with (see :func:`advance_values`); after a
-    transport error they are left partly advanced.
+    UnstableStepError before any cell changes.  Returns the same array;
+    after a transport error it is left partly advanced.
     """
     if values.ndim > 2:
         raise ConfigError("zakai_advance takes one density or an (M, N) bank")
@@ -463,16 +468,29 @@ def zakai_advance(values: np.ndarray, ff: FaceFields, n_half: int,
         raise UnstableStepError(
             f"observation update overflow: max|h| max|dY| + max(h^2) dt/2 = "
             f"{bound:.3e} exceeds {EXPONENT_LIMIT:g}")
-    values = advance_values(values, ff, 0.5 * dt, n_half)
-    expo = ff.workspace(values.shape)           # h dY - h^2 dt/2
+    advance_values(values, ff, 0.5 * dt, n_half)
+    _observe(values, h_vals, dy, dt)
+    return advance_values(values, ff, 0.5 * dt, n_half)
+
+
+def _observe(values: np.ndarray, h_vals: np.ndarray, dy, dt: float) -> None:
+    """Multiply the values by exp(h dY - h^2 dt/2), a bank one block of
+    ``BLOCK_ROWS`` rows at a time."""
     half_h2dt = 0.5 * h_vals * h_vals * dt
     if values.ndim == 1:
-        np.subtract(np.multiply(h_vals, dy, out=expo), half_h2dt, out=expo)
-    else:                                       # the same two roundings, one pass
-        np.einsum("ik,kj->ij", np.stack([h_vals, -half_h2dt], axis=1),
-                  np.stack([dy, np.ones_like(dy)]), out=expo)
-    values *= np.exp(expo, out=expo)
-    return advance_values(values, ff, 0.5 * dt, n_half)
+        expo = np.multiply(h_vals, dy)
+        expo -= half_h2dt
+        values *= np.exp(expo, out=expo)
+        return
+    m = values.shape[0]
+    terms = np.stack([h_vals, -half_h2dt], axis=1)
+    weights = np.stack([dy, np.ones_like(dy)])
+    expo = np.empty((BLOCK_ROWS, values.shape[1]))
+    for start in range(0, m, BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        e = expo[:min(BLOCK_ROWS, m - start)]   # the same two roundings, one pass
+        np.einsum("ik,kj->ij", terms[rows], weights, out=e)
+        values[rows] *= np.exp(e, out=e)
 
 
 def zakai_step(model: DiffusionModel, zeta: GridDensity, delta_y, dt: float,
@@ -492,7 +510,7 @@ def zakai_step(model: DiffusionModel, zeta: GridDensity, delta_y, dt: float,
 def ks_advance(values: np.ndarray, ff: FaceFields, n_half: int,
                h_vals: np.ndarray, delta_y, dt: float) -> np.ndarray:
     """One step of the normalized (Kushner-Stratonovich) density equation on
-    one density (M,); returns it (see :func:`advance_values`).
+    one density (M,), in place; returns the same array.
 
     Nonlinear: the innovation dI = dY - pi(h) dt multiplies the centered
     observation fluctuation h - pi(h).  The scalar innovation admits the
@@ -507,7 +525,7 @@ def ks_advance(values: np.ndarray, ff: FaceFields, n_half: int,
     dy = _increments(delta_y, values)
     if not math.isfinite(dy):
         raise _non_finite(dy)
-    values = advance_values(values, ff, 0.5 * dt, n_half)
+    advance_values(values, ff, 0.5 * dt, n_half)
     mass = values.sum() * ff.dx
     moment = values * h_vals
     pi_h = moment.sum() * ff.dx / mass
@@ -527,7 +545,7 @@ def ks_advance(values: np.ndarray, ff: FaceFields, n_half: int,
         raise UnstableStepError("Kushner-Stratonovich factor lost positivity; "
                                 "reduce dt")
     values *= factor
-    values = advance_values(values, ff, 0.5 * dt, n_half)
+    advance_values(values, ff, 0.5 * dt, n_half)
     values /= values.sum() * ff.dx
     return values
 

@@ -273,13 +273,15 @@ def mwz_residual(run: EnsembleRun, t: float, prior: str = "fp",
     the truth is differenced in time before averaging, which cancels most of
     the path-to-path variance.
 
-    With feedback the balance closes only after accounting for the
-    correlation between the control and the reference score,
+    With feedback the balance closes only with the feedback term of the
+    controlled Mayer-Wolf-Zakai balance, the correlation between the
+    control and the score of the law of X,
 
         dI/dt = supply - dissipation - E[beta * grad ln rho(X)],
 
-    because the shared reference density cannot follow each trajectory's own
-    control.  ``control_correction=True`` includes that term (it vanishes
+    which is there under the exact law too: for scalar lqg under
+    beta = -K x_hat it is KQ/P, Q = Var(x_hat) and P = Var(X).
+    ``control_correction=True`` includes that term (it vanishes
     identically without a policy or with a zero-gain one).
     """
     return _balance(run, integrands(run, prior), run.sample_index(t), "gamma",
@@ -326,9 +328,10 @@ def entropy_rate_scan(model: DiffusionModel, grid: Grid1D, values,
     trapezoid weights of :func:`entropy`, and one forward substep gives
     d_t rho exactly, as the step is linear in its length; a backward step
     would be anti-diffusive and can drive tail cells negative.  A substep
-    above 0.9 x the CFL limit, or times that are not finite, >= 0 and
-    ascending, raise before any step.
+    that is not finite and > 0 or is above 0.9 x the CFL limit, or times
+    that are not finite, >= 0 and ascending, raise before any step.
     """
+    check_finite(substep, "the substep", positive=True)
     times = np.asarray(times, dtype=float)
     if not (np.all(np.isfinite(times)) and np.all(np.diff(times, prepend=0.0) >= 0)):
         raise ConfigError("the scan times must be finite, >= 0 and ascending")
@@ -340,7 +343,7 @@ def entropy_rate_scan(model: DiffusionModel, grid: Grid1D, values,
     for i, t in enumerate(times):
         n = round((t - t_now) / substep)
         if n:
-            vals = advance_values(vals, ff, n * substep, n)
+            advance_values(vals, ff, n * substep, n)
             t_now += n * substep
         drho = (advance_values(vals.copy(), ff, substep, 1) - vals) / substep
         integrand = -(1.0 + np.log(np.maximum(vals, DENSITY_FLOOR))) * drho

@@ -250,6 +250,27 @@ def test_shipped_scenarios_and_default_grids_pass_the_peclet_check(tmp_path):
         face_fields(scenario.model, scenario.grid).check_peclet()
 
 
+@pytest.mark.parametrize("section, key", [
+    ("scenario", "d_form"), ("grid", "n_cell"), ("time", "sample_strid"),
+    ("ensemble", "n_trajectorys"), ("output", "density_snapshot")])
+def test_unknown_key_exits_2(tmp_path, capsys, section, key):
+    # a misspelled key was once read as absent, and the run took the default
+    text = OU_CONFIG.replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n")
+    cfg, outdir = write_config(tmp_path, text)
+    assert cli.main(["run", str(cfg)]) == 2
+    assert f"unknown key {key!r} in [{section}]" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_unknown_section_exits_2(tmp_path, capsys):
+    # a misspelled [policy] would otherwise run uncontrolled
+    text = OU_CONFIG + "\n[polcy]\nname = linear_gain\ngain = 0.5\nbound = 5.0\n"
+    cfg, outdir = write_config(tmp_path, text)
+    assert cli.main(["run", str(cfg)]) == 2
+    assert "unknown section [polcy]" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_check_negative_seed_exits_2(tmp_path, capsys):
     report = tmp_path / "check.json"
     assert cli.main(["check", "grid", "--seed", "-1",

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from infoflow import ensemble, grid as grid_mod, models
+from infoflow import ensemble, models
 from infoflow.control import linear_gain_policy
 from infoflow.ensemble import EnsembleConfig, interp_rows, run_filter_ensemble
 from infoflow.errors import ConfigError, SimulationBlowupError
@@ -182,34 +182,36 @@ def test_stencil_score_is_the_whole_column_score():
         assert np.any(score != 0.0)
 
 
-def test_controlled_run_allocates_one_work_array(monkeypatch):
-    # each step's controls are new face fields; they take over the bank's
-    # work array instead of allocating and faulting in a new one
-    made = []
-    workspace = grid_mod.FaceFields.workspace
+def test_controlled_run_steps_one_bank_in_place(monkeypatch):
+    # each step's controls are new face fields; every step advances the
+    # same bank, and the transport returns it
+    banks = []
+    step = ensemble.zakai_advance
 
-    def counted(self, shape):
-        if shape == (128, 100) and (self._scratch is None or self._scratch.shape != shape):
-            made.append(shape)
-        return workspace(self, shape)
+    def recorded(values, *args):
+        banks.append(values)
+        out = step(values, *args)
+        assert out is values
+        return out
 
-    monkeypatch.setattr(grid_mod.FaceFields, "workspace", counted)
+    monkeypatch.setattr(ensemble, "zakai_advance", recorded)
     grid = Grid1D(-2.5, 2.5, 128)
     cfg = small_config(horizon=5e-3, n_trajectories=100, sample_stride=5)
     run_filter_ensemble(models.double_well(), grid, cfg,
                         linear_gain_policy(gain=0.5, bound=5.0))
-    assert len(made) == 1
+    assert len(banks) == 5 and all(bank is banks[0] for bank in banks)
 
 
 @pytest.mark.parametrize("policy", [None, linear_gain_policy(gain=0.5, bound=5.0)],
                          ids=["plain", "policy"])
-def test_run_holds_its_bank_and_one_work_array(policy):
+def test_run_holds_one_bank_and_a_block_scratch(policy):
     # sampling reads four cells per trajectory and the horizon bank is kept
-    # as a view, so the traced peak is the bank, its work array, the noise
-    # draws and the records, plus per-trajectory vectors (64 of N floats:
-    # truths, masses, ledgers, the values evaluated at X and their stencils)
-    # and 5 % of a bank (operators, interpreter caches); one more bank-sized
-    # array would exceed it
+    # as a view, so the traced peak is the bank, the transport's scratch of
+    # two 16-row blocks (32 of N floats), the noise draws and the records,
+    # plus per-trajectory vectors (64 of N floats: truths, masses, ledgers,
+    # the values evaluated at X and their stencils) and 5 % of a bank
+    # (operators, interpreter caches); a second bank-sized array would
+    # exceed it
     m, n, k, stride = 128, 400, 10, 5
     cfg = EnsembleConfig(dt=1e-3, horizon=k * 1e-3, n_trajectories=n, seed=3,
                          sample_stride=stride)
@@ -224,7 +226,7 @@ def test_run_holds_its_bank_and_one_work_array(policy):
     draws = 2 * k * vector
     records = sum(v.nbytes for v in vars(run).values()
                   if isinstance(v, np.ndarray) and v.shape == (k // stride + 1, n))
-    assert peak <= 2 * bank + draws + records + 64 * vector + 0.05 * bank
+    assert peak <= bank + 32 * vector + draws + records + 64 * vector + 0.05 * bank
 
 
 def test_config_steps_and_stride_contract():

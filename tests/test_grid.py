@@ -3,6 +3,7 @@ import math
 import os
 import re
 import sys
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -632,7 +633,9 @@ def _operator(ff, h):
 
 def test_csr_kernels_add_the_product():
     # the compiled kernels advance_values calls: Y += A X, in place;
-    # csr_matvec takes one vector, csr_matvecs any number of columns
+    # csr_matvec takes one vector, csr_matvecs any number of columns, each
+    # as a C-contiguous array of any shape; rows r0 .. r1 - 1 of A X come
+    # from A's indptr[r0:r1 + 1] with its whole indices and data
     rng = np.random.default_rng(3)
     a = sp.csr_array(np.array([[2.0, -1.0, 0.0, 0.0], [1.0, 3.0, 4.0, 0.0],
                                [0.0, 0.0, 5.0, -2.0], [0.0, 6.0, 0.0, 1.0]]))
@@ -654,6 +657,13 @@ def test_csr_kernels_add_the_product():
         y = np.zeros(shape)
         kernel(x, y)
         assert np.array_equal(y, a @ x)
+    x = rng.uniform(-1.0, 1.0, size=(4, 3))
+    rows = np.zeros((2, 3))
+    _sparsetools.csr_matvecs(2, 4, 3, a.indptr[1:4], a.indices, a.data, x, rows)
+    assert np.array_equal(rows, (a @ x)[1:3])
+    rows = np.zeros(2)
+    _sparsetools.csr_matvec(2, 4, a.indptr[2:5], a.indices, a.data, x[:, 0].copy(), rows)
+    assert np.array_equal(rows, (a @ x[:, 0])[2:4])
 
 
 def test_missing_kernel_file_is_an_import_error(monkeypatch):
@@ -698,7 +708,8 @@ def _chunk_case(name, shape):
 @pytest.mark.parametrize("name", ["ou", "double_well", "brownian"])
 def test_long_uncontrolled_advance_is_chunked(name, shape, n, monkeypatch):
     # n substeps are n // 8 products with T^8 and one with T^(n % 8): n
-    # products with T up to rounding, each one compiled kernel call
+    # products with T up to rounding, each one compiled kernel call per
+    # block of 16 rows of a bank, or one call for one density
     ff, values, h = _chunk_case(name, shape)
     op = _operator(ff, h)
     expected = values
@@ -712,7 +723,8 @@ def test_long_uncontrolled_advance_is_chunked(name, shape, n, monkeypatch):
         monkeypatch.setattr(_sparsetools, kernel, counted)
     out = advance_values(values.copy(), ff, n * h, n)
     monkeypatch.undo()
-    assert calls == ["csr_matvecs" if shape else "csr_matvec"] * -(-n // 8)
+    blocks = -(-128 // 16) if shape else 1          # row blocks per product
+    assert calls == ["csr_matvecs" if shape else "csr_matvec"] * (-(-n // 8) * blocks)
     assert float(np.min(out)) >= 0.0
     scale = np.max(expected, axis=0)
     assert float(np.max(np.abs(out - expected) / scale)) <= 1e-14
@@ -845,27 +857,115 @@ def test_advance_refuses_a_duration_that_is_not_positive(shape, duration, monkey
     assert _same_bits(values, before)
 
 
-def test_advance_reuses_its_workspace():
-    # the values and the work array trade roles; no call allocates
-    for beta in (None, np.full(3, 0.2)):
-        ff, values, h = _transport_case((3,), beta=beta)
-        values = advance_values(values, ff, h, 1)
-        pair = {id(values), id(ff.workspace(values.shape))}
-        values = advance_values(values, ff, 2 * h, 2)
-        assert {id(values), id(ff.workspace(values.shape))} == pair
+def _reference_advance(values, ff, h, n):
+    """The transport out of place, as a reference: each product of the
+    plan accumulates all rows into a new array, onto zeros or, under a
+    control, onto c D(X), and then takes the wall rows of T + c D."""
+    m = values.shape[0]
+    _, walls, products = ff.plan(h, n)
+    src = values
+    for indptr, indices, data in products:
+        dst = np.zeros_like(src)
+        if walls is not None:
+            cb, a_0, b_0, a_m, b_m = walls
+            np.subtract(src[:-2], src[2:], out=dst[1:-1])
+            dst[1:-1] *= cb
+        if src.ndim == 1:
+            _sparsetools.csr_matvec(m, m, indptr, indices, data, src, dst)
+        else:
+            _sparsetools.csr_matvecs(m, m, src.shape[1], indptr, indices, data,
+                                     src.reshape(-1), dst.reshape(-1))
+        if walls is not None:
+            dst[:1] = a_0 * src[:1] + b_0 * src[1:2]
+            dst[-1:] = a_m * src[-2:-1] + b_m * src[-1:]
+        src = dst
+    return src
 
 
-def test_advance_refuses_its_own_work_array():
-    # after a trade the old values are the work array: stepping them again
-    # would read and write one array, so it is refused before any change
-    ff, values, h = _transport_case((3,))
-    stale = values
-    values = advance_values(values, ff, h, 1)
-    assert ff.workspace(values.shape) is stale
-    before = stale.copy()
-    with pytest.raises(ConfigError, match="work array"):
-        advance_values(stale, ff, h, 1)
-    assert np.array_equal(stale, before)
+@pytest.mark.parametrize("n", range(1, 18))
+@pytest.mark.parametrize("shape, beta", [((), None), ((3,), None),
+                                         ((3,), np.array([0.3, -0.4, 0.0]))],
+                         ids=["density", "bank", "controlled"])
+def test_in_place_advance_is_the_out_of_place_product(shape, beta, n):
+    # row blocks of 16 on 100 cells end in a block of 4, shorter than T^8's
+    # half-width: every cell is still the reference's sum, bit for bit
+    grid = Grid1D(-2.5, 2.5, 100)
+    base = face_fields(models.ou(), grid)
+    ff = FaceFields(base.v_face, base.sigma_centers, grid.dx, beta=beta)
+    h = 0.5 * ff.cfl_limit()
+    values = np.random.default_rng(n).uniform(0.0, 1.0, size=(100,) + shape)
+    values[values < 0.1] = 0.0
+    expected = _reference_advance(values, ff, h, n)
+    out = advance_values(values, ff, n * h, n)
+    assert out is values
+    assert _same_bits(out, expected)
+
+
+@pytest.mark.parametrize("beta", [None, np.full(400, 0.3)], ids=["plain", "controlled"])
+def test_bank_step_allocates_no_bank_sized_array(beta):
+    # the products and the observation factor run in row blocks: with its
+    # plan built, a call's traced peak is its two-block scratch and numpy's
+    # iterator buffers (getbufsize() elements for each of up to three
+    # operands of a broadcast ufunc), well under one bank
+    m, n_cols, dt = 256, 400, 1e-3
+    grid = Grid1D(-2.5, 2.5, m)
+    base = face_fields(models.double_well(), grid)
+    h_vals = observation_values(models.double_well(), grid)
+    n_half = substeps_for(replace(base, beta=beta), 0.5 * dt)
+    values = np.repeat(gaussian_density(grid, 0.0, 0.3).values[:, None], n_cols, axis=1)
+    dy = np.random.default_rng(2).normal(0.0, 0.03, size=n_cols)
+    h = 0.5 * dt / n_half
+    steps = ((lambda ff: advance_values(values, ff, 11 * h, 11), 11 * h, 11),
+             (lambda ff: zakai_advance(values, ff, n_half, h_vals, dy, dt),
+              0.5 * dt, n_half))
+    for call, duration, n in steps:
+        ff = replace(base, beta=beta)
+        ff.plan(duration / n, n)
+        tracemalloc.start()
+        try:
+            call(ff)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffers = 3 * 8 * np.getbufsize()
+        assert peak <= 2 * 16 * 8 * n_cols + buffers + 0.05 * values.nbytes
+
+
+def test_advance_steps_the_values_in_place():
+    # advance_values, zakai_advance and ks_advance return the array they
+    # were given, and a C-contiguous view is advanced where it lies
+    for shape, beta in (((), None), ((3,), None), ((3,), np.full(3, 0.2))):
+        ff, values, h = _transport_case(shape, beta=beta)
+        h_vals = observation_values(models.ou(), Grid1D(-2.5, 2.5, 64))
+        dy = np.full(shape, 0.03)
+        assert advance_values(values, ff, h, 1) is values
+        assert zakai_advance(values, ff, 1, h_vals, dy, 2.0 * h) is values
+        if not shape:
+            assert ks_advance(values, ff, 1, h_vals, 0.03, 2.0 * h) is values
+        storage = np.zeros((2,) + values.shape)
+        view = storage[1]
+        view[...] = values
+        expected = _reference_advance(values, ff, h, 3)
+        assert advance_values(view, ff, 3 * h, 3) is view
+        assert _same_bits(storage[1], expected) and not np.any(storage[0])
+
+
+@pytest.mark.parametrize("shape, beta, match", [
+    ((6, 2), None, r"got float64 \(64, 6, 2\)"),
+    ((6, 2), np.array([0.1, 0.2]), r"got float64 \(64, 6, 2\)"),
+    ((5,), np.array(0.1), "1 controls for 5 density columns"),
+    ((5,), np.array([0.1, 0.2, 0.3]), "3 controls for 5 density columns"),
+    ((), np.array([0.1, 0.2]), "2 controls for 1 density columns")],
+    ids=["3d", "3d-controlled", "one-control", "three-controls", "density"])
+def test_advance_refuses_a_shape_or_control_count_it_cannot_step(shape, beta, match):
+    # a third axis was once stepped as more columns, one control broadcast
+    # over a bank, and a control count that is neither 1 nor N a raw numpy
+    # error; each is a ConfigError before any cell changes
+    ff, values, h = _transport_case(shape, beta=beta)
+    before = values.copy()
+    with pytest.raises(ConfigError, match=match):
+        advance_values(values, ff, h, 1)
+    assert _same_bits(values, before)
 
 
 def test_face_fields_are_immutable():

@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from infoflow import checks, models
+from infoflow import checks, metrics, models
 from infoflow.ensemble import EnsembleConfig, run_filter_ensemble
 from infoflow.errors import CflError, ConfigError, NumericalError
 from infoflow.gaussian import lyapunov_series, riccati_series
@@ -186,6 +187,20 @@ class TestEntropyRateScan:
         with pytest.raises(CflError):
             entropy_rate_scan(m, grid, values, [0.1], 1e-2)
         np.testing.assert_array_equal(values, before)
+
+    @pytest.mark.parametrize("substep", [0.0, -1e-4, math.nan, math.inf])
+    def test_substep_not_finite_and_positive_refused(self, substep, monkeypatch):
+        # 0 once overflowed in the step count, -1e-4 was refused as a step
+        # count of -1000 and NaN raised numpy's ValueError; each is refused
+        # by name before any face fields are built
+        m = models.ou()
+        grid = Grid1D(-6, 6, 64)
+        values = gaussian_density(grid, 0.0, 0.5).values
+        monkeypatch.setattr(metrics, "face_fields",
+                            lambda *args: pytest.fail("face fields built"))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"the substep must be finite and positive, got {substep}")):
+            entropy_rate_scan(m, grid, values, [0.1], substep)
 
     def test_criteria_3_and_4_build_one_operator_per_scan(self, monkeypatch):
         # criterion 3 scans two grids, criterion 4 one; each scan's face
