@@ -328,7 +328,7 @@ def advance_values(values: np.ndarray, ff: FaceFields, duration: float,
     and each wall row is formed from its own coefficients, which are >= 0
     (:meth:`FaceFields.plan`).
     Refused before any cell changes: values that are not one density or a
-    bank of C-contiguous float64 cells, a control count that is not the
+    bank of writable C-contiguous float64 cells, a control count that is not the
     number of density columns, values that hold a cell that is not a
     finite number >= +0 (ConfigError; one pass over the cells' bits, read
     as uint64), T's refusals, a control outside T's bounds
@@ -338,10 +338,12 @@ def advance_values(values: np.ndarray, ff: FaceFields, duration: float,
     check_integer(n_substeps, "the substep count", 1)
     check_finite(duration, "the duration", positive=True)
     if values.dtype != np.float64 or not values.flags.c_contiguous \
-            or values.ndim > 2 or values.shape[:1] != (m,):
+            or not values.flags.writeable or values.ndim > 2 \
+            or values.shape[:1] != (m,):
         raise ConfigError(f"transport needs one density (M,) or a bank (M, N) of "
-                          f"C-contiguous float64 cell values with M = {m}, "
-                          f"got {values.dtype} {values.shape}")
+                          f"writable C-contiguous float64 cell values with M = {m}, "
+                          f"got {values.dtype} {values.shape}"
+                          f"{'' if values.flags.writeable else ', read-only'}")
     if ff.beta is not None and ff.beta.size != values.size // m:
         raise ConfigError(f"the face fields hold {ff.beta.size} controls for "
                           f"{values.size // m} density columns")

@@ -950,6 +950,41 @@ def test_advance_steps_the_values_in_place():
         assert _same_bits(storage[1], expected) and not np.any(storage[0])
 
 
+
+def test_advance_reuses_its_workspace():
+    # the values are the transport's only bank-sized array: every call
+    # steps the same array, and two calls are the two products in turn
+    for beta in (None, np.full(3, 0.2)):
+        ff, values, h = _transport_case((3,), beta=beta)
+        expected = _reference_advance(_reference_advance(values, ff, h, 1), ff, h, 2)
+        held = values
+        values = advance_values(values, ff, h, 1)
+        values = advance_values(values, ff, 2 * h, 2)
+        assert values is held
+        assert _same_bits(values, expected)
+
+
+def test_advance_refuses_its_own_work_array():
+    # the values are the work array, so values that cannot be written, a
+    # read-only array or view, are refused before any cell changes, not
+    # at the first write-back; each step refuses them the same way
+    for shape, beta in (((), None), ((3,), None), ((3,), np.full(3, 0.2))):
+        ff, values, h = _transport_case(shape, beta=beta)
+        h_vals = observation_values(models.ou(), Grid1D(-2.5, 2.5, 64))
+        dy = np.full(shape, 0.03)
+        before = values.copy()
+        frozen = values.view()
+        frozen.flags.writeable = False
+        steps = [lambda v: advance_values(v, ff, h, 1),
+                 lambda v: zakai_advance(v, ff, 1, h_vals, dy, 2.0 * h)]
+        if not shape:
+            steps.append(lambda v: ks_advance(v, ff, 1, h_vals, 0.03, 2.0 * h))
+        for step in steps:
+            for held in (frozen, np.broadcast_to(values, values.shape)):
+                with pytest.raises(ConfigError, match="writable.*read-only"):
+                    step(held)
+        assert _same_bits(values, before)
+
 @pytest.mark.parametrize("shape, beta, match", [
     ((6, 2), None, r"got float64 \(64, 6, 2\)"),
     ((6, 2), np.array([0.1, 0.2]), r"got float64 \(64, 6, 2\)"),
