@@ -1,21 +1,19 @@
-"""Exact linear-Gaussian stack: Lyapunov/Riccati propagation, the Gaussian
-entropy ledger, the Kalman-Bucy filter and its closed-form information rates.
+"""Exact linear-Gaussian stack: Lyapunov/Riccati propagation, the scalar
+relaxation ledger, the Kalman-Bucy filter and its closed-form information
+rates.
 
 For dX = A X dt + B dW with sigma = B B^T, the covariance obeys
 dV/dt = A V + V A^T + sigma and, when A is Hurwitz, relaxes to the steady
-state A V_ss + V_ss A^T + sigma = 0.  The ledger tracks
+state A V_ss + V_ss A^T + sigma = 0.  For a scalar law N(mu, v) with
+a < 0, V_ss = -sigma / (2a), the relaxation ledger
+(:func:`gaussian_relax_series`) tracks
 
-    H  = (1/2) ln|V| + (n/2) ln(2 pi e)                  (entropy)
-    E  = (1/2) tr{V_ss^-1 (V + mu mu^T)} + E0            (mean steady surprisal)
-    F  = E - H = KL(N(mu, V) || N(0, V_ss))              (free surprise)
+    H  = (1/2) ln(2 pi e v)                               (entropy)
+    F  = (1/2) (v/V_ss - 1 - ln(v/V_ss) + mu^2/V_ss)      (free surprise)
+    dF/dt = -(1/2) sigma v (1/V_ss - 1/v)^2 - (1/2) sigma mu^2 / V_ss^2 <= 0,
 
-with E0 = (1/2) ln((2 pi)^n |V_ss|).  F is non-increasing along the flow.
-
-The mean term in E and its rate are kept so that E equals the expectation of
-the steady-state surprisal for any mu; with mu = 0 the rates reduce to the
-pure trace forms
-    dE/dt = tr{V_ss^-1 A (V - V_ss)},   dH/dt = tr{V^-1 A (V - V_ss)},
-    dF/dt = -(1/2) tr{[V_ss^-1 - V^-1] sigma [V_ss^-1 - V^-1] V} <= 0.
+where F = KL(N(mu, v) || N(0, V_ss)) = E - H and E, the mean steady-state
+surprisal, is the cross entropy of the law against N(0, V_ss).
 """
 
 from __future__ import annotations
@@ -37,31 +35,6 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # ---------------------------------------------------------------------------
 # Types
 # ---------------------------------------------------------------------------
-
-@dataclass
-class GaussianBelief:
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self):
-        self.mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        self.cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        if self.cov.shape != (self.mean.size, self.mean.size):
-            raise CovarianceError("mean/cov dimensions disagree")
-        if np.max(np.abs(self.cov - self.cov.T)) > 1e-12 * max(1.0, np.max(np.abs(self.cov))):
-            raise CovarianceError("covariance is not symmetric")
-
-
-@dataclass
-class SurpriseLedgerPoint:
-    t: float
-    H: float
-    E: float
-    F: float
-    dH_dt: float
-    dE_dt: float
-    dF_dt: float
-
 
 @dataclass
 class KBRates:
@@ -170,35 +143,6 @@ def _rk4_quadratic_series(lin: float, quad: float, y0: float, h: float,
     return out
 
 
-def propagate_gaussian(A, sigma, belief0: GaussianBelief, t: float,
-                       dt: float = 1e-3) -> GaussianBelief:
-    """Propagate an unconditioned Gaussian law by RK4.
-
-    Mean solves d mu/dt = A mu, covariance solves dV/dt = A V + V A^T + sigma.
-    """
-    if not (math.isfinite(t) and t >= 0):
-        raise ConfigError(f"t must be finite and >= 0, got {t}")
-    if not (math.isfinite(dt) and dt > 0):
-        raise ConfigError(f"dt must be finite and > 0, got {dt}")
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    if t == 0:
-        return GaussianBelief(belief0.mean.copy(), belief0.cov.copy())
-    n_steps = max(1, int(math.ceil(t / dt)))
-    h = t / n_steps
-    f_cov = lambda v: A @ v + v @ A.T + sigma
-    f_mean = lambda m: A @ m
-    cov, mean = belief0.cov, belief0.mean
-    for _ in range(n_steps):
-        cov = _rk4_step(f_cov, cov, h)
-        mean = _rk4_step(f_mean, mean, h)
-    cov = 0.5 * (cov + cov.T)
-    if not np.all(np.isfinite(cov)) or not np.all(np.isfinite(mean)):
-        raise CovarianceError("Gaussian propagation became non-finite "
-                              f"(t={t}, dt={dt}); reduce the step")
-    return GaussianBelief(mean, cov)
-
-
 def lyapunov_series(A, sigma, v0, times) -> np.ndarray:
     """Covariance V(t) on a time grid, one RK4 step per grid step."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -251,69 +195,8 @@ def riccati_series(model: DiffusionModel, v0, times) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Entropy ledger
+# Relaxation ledger
 # ---------------------------------------------------------------------------
-
-def gaussian_entropy(cov) -> float:
-    cov = np.atleast_2d(np.asarray(cov, dtype=float))
-    n = cov.shape[0]
-    return 0.5 * logdet_psd(cov) + 0.5 * n * (_LOG_2PI + 1.0)
-
-
-def gaussian_kl(mean1, cov1, mean0, cov0) -> float:
-    """KL(N(mean1, cov1) || N(mean0, cov0))."""
-    mean1 = np.atleast_1d(np.asarray(mean1, dtype=float))
-    mean0 = np.atleast_1d(np.asarray(mean0, dtype=float))
-    cov1 = np.atleast_2d(np.asarray(cov1, dtype=float))
-    cov0 = np.atleast_2d(np.asarray(cov0, dtype=float))
-    n = mean1.size
-    inv0 = inv_psd(cov0, "reference covariance")
-    dm = mean1 - mean0
-    return 0.5 * (float(np.trace(inv0 @ cov1)) - n + float(dm @ inv0 @ dm)
-                  + logdet_psd(cov0) - logdet_psd(cov1))
-
-
-def surprise_ledger(belief: GaussianBelief, v_ss, A, sigma,
-                    t: float = 0.0) -> SurpriseLedgerPoint:
-    """Entropy / mean-steady-surprisal / free-surprise point with rates.
-
-    F is evaluated through the deviation D = V - V_ss so that it stays
-    accurate (and non-negative) arbitrarily close to the steady state.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    v_ss = np.atleast_2d(np.asarray(v_ss, dtype=float))
-    v, mu = belief.cov, belief.mean
-    n = mu.size
-
-    inv_ss = inv_psd(v_ss, "steady covariance")
-    inv_v = inv_psd(v, "covariance")
-    dev = v - v_ss
-
-    h_val = gaussian_entropy(v)
-    e0 = 0.5 * (n * _LOG_2PI + logdet_psd(v_ss))
-    e_val = 0.5 * (float(np.trace(inv_ss @ v)) + float(mu @ inv_ss @ mu)) + e0
-
-    # F via: tr(V_ss^-1 D) - ln|I + V_ss^-1 D|, stable for small D
-    m_dev = inv_ss @ dev
-    if n == 1:
-        d = float(m_dev[0, 0])
-        f_core = d - math.log1p(d)
-    else:
-        sign, ld = np.linalg.slogdet(np.eye(n) + m_dev)
-        if sign <= 0:
-            raise CovarianceError("free surprise undefined: V not PD relative to V_ss")
-        f_core = float(np.trace(m_dev)) - ld
-    f_val = 0.5 * (f_core + float(mu @ inv_ss @ mu))
-
-    dh = float(np.trace(inv_v @ A @ dev))
-    mean_rate = -0.5 * float(mu @ inv_ss @ sigma @ inv_ss @ mu)
-    de = float(np.trace(inv_ss @ A @ dev)) + mean_rate
-    gap = inv_ss - inv_v
-    df = -0.5 * float(np.trace(gap @ sigma @ gap @ v)) + mean_rate
-    return SurpriseLedgerPoint(t=t, H=h_val, E=e_val, F=f_val,
-                               dH_dt=dh, dE_dt=de, dF_dt=df)
-
 
 def gaussian_relax_series(a: float, sigma_sq: float, v0: float, mu0: float,
                           horizon: float, dt: float) -> dict:

@@ -328,19 +328,19 @@ def advance_values(values: np.ndarray, ff: FaceFields, duration: float,
     and each wall row is formed from its own coefficients, which are >= 0
     (:meth:`FaceFields.plan`).
     Refused before any cell changes: values that are not one density or a
-    bank of writable C-contiguous float64 cells, a control count that is not the
-    number of density columns, values that hold a cell that is not a
-    finite number >= +0 (ConfigError; one pass over the cells' bits, read
-    as uint64), T's refusals, a control outside T's bounds
-    (UnstableStepError), a substep count that is not an integer >= 1 or a
-    duration that is not finite and > 0 (ConfigError)."""
+    bank of at least one column of writable C-contiguous float64 cells, a
+    control count that is not the number of density columns, values that
+    hold a cell that is not a finite number >= +0 (ConfigError; one pass
+    over the cells' bits, read as uint64), T's refusals, a control outside
+    T's bounds (UnstableStepError), a substep count that is not an integer
+    >= 1 or a duration that is not finite and > 0 (ConfigError)."""
     m = ff.sigma_centers.size
     check_integer(n_substeps, "the substep count", 1)
     check_finite(duration, "the duration", positive=True)
     if values.dtype != np.float64 or not values.flags.c_contiguous \
             or not values.flags.writeable or values.ndim > 2 \
-            or values.shape[:1] != (m,):
-        raise ConfigError(f"transport needs one density (M,) or a bank (M, N) of "
+            or values.shape[:1] != (m,) or values.size == 0:
+        raise ConfigError(f"transport needs one density (M,) or a bank (M, N >= 1) of "
                           f"writable C-contiguous float64 cell values with M = {m}, "
                           f"got {values.dtype} {values.shape}"
                           f"{'' if values.flags.writeable else ', read-only'}")
@@ -458,8 +458,9 @@ def zakai_advance(values: np.ndarray, ff: FaceFields, n_half: int,
     UnstableStepError before any cell changes.  Returns the same array;
     after a transport error it is left partly advanced.
     """
-    if values.ndim > 2:
-        raise ConfigError("zakai_advance takes one density or an (M, N) bank")
+    if values.ndim > 2 or values.size == 0:
+        raise ConfigError(f"zakai_advance takes one density or an (M, N >= 1) bank, "
+                          f"got shape {values.shape}")
     dy = _increments(delta_y, values)
     dy_max = abs(dy) if values.ndim == 1 else float(np.maximum.reduce(np.abs(dy)))
     if not dy_max < math.inf:

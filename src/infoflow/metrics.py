@@ -2,25 +2,31 @@
 
 Quadrature estimators (on grid densities):
   * entropy production rate  dH/dt = E[div u] + (1/2) E[Gamma(ln rho, ln rho)]
-  * rate of decay of the relative entropy to the steady state, in both the
-    squared-score ("gamma") form and the flux form
-  * the sigma-weighted translational Fisher trace of the prior density.
+    with the corrected drift u = v - (1/2) d sigma/dx
+  * rate of decay of the relative entropy to the steady state, in the
+    squared-score ("gamma") form the ledger's dF/dt column reads and in
+    the flux form
+  * the sigma-weighted translational Fisher trace of the prior density,
+    and the Cramer-Rao gap
+  * the entropy-rate scan of a stepped density (criteria 3 and 4).
 
-Monte-Carlo estimators (on an :class:`EnsembleRun`):
-  * supply rate    (1/2) E |h(X) - pi(h)|^2          (Duncan)
-  * dissipation    (1/2) tr(J_pi - J_rho), both as a paired Fisher
+Monte-Carlo integrands (on an :class:`EnsembleRun`), one value per sample
+and trajectory from :func:`integrands`, which :func:`assemble_info_ledger`
+averages into the ledger's columns:
+  * supply rate    (1/2) |h(X) - pi(h)|^2          (Duncan)
+  * dissipation    (1/2) (J_pi - J_rho), both as a paired Fisher
     difference and as the non-negative relative-score form
-  * mutual information between the state and the observation history,
-    via the normalized posterior and via the Zakai bookkeeping
+  * ln(posterior / prior) at the truth, whose mean is the mutual
+    information between the state and the observation history, and the
+    same from the Zakai bookkeeping
   * the residual of the information balance dI/dt = supply - dissipation
     (Mayer-Wolf & Zakai identity), with common-random-number finite
-    differences across sample times.
+    differences across sample times; :func:`mwz_residual` reads it at
+    one time.
 
 Standard errors are sample standard deviations over trajectories divided by
 sqrt(N).  Balance residuals pair every component per trajectory before
-averaging, which prices in the common-random-number correlations; only
-mixed Monte-Carlo/quadrature assemblies combine component errors in
-quadrature.
+averaging, which prices in the common-random-number correlations.
 """
 
 from __future__ import annotations
@@ -228,42 +234,6 @@ def _balance(run: EnsembleRun, terms: dict, s: int, d_form: str,
     return _mean_se(rows, _window_mask(run, s))
 
 
-def _at_sample(run: EnsembleRun, t: float, prior: str, *names) -> list:
-    """Mean and SE of each named integrand over the trajectories kept at t."""
-    s = run.sample_index(t)
-    terms = integrands(run, prior)
-    return [_mean_se(terms[name][s], ~run.excluded[s]) for name in names]
-
-
-def supplied_rate(run: EnsembleRun, t: float):
-    """Duncan supply rate (1/2) E|h(X) - pi(h)|^2 with its standard error."""
-    return _at_sample(run, t, "fp", "supply")[0]
-
-
-def fisher_trace_conditional(run: EnsembleRun, t: float):
-    """tr J^pi: ensemble mean of the posterior score squared at the truth."""
-    return _at_sample(run, t, "fp", "j_pi")[0]
-
-
-def dissipated_rate(run: EnsembleRun, t: float, prior: str = "fp"):
-    """Dissipation rate, paired Fisher-difference and relative-score forms.
-
-    Returns ((fisher, fisher_se), (gamma, gamma_se)).  The two agree in
-    expectation; the gamma form is non-negative per trajectory.
-    """
-    return tuple(_at_sample(run, t, prior, "d_fisher", "d_gamma"))
-
-
-def mutual_information(run: EnsembleRun, t: float, prior: str = "fp"):
-    """Mutual information between X(t) and the observation path.
-
-    ``I_mc`` averages ln(posterior/prior) at the truth; ``I_zakai`` uses the
-    unnormalized density and subtracts the accumulated ln sigma_t(1).  The
-    two agree per trajectory up to the bookkeeping roundoff.
-    """
-    return tuple(_at_sample(run, t, prior, "i_mc", "i_zakai"))
-
-
 def mwz_residual(run: EnsembleRun, t: float, prior: str = "fp",
                  control_correction: bool = False):
     """Residual of the information balance dI/dt = supply - dissipation.
@@ -286,32 +256,6 @@ def mwz_residual(run: EnsembleRun, t: float, prior: str = "fp",
     """
     return _balance(run, integrands(run, prior), run.sample_index(t), "gamma",
                     control_correction)
-
-
-def conditional_entropy_rate(run: EnsembleRun, t: float):
-    """d/dt H(X(t) | Y_0^t) = (1/2) tr J^pi + E[div u] - supply rate."""
-    s = run.sample_index(t)
-    rho = GridDensity(run.grid, run.prior_fp[s])
-    div_u = mean_divergence_u(run.model, rho, _drift_at(run, s))
-    (j_pi, j_se), (s_rate, s_se) = _at_sample(run, t, "fp", "j_pi", "supply")
-    value = 0.5 * j_pi + div_u - s_rate
-    return value, math.sqrt(0.25 * j_se ** 2 + s_se ** 2)
-
-
-def conditional_entropy_identity_residual(run: EnsembleRun, t: float,
-                                          prior: str = "fp"):
-    """Consistency of the conditional-entropy rate with dH/dt - dI/dt.
-
-    Assembles, per trajectory, (1/2) J^pi_j - supply_j + dI_j/dt and
-    subtracts the quadrature (1/2) tr J^rho; zero in expectation.
-    """
-    s = run.sample_index(t)
-    terms = integrands(run, prior)
-    rho = GridDensity(run.grid, run.prior_fp[s])
-    tr_j_rho = fisher_trace_unconditional(run.model, rho)
-    per_traj = (0.5 * terms["j_pi"][s] - terms["supply"][s] + terms["di_dt"][s]
-                - 0.5 * tr_j_rho)
-    return _mean_se(per_traj, _window_mask(run, s))
 
 
 # ---------------------------------------------------------------------------

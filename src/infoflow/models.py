@@ -88,12 +88,6 @@ class DiffusionModel:
         if self.domain_box.shape != (self.dim_state, 2):
             raise ConfigError("domain_box must have shape (dim_state, 2)")
 
-    @property
-    def fd_step(self) -> float:
-        """Central-difference step for sigma's divergence: 1e-5 of the box."""
-        width = float(np.max(self.domain_box[:, 1] - self.domain_box[:, 0]))
-        return 1e-5 * width
-
     def sigma_profile(self, xs: np.ndarray) -> np.ndarray:
         """sigma(x) at every state of the array ``xs`` of a 1-d model."""
         if self.dim_state != 1:
@@ -137,28 +131,6 @@ def gamma(model: DiffusionModel, f: SmoothField, g: SmoothField, x) -> float:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     sig = sigma_at(model, x)
     return float(f.gradient_at(x) @ sig @ g.gradient_at(x))
-
-
-def u_field(model: DiffusionModel, x) -> np.ndarray:
-    """Drift corrected by the diffusion-tensor divergence.
-
-    u^i = v^i - (1/2) d sigma^{ij} / dx^j, by central differences of step
-    ``model.fd_step``.  The probability flux is then
-    J = rho u - (1/2) sigma grad rho.  For constant sigma the differences
-    are exactly 0, and u == v bit for bit.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    v = np.atleast_1d(np.asarray(model.drift(x), dtype=float))
-    h = model.fd_step
-    n = model.dim_state
-    div = np.zeros(n)
-    for j in range(n):
-        xp, xm = x.copy(), x.copy()
-        xp[j] += h
-        xm[j] -= h
-        dsig = (sigma_at(model, xp) - sigma_at(model, xm)) / (2.0 * h)
-        div += dsig[:, j]
-    return v - 0.5 * div
 
 
 def step_count(horizon: float, dt: float) -> int:

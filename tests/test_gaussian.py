@@ -8,13 +8,11 @@ from hypothesis import given, settings, strategies as st
 from infoflow import models
 from infoflow.ensemble import EnsembleConfig, run_filter_ensemble
 from infoflow.errors import ConfigError, CovarianceError, NonHurwitzError
-from infoflow.gaussian import (GaussianBelief, _rk4_linear_series,
-                               _rk4_quadratic_series, _rk4_step, gaussian_kl,
-                               gaussian_relax_series, kalman_bucy_run,
-                               kb_identity_scan, kb_info_rates,
-                               lyapunov_series, lyapunov_steady,
-                               propagate_gaussian, riccati_series,
-                               surprise_ledger)
+from infoflow.gaussian import (_rk4_linear_series, _rk4_quadratic_series,
+                               _rk4_step, gaussian_relax_series,
+                               kalman_bucy_run, kb_identity_scan,
+                               kb_info_rates, lyapunov_series,
+                               lyapunov_steady, riccati_series)
 from infoflow.grid import Grid1D
 from infoflow.rng import (CHANNEL_DYNAMICS, CHANNEL_INITIAL,
                           CHANNEL_OBSERVATION, substream)
@@ -45,37 +43,42 @@ class TestLyapunov:
             lyapunov_steady([[1.0]], [[1.0]])
 
 
+def _scalar_ledger(v, mu, v_ss):
+    """Closed forms for N(mu, v) against the steady law N(0, V_ss): the
+    entropy H, the cross entropy E and KL = F, scalar or elementwise."""
+    h = 0.5 * np.log(2.0 * math.pi * math.e * v)
+    e = 0.5 * np.log(2.0 * math.pi * v_ss) + 0.5 * (v + mu * mu) / v_ss
+    kl = 0.5 * (v / v_ss - 1.0 - np.log(v / v_ss) + mu * mu / v_ss)
+    return h, e, kl
+
+
 class TestPropagation:
     def test_steady_start_stays(self):
-        b = propagate_gaussian([[-1.0]], [[2.0]], GaussianBelief([0.0], [[1.0]]),
-                               t=2.0, dt=1e-3)
-        assert b.cov[0, 0] == pytest.approx(1.0, abs=1e-12)
+        series = gaussian_relax_series(-1.0, 2.0, 1.0, 0.0, 2.0, 1e-3)
+        assert series["v"][-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_diffusion(self):
-        b = propagate_gaussian([[0.0]], [[1.0]], GaussianBelief([0.0], [[0.0]]),
-                               t=0.7, dt=1e-3)
-        assert b.cov[0, 0] == pytest.approx(0.7, rel=1e-10)
+        v = lyapunov_series([[0.0]], [[1.0]], [[0.0]], 1e-3 * np.arange(701))
+        assert v[-1, 0, 0] == pytest.approx(0.7, rel=1e-10)
 
     def test_mean_decay(self):
-        b = propagate_gaussian([[-1.0]], [[2.0]], GaussianBelief([1.0], [[1.0]]),
-                               t=1.0, dt=1e-3)
-        assert b.mean[0] == pytest.approx(math.exp(-1.0), rel=1e-9)
+        series = gaussian_relax_series(-1.0, 2.0, 1.0, 1.0, 1.0, 1e-3)
+        assert series["mu"][-1] == pytest.approx(math.exp(-1.0), rel=1e-9)
 
     @pytest.mark.parametrize("t, dt", [
         (5.0, -1e-3), (1.0, 0.0), (1.0, math.nan), (1.0, math.inf),
         (-1.0, 1e-3), (math.nan, 1e-3), (math.inf, 1e-3), (-math.inf, 1e-3)])
     def test_bad_times_are_refused(self, t, dt):
-        # before any step: dt = -1e-3 once took one step of length t = 5,
-        # a variance of -217.25
+        # a horizon and step that are not a whole number >= 1 of finite
+        # steps > 0 are refused before any step
         with pytest.raises(ConfigError):
-            propagate_gaussian([[-1.0]], [[2.0]], GaussianBelief([0.0], [[1.0]]),
-                               t=t, dt=dt)
+            gaussian_relax_series(-1.0, 2.0, 1.0, 0.0, t, dt)
 
     def test_zero_time_is_a_copy(self):
-        b0 = GaussianBelief([0.3], [[1.5]])
-        b = propagate_gaussian([[-1.0]], [[2.0]], b0, t=0.0)
-        assert b.mean is not b0.mean and b.cov is not b0.cov
-        assert np.array_equal(b.mean, b0.mean) and np.array_equal(b.cov, b0.cov)
+        # the series starts at the initial law, bit for bit
+        series = gaussian_relax_series(-1.0, 2.0, 1.5, 0.3, 1e-3, 1e-3)
+        assert series["times"][0] == 0.0
+        assert series["v"][0] == 1.5 and series["mu"][0] == 0.3
 
     def test_log_det_rate_identity(self):
         # d/dt ln|V| equals tr{2A + V^-1 Sigma} along the covariance flow
@@ -122,54 +125,55 @@ def test_lyapunov_series_scalar_is_bitwise(a, s, v0, times):
 
 
 class TestSurpriseLedger:
+    # the relaxation series of a = -1, sigma = 2 (V_ss = 1) against the
+    # closed forms of H, E and F = KL = E - H
     def test_gibbs_equality(self):
-        pt = surprise_ledger(GaussianBelief([0.0], [[1.0]]), [[1.0]],
-                             [[-1.0]], [[2.0]])
-        assert pt.F == pytest.approx(0.0, abs=1e-14)
-        assert pt.dF_dt == pytest.approx(0.0, abs=1e-14)
+        series = gaussian_relax_series(-1.0, 2.0, 1.0, 0.0, 1e-3, 1e-3)
+        assert series["F"][0] == pytest.approx(0.0, abs=1e-14)
+        assert series["dF_dt"][0] == pytest.approx(0.0, abs=1e-14)
 
     def test_standard_entropy(self):
-        pt = surprise_ledger(GaussianBelief([0.0], [[1.0]]), [[1.0]],
-                             [[-1.0]], [[2.0]])
-        assert pt.H == pytest.approx(0.5 * math.log(2 * math.pi * math.e),
-                                     abs=1e-12)
+        series = gaussian_relax_series(-1.0, 2.0, 1.0, 0.0, 1e-3, 1e-3)
+        assert series["H"][0] == pytest.approx(
+            0.5 * math.log(2 * math.pi * math.e), abs=1e-12)
 
     def test_worked_rates(self):
         # V=2 against V_ss=1 with Sigma=2: F = (1 - ln 2)/2, dF/dt = -1/2
-        pt = surprise_ledger(GaussianBelief([0.0], [[2.0]]), [[1.0]],
-                             [[-1.0]], [[2.0]])
-        assert pt.F == pytest.approx(0.5 * (1.0 - math.log(2.0)), abs=1e-12)
-        assert pt.dF_dt == pytest.approx(-0.5, abs=1e-12)
-        kl = gaussian_kl([0.0], [[2.0]], [0.0], [[1.0]])
-        assert pt.F == pytest.approx(kl, abs=1e-12)
+        series = gaussian_relax_series(-1.0, 2.0, 2.0, 0.0, 1e-3, 1e-3)
+        assert series["F"][0] == pytest.approx(0.5 * (1.0 - math.log(2.0)),
+                                               abs=1e-12)
+        assert series["dF_dt"][0] == pytest.approx(-0.5, abs=1e-12)
+        assert series["F"][0] == pytest.approx(_scalar_ledger(2.0, 0.0, 1.0)[2],
+                                               abs=1e-12)
 
     def test_free_surprise_monotone_along_flow(self):
-        a, sigma = np.array([[-1.0]]), np.array([[2.0]])
-        vss = lyapunov_steady(a, sigma)
-        belief = GaussianBelief([1.0], [[0.25]])
+        series = gaussian_relax_series(-1.0, 2.0, 0.25, 1.0, 3.0, 1e-3)
         last = math.inf
         for t in np.linspace(0.0, 3.0, 16):
-            b = propagate_gaussian(a, sigma, belief, t, dt=1e-3)
-            pt = surprise_ledger(b, vss, a, sigma, t=t)
-            assert pt.dF_dt <= 1e-10
-            assert pt.F <= last + 1e-12
-            assert pt.F == pytest.approx(pt.E - pt.H, abs=1e-10)
-            last = pt.F
+            k = round(t / 1e-3)
+            v, mu, f = series["v"][k], series["mu"][k], series["F"][k]
+            h, e, _ = _scalar_ledger(v, mu, 1.0)
+            assert v == pytest.approx(1.0 - 0.75 * math.exp(-2.0 * t), rel=1e-10)
+            assert series["dF_dt"][k] <= 1e-10
+            assert f <= last + 1e-12
+            assert f == pytest.approx(e - h, abs=1e-10)
+            last = f
 
     @given(v=st.floats(0.05, 5.0), mu=st.floats(-3, 3))
     @settings(max_examples=40, deadline=None)
     def test_f_equals_gaussian_kl(self, v, mu):
-        pt = surprise_ledger(GaussianBelief([mu], [[v]]), [[1.0]],
-                             [[-1.0]], [[2.0]])
-        kl = gaussian_kl([mu], [[v]], [0.0], [[1.0]])
-        assert pt.F == pytest.approx(kl, abs=1e-10)
-        assert pt.F >= -1e-12
-        assert pt.F == pytest.approx(pt.E - pt.H, abs=1e-10)
+        series = gaussian_relax_series(-1.0, 2.0, v, mu, 1e-3, 1e-3)
+        h, e, kl = _scalar_ledger(v, mu, 1.0)
+        f = series["F"][0]
+        assert f == pytest.approx(kl, abs=1e-10)
+        assert f >= -1e-12
+        assert f == pytest.approx(e - h, abs=1e-10)
+        assert series["H"][0] == pytest.approx(h, abs=1e-12)
 
     def test_singular_covariance(self):
-        with pytest.raises(CovarianceError):
-            surprise_ledger(GaussianBelief([0.0], [[0.0]]), [[1.0]],
-                            [[-1.0]], [[2.0]])
+        # a zero variance has no entropy: refused as a configuration
+        with pytest.raises(ConfigError, match="v0 must be finite and positive"):
+            gaussian_relax_series(-1.0, 2.0, 0.0, 0.0, 1e-3, 1e-3)
 
 
 class TestRiccati:

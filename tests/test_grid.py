@@ -1003,6 +1003,20 @@ def test_advance_refuses_a_shape_or_control_count_it_cannot_step(shape, beta, ma
     assert _same_bits(values, before)
 
 
+@pytest.mark.parametrize("step", ["advance_values", "zakai_advance"])
+def test_a_bank_without_columns_is_refused_by_its_shape(step):
+    # an (M, 0) bank once reached a reduction of an empty array and raised
+    # numpy's ValueError ("attempt to get argmax of an empty sequence",
+    # "zero-size array to reduction operation maximum")
+    ff, values, h = _transport_case((0,))
+    h_vals = observation_values(models.ou(), Grid1D(-2.5, 2.5, 64))
+    with pytest.raises(ConfigError, match=re.escape("(64, 0)")):
+        if step == "advance_values":
+            advance_values(values, ff, h, 1)
+        else:
+            zakai_advance(values, ff, 1, h_vals, np.zeros(0), 2.0 * h)
+
+
 def test_face_fields_are_immutable():
     grid = Grid1D(-2.5, 2.5, 64)
     base = face_fields(models.ou(), grid)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -12,13 +13,10 @@ from infoflow.grid import (FaceFields, Grid1D, GridDensity, advance_values,
                            face_fields, gaussian_density, steady_state_grid,
                            substeps_for)
 from infoflow.metrics import (LEDGER_COLUMNS, assemble_info_ledger,
-                              conditional_entropy_identity_residual,
-                              conditional_entropy_rate, cramer_rao_check,
-                              de_bruijn_check, dissipated_rate,
+                              cramer_rao_check, de_bruijn_check,
                               entropy_production_rate, entropy_rate_scan,
-                              fisher_trace_conditional,
                               fisher_trace_unconditional, free_surprise_rate,
-                              mutual_information, mwz_residual, supplied_rate)
+                              mwz_residual)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -247,87 +245,119 @@ def blind_run():
     return run_filter_ensemble(model, grid, cfg)
 
 
+@pytest.fixture(scope="module")
+def lqg_ledger(lqg_run):
+    return assemble_info_ledger(lqg_run[0])
+
+
+@pytest.fixture(scope="module")
+def blind_ledgers(blind_run):
+    return {prior: assemble_info_ledger(blind_run, prior=prior)
+            for prior in ("fp", "mixture")}
+
+
+def _read(run, ledger, t, name):
+    """The ledger column ``name`` and its standard error at time ``t``."""
+    s = run.sample_index(t)
+    return ledger.column(name)[s], ledger.column(name + "_se")[s]
+
+
+def _conditional_entropy_rate(run, ledger, t):
+    """d/dt H(X(t) | Y_0^t) = (1/2) tr J^pi + E[div u] - supply from the
+    ledger's columns of the fp prior, where E[div u] = dH/dt - (1/2) tr J^rho."""
+    s = run.sample_index(t)
+    col = ledger.column
+    value = (0.5 * col("trJ_pi")[s] + col("dH_dt")[s] - 0.5 * col("trJ_rho")[s]
+             - col("S_rate")[s])
+    return value, math.hypot(0.5 * col("trJ_pi_se")[s], col("S_rate_se")[s])
+
+
 class TestSuppliedRate:
-    def test_lqg_closed_form(self, lqg_run):
+    def test_lqg_closed_form(self, lqg_run, lqg_ledger):
         run, times, v, vhat = lqg_run
         for t in (0.5, 1.0):
             k = int(round(t / 1e-3))
-            s, se = supplied_rate(run, t)
+            s, se = _read(run, lqg_ledger, t, "S_rate")
             assert abs(s - 0.5 * vhat[k]) <= 3.0 * se + 1e-4
 
-    def test_no_observations(self, blind_run):
-        s, se = supplied_rate(blind_run, 0.5)
+    def test_no_observations(self, blind_run, blind_ledgers):
+        s, se = _read(blind_run, blind_ledgers["fp"], 0.5, "S_rate")
         assert s == 0.0 and se == 0.0
 
     def test_perfect_observation_limit(self, lqg_run):
         # collapse the filtered estimate onto the truth: no supply left
-        import dataclasses
         run = lqg_run[0]
         run = dataclasses.replace(run, pi_h=run.model.observation_map(run.states))
-        s, se = supplied_rate(run, 0.5)
+        s, se = _read(run, assemble_info_ledger(run), 0.5, "S_rate")
         assert s == 0.0 and se == 0.0
 
 
 class TestFisherConditional:
-    def test_lqg_closed_form(self, lqg_run):
+    def test_lqg_closed_form(self, lqg_run, lqg_ledger):
         run, times, v, vhat = lqg_run
         k = 1000
-        j, se = fisher_trace_conditional(run, 1.0)
+        j, se = _read(run, lqg_ledger, 1.0, "trJ_pi")
         assert abs(j - 2.0 / vhat[k]) <= 3.0 * se + 5e-3
 
-    def test_blind_matches_unconditional(self, blind_run):
-        j, se = fisher_trace_conditional(blind_run, 0.5)
+    def test_blind_matches_unconditional(self, blind_run, blind_ledgers):
+        j, se = _read(blind_run, blind_ledgers["fp"], 0.5, "trJ_pi")
         rho = GridDensity(blind_run.grid, blind_run.prior_fp[-1])
         j_rho = fisher_trace_unconditional(blind_run.model, rho)
         assert abs(j - j_rho) <= 3.0 * se + 1e-3
 
 
 class TestDissipatedRate:
-    def test_lqg_closed_form(self, lqg_run):
+    def test_lqg_closed_form(self, lqg_run, lqg_ledger):
         run, times, v, vhat = lqg_run
         k = 1000
         closed = 1.0 / vhat[k] - 1.0 / v[k]
-        (df, dfse), (dg, dgse) = dissipated_rate(run, 1.0)
-        assert abs(df - closed) <= 3.0 * dfse + 1e-3
-        assert abs(dg - closed) <= 3.0 * dgse + 1e-3
+        for form in ("D_rate_fisher", "D_rate_gamma"):
+            d, se = _read(run, lqg_ledger, 1.0, form)
+            assert abs(d - closed) <= 3.0 * se + 1e-3
 
     @pytest.mark.parametrize("prior", ("fp", "mixture"))
-    def test_blind_is_zero(self, blind_run, prior):
-        (df, dfse), (dg, dgse) = dissipated_rate(blind_run, 0.5, prior)
+    def test_blind_is_zero(self, blind_run, blind_ledgers, prior):
+        ledger = blind_ledgers[prior]
+        df, dfse = _read(blind_run, ledger, 0.5, "D_rate_fisher")
+        dg, dgse = _read(blind_run, ledger, 0.5, "D_rate_gamma")
         assert abs(df) <= 3.0 * dfse + 1e-5
         assert abs(dg) <= 3.0 * dgse + 1e-5
         assert dg >= 0.0
 
-    def test_forms_agree(self, lqg_run):
+    def test_forms_agree(self, lqg_run, lqg_ledger):
         run = lqg_run[0]
         for t in (0.25, 0.75):
-            (df, dfse), (dg, dgse) = dissipated_rate(run, t)
+            df, dfse = _read(run, lqg_ledger, t, "D_rate_fisher")
+            dg, dgse = _read(run, lqg_ledger, t, "D_rate_gamma")
             assert abs(df - dg) <= 3.0 * math.hypot(dfse, dgse) + 1e-6
 
 
 class TestMutualInformation:
-    def test_independent_at_start(self, lqg_run):
-        run = lqg_run[0]
-        (imc, ise), (iz, _) = mutual_information(run, 0.0)
+    def test_independent_at_start(self, lqg_run, lqg_ledger):
+        imc, ise = _read(lqg_run[0], lqg_ledger, 0.0, "I_mc")
         assert imc == pytest.approx(0.0, abs=1e-12)
 
-    def test_lqg_closed_form(self, lqg_run):
+    def test_lqg_closed_form(self, lqg_run, lqg_ledger):
         run, times, v, vhat = lqg_run
         k = 1000
         closed = 0.5 * math.log(v[k] / vhat[k])
-        (imc, ise), _ = mutual_information(run, 1.0)
+        imc, ise = _read(run, lqg_ledger, 1.0, "I_mc")
         assert abs(imc - closed) <= 3.0 * ise + 2e-3
 
-    def test_zakai_bookkeeping_identity(self, lqg_run):
+    def test_zakai_bookkeeping_identity(self, lqg_run, lqg_ledger):
+        # the unnormalized density less the accumulated ln sigma_t(1) gives
+        # the ledger's I_mc up to the bookkeeping roundoff
         run = lqg_run[0]
+        i_zakai = metrics.integrands(run)["i_zakai"]
         for t in (0.5, 1.0):
-            (imc, _), (iz, _) = mutual_information(run, t)
-            assert abs(imc - iz) <= 1e-10
+            s = run.sample_index(t)
+            iz = float(np.mean(i_zakai[s][~run.excluded[s]]))
+            assert abs(lqg_ledger.column("I_mc")[s] - iz) <= 1e-10
 
-    def test_nonnegative(self, lqg_run):
+    def test_nonnegative(self, lqg_run, lqg_ledger):
         run = lqg_run[0]
         for t in run.times:
-            (imc, ise), _ = mutual_information(run, float(t))
+            imc, ise = _read(run, lqg_ledger, float(t), "I_mc")
             assert imc >= -3.0 * ise - 1e-12
 
 
@@ -343,23 +373,31 @@ class TestResiduals:
         r, se = mwz_residual(blind_run, 0.3, prior)
         assert abs(r) <= 3.0 * se + 1e-5
 
-    def test_conditional_entropy_rate_lqg(self, lqg_run):
+    def test_conditional_entropy_rate_lqg(self, lqg_run, lqg_ledger):
         run, times, v, vhat = lqg_run
         # closed form: d/dt H(X|Y) = d/dt (1/2) ln(2 pi e Vhat)
         k = 500
         a, sig, c2 = -1.0, 2.0, 1.0
         closed = a + sig / (2 * vhat[k]) - c2 * vhat[k] / 2
-        val, se = conditional_entropy_rate(run, 0.5)
+        val, se = _conditional_entropy_rate(run, lqg_ledger, 0.5)
         assert abs(val - closed) <= 3.0 * se + 5e-3
 
-    def test_conditional_entropy_identity(self, lqg_run):
+    def test_conditional_entropy_identity(self, lqg_run, lqg_ledger):
+        # dH(X|Y)/dt = dH/dt - dI/dt: per trajectory (1/2) J^pi_j - supply_j
+        # + dI_j/dt less the quadrature (1/2) tr J^rho, zero in expectation,
+        # over the trajectories kept across the derivative's window
         run = lqg_run[0]
-        r, se = conditional_entropy_identity_residual(run, 0.5)
+        s = run.sample_index(0.5)
+        terms = metrics.integrands(run)
+        rows = (0.5 * terms["j_pi"][s] - terms["supply"][s] + terms["di_dt"][s]
+                - 0.5 * lqg_ledger.column("trJ_rho")[s])
+        r, se = metrics._mean_se(rows, metrics._window_mask(run, s))
         assert abs(r) <= 3.0 * se + 1e-3
 
-    def test_conditional_entropy_blind_matches_unconditional(self, blind_run):
+    def test_conditional_entropy_blind_matches_unconditional(self, blind_run,
+                                                             blind_ledgers):
         # no information channel: conditional rate equals entropy production
-        val, se = conditional_entropy_rate(blind_run, 0.5)
+        val, se = _conditional_entropy_rate(blind_run, blind_ledgers["fp"], 0.5)
         rho = GridDensity(blind_run.grid, blind_run.prior_fp[-1])
         rate = entropy_production_rate(blind_run.model, rho)
         assert abs(val - rate) <= 3.0 * se + 1e-3

@@ -10,7 +10,7 @@ from infoflow.errors import ConfigError, SimulationBlowupError
 from infoflow.grid import Grid1D, face_fields
 from infoflow.metrics import u_values_on_grid
 from infoflow.models import (DiffusionModel, SmoothField, gamma, preset,
-                             product_field, sigma_at, simulate_joint, u_field)
+                             product_field, sigma_at, simulate_joint)
 
 
 def constant_b_model(b_matrix, dim):
@@ -130,28 +130,31 @@ class TestGamma:
 
 
 class TestUField:
+    # the corrected drift u = v - (1/2) d sigma/dx at the cell centers
     def test_constant_sigma_is_drift(self):
         m = models.ou(rate=1.0, sigma_sq=2.0)
-        assert u_field(m, [0.5])[0] == pytest.approx(-0.5, abs=1e-12)
+        grid = Grid1D(-8.0, 8.0, 16)                # centers -7.5 .. 7.5
+        assert u_values_on_grid(m, grid)[8] == pytest.approx(-0.5, abs=1e-12)
 
     def test_quadratic_sigma(self):
-        # v = 0, sigma(x) = x^2  ->  u = -x
+        # v = 0, sigma(x) = x^2  ->  u = -x; second-order differences are
+        # exact on a quadratic, at the edges too
         m = DiffusionModel(
             1,
             drift=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             sigma=lambda x: np.asarray(x, dtype=float) ** 2,
             observation_map=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
             domain_box=[[-5.0, 5.0]])
-        assert u_field(m, [2.0])[0] == pytest.approx(-2.0, rel=1e-8)
+        grid = Grid1D(-0.125, 3.875, 16)            # centers 0, 0.25 .. 3.75
+        u = u_values_on_grid(m, grid)
+        assert u[8] == pytest.approx(-2.0, rel=1e-8)
+        np.testing.assert_allclose(u, -grid.centers, rtol=1e-8, atol=1e-12)
 
     def test_preset_u_is_drift_exactly(self):
-        # a constant sigma's differences are exactly 0, on the grid as well
+        # a constant sigma's differences are exactly 0
         grid = Grid1D(-2.5, 2.5, 256)
         for name, params, _, _ in SIGMA_CASES:
             m = preset(name, **params)
-            for x in (-1.7, 0.0, 1.2):
-                np.testing.assert_array_equal(u_field(m, [x]),
-                                              m.drift(np.array([x])))
             np.testing.assert_array_equal(u_values_on_grid(m, grid),
                                           m.drift(grid.centers))
 
