@@ -19,13 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .checks import DEFAULT_SEED, run_suite
 from .config import load_scenario, model_has_steady_state, scenario_template
 from .control import POLICIES, run_controlled_experiment
 from .errors import ConfigError, NumericalError
 from .grid import steady_state_grid
 from .models import PRESETS, preset_signature
 from .report import write_check_report, write_csv, write_run_report
+from .rng import DEFAULT_SEED
 
 SUITES = ("gaussian", "grid", "infoflow", "feedback", "all")
 
@@ -71,6 +71,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .checks import run_suite     # the suites load only for `check`
     try:
         start = time.perf_counter()
         results = run_suite(args.suite, seed=args.seed, scale=args.scale)

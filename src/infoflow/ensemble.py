@@ -12,7 +12,9 @@ drift of the controls) are evaluated by their readers.
 
 The true states take the Euler-Maruyama step of :mod:`infoflow.models`, and
 all randomness is drawn there from per-trajectory substreams of the master
-seed, so results do not depend on evaluation order.
+seed, so results do not depend on evaluation order.  The noise is drawn in
+time chunks that carry each stream's state, so a run holds one chunk of it,
+not the horizon's.
 """
 
 from __future__ import annotations
@@ -198,6 +200,12 @@ def mean_drift(model, xs, beta) -> np.ndarray:
     return v + np.mean(beta)
 
 
+def _noise_chunk(grid: Grid1D) -> int:
+    """Steps of noise drawn at once: dW and dU of n_cells/2 steps take at
+    most the bytes of the (n_cells, N) bank."""
+    return grid.n_cells // 2
+
+
 def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
                         config: EnsembleConfig, policy=None) -> EnsembleRun:
     """Advance N coupled trajectories with per-trajectory Zakai filters.
@@ -239,9 +247,14 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
     ledger = np.zeros(n_traj)
     int_pi2 = np.zeros(n_traj)
 
+    # noise in chunks of 2 N chunk floats, at most one bank's bytes; a
+    # horizon of one chunk draws in one call and keeps no stream states
+    chunk = _noise_chunk(grid)
+    carry = {} if n_steps > chunk else None
     x0_sd = math.sqrt(config.x0_var)
-    dw, du, x = _draw_increments(config.seed, range(n_traj), n_steps, dt,
-                                 lambda rng: config.x0_mean + x0_sd * rng.normal())
+    dw, du, x = _draw_increments(config.seed, range(n_traj), min(chunk, n_steps),
+                                 dt, lambda rng: config.x0_mean + x0_sd * rng.normal(),
+                                 carry)
 
     shape = (n_samples, n_traj)
     rec = {name: np.empty(shape) for name in
@@ -313,7 +326,11 @@ def run_filter_ensemble(model: DiffusionModel, grid: Grid1D,
 
         int_pi2 = int_pi2 + pi_h * pi_h * dt
 
-        x, dy = truth_step(x, beta, dw[k], du[k], t + dt)
+        if k % chunk == 0 and k > 0:
+            dw = du = None                        # one chunk held at a time
+            dw, du, _ = _draw_increments(config.seed, range(n_traj),
+                                         min(chunk, n_steps - k), dt, None, carry)
+        x, dy = truth_step(x, beta, dw[k % chunk], du[k % chunk], t + dt)
 
         # --- per-trajectory Zakai step (Strang split)
         if beta is not None:

@@ -30,6 +30,7 @@ from .models import (DiffusionModel, draw_increments, euler_maruyama,
                      step_count)
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_CHUNK = 4096   # new samples per chunk of a streamed RK4 series
 
 
 # ---------------------------------------------------------------------------
@@ -115,32 +116,73 @@ def _rk4_step(f: Callable, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_linear_series(rate: float, y0: float, h: float, n: int) -> np.ndarray:
-    """y_0..y_n of ``n`` RK4 steps of dy/dt = rate y: y0 R^k by one running
-    product of RK4's own factor, its stability polynomial R(z) = 1 + z + z^2/2
-    + z^3/6 + z^4/24 at z = rate h (not exp(z)), from one step of y = 1."""
-    out = np.full(n + 1, _rk4_step(lambda y: rate * y, 1.0, h))
-    out[0] = y0
-    return np.multiply.accumulate(out, out=out)
+def _chunk_spans(n: int):
+    """(lo, new, hi) of each chunk of the samples 0..n of a streamed series:
+    it holds samples lo..hi-1, of which new..hi-1 (at most ``_CHUNK``) are
+    new.  From the third sample on, a chunk starts with the last two samples
+    of the one before, so a centered difference over the chunks sees each
+    interior sample once."""
+    for new in range(0, n + 1, _CHUNK):
+        yield max(new - 2, 0), new, min(new + _CHUNK, n + 1)
+
+
+def _rk4_linear_series(rate: float, y0: float, h: float, n: int):
+    """y_0..y_n of ``n`` RK4 steps of dy/dt = rate y, one chunk of
+    :func:`_chunk_spans` at a time: y0 R^k by one running product of RK4's
+    own factor, its stability polynomial R(z) = 1 + z + z^2/2 + z^3/6 +
+    z^4/24 at z = rate h (not exp(z)), from one step of y = 1.  Each chunk's
+    product starts from the last sample before it, so the chunks are bitwise
+    the one-shot product."""
+    factor = _rk4_step(lambda y: rate * y, 1.0, h)
+    out = np.array([y0])
+    for lo, new, hi in _chunk_spans(n):
+        keep = max(new - lo, 1)               # the carried samples, or y0
+        out = np.concatenate((out[out.size - keep:], np.full(hi - lo - keep, factor)))
+        np.multiply.accumulate(out[keep - 1:], out=out[keep - 1:])
+        yield out
 
 
 def _rk4_quadratic_series(lin: float, quad: float, y0: float, h: float,
-                          n: int) -> np.ndarray:
-    """y_0..y_n of ``n`` RK4 steps of dy/dt = lin y - quad y^2: the stages
-    and sums of :func:`_rk4_step`, in its order, written out for floats."""
-    out = np.empty(n + 1)
-    y = out[0] = y0
+                          n: int):
+    """y_0..y_n of ``n`` RK4 steps of dy/dt = lin y - quad y^2, one chunk of
+    :func:`_chunk_spans` at a time: the stages and sums of
+    :func:`_rk4_step`, in its order, written out for floats, with y carried
+    from chunk to chunk."""
     half, sixth = 0.5 * h, h / 6.0
-    for k in range(1, n + 1):
-        k1 = lin * y - quad * y * y
-        y2 = y + half * k1
-        k2 = lin * y2 - quad * y2 * y2
-        y3 = y + half * k2
-        k3 = lin * y3 - quad * y3 * y3
-        y4 = y + h * k3
-        k4 = lin * y4 - quad * y4 * y4
-        y = out[k] = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return out
+    out, y = np.array([y0]), y0
+    for lo, new, hi in _chunk_spans(n):
+        keep = max(new - lo, 1)               # the carried samples, or y0
+        out = np.concatenate((out[out.size - keep:], np.empty(hi - lo - keep)))
+        for k in range(keep, out.size):
+            k1 = lin * y - quad * y * y
+            y2 = y + half * k1
+            k2 = lin * y2 - quad * y2 * y2
+            y3 = y + half * k2
+            k3 = lin * y3 - quad * y3 * y3
+            y4 = y + h * k3
+            k4 = lin * y4 - quad * y4 * y4
+            y = out[k] = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        yield out
+
+
+def _fd_error(values: np.ndarray, rate: np.ndarray, dt: float):
+    """Largest relative error of the centered difference of ``values``
+    against ``rate`` over a chunk's interior samples; -inf if it has none."""
+    if values.size < 3:
+        return -math.inf
+    inner = rate[1:-1]
+    fd = (values[2:] - values[:-2]) / (2.0 * dt)
+    return np.max(np.abs(fd - inner) / np.maximum(np.abs(inner), 1e-300))
+
+
+def _scan_steps(horizon: float, dt: float) -> int:
+    """Steps of a scan's time grid: ConfigError below 2, where its centered
+    difference has no interior sample."""
+    n_steps = step_count(horizon, dt)
+    if n_steps < 2:
+        raise ConfigError("a scan's centered difference needs a horizon of "
+                          f"at least 2 steps of dt, got {n_steps}")
+    return n_steps
 
 
 def lyapunov_series(A, sigma, v0, times) -> np.ndarray:
@@ -199,12 +241,18 @@ def riccati_series(model: DiffusionModel, v0, times) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def gaussian_relax_series(a: float, sigma_sq: float, v0: float, mu0: float,
-                          horizon: float, dt: float) -> dict:
-    """Scalar relaxation ledger on a uniform grid, cancellation-free.
+                          horizon: float, dt: float, at=()) -> dict:
+    """Scalar relaxation ledger on a uniform grid, cancellation-free, in one
+    pass over chunks of the grid.
 
     Propagates the deviation d = V - V_ss (whose ODE is d' = 2 a d) and the
     mean by RK4, then evaluates F and dF/dt in forms that stay exact in
-    relative terms down to F ~ 1e-18.
+    relative terms down to F ~ 1e-18.  Returns ``v_ss``; the ledger (times,
+    v, mu, F, dF_dt, H) at the grid samples nearest the times ``at``; and
+    its reductions over every sample: ``max_rel_err``, the largest relative
+    error of the centered difference of F against dF/dt, and ``max_dF_dt``.
+    ConfigError, before any step, for fewer than 2 steps or a time of ``at``
+    outside [0, horizon].
     """
     for name, value in (("a", a), ("mu0", mu0)):
         check_finite(value, name)
@@ -213,17 +261,31 @@ def gaussian_relax_series(a: float, sigma_sq: float, v0: float, mu0: float,
     if not a < 0:
         raise NonHurwitzError("scalar relaxation requires a < 0")
     v_ss = -sigma_sq / (2.0 * a)
-    n_steps = step_count(horizon, dt)
-    times = dt * np.arange(n_steps + 1)
+    n_steps = _scan_steps(horizon, dt)
+    at = np.asarray(at, dtype=float).reshape(-1)
+    samples = np.rint(at / dt)
+    if not np.all((samples >= 0) & (samples <= n_steps)):
+        raise ConfigError(f"ledger times must lie in [0, {horizon}], got {at.tolist()}")
+    samples = samples.astype(np.int64)
+    names = ("v", "mu", "F", "dF_dt", "H")
+    rows = {name: np.empty(samples.size) for name in names}
+    worst = top = -math.inf
     # exact-step propagation factors would hide integrator error; keep RK4
-    dev = _rk4_linear_series(2.0 * a, v0 - v_ss, dt, n_steps)
-    mu = _rk4_linear_series(a, mu0, dt, n_steps)
-    v = v_ss + dev
-    rel = dev / v_ss
-    f = 0.5 * (rel - np.log1p(rel) + mu * mu / v_ss)
-    df = -0.5 * sigma_sq * (dev / (v * v_ss)) ** 2 * v - 0.5 * mu * mu * sigma_sq / v_ss ** 2
-    h = 0.5 * np.log(v) + 0.5 * (_LOG_2PI + 1.0)
-    return dict(times=times, v=v, mu=mu, F=f, dF_dt=df, H=h, v_ss=v_ss)
+    for (lo, new, hi), dev, mu in zip(_chunk_spans(n_steps),
+                                      _rk4_linear_series(2.0 * a, v0 - v_ss, dt, n_steps),
+                                      _rk4_linear_series(a, mu0, dt, n_steps)):
+        v = v_ss + dev
+        rel = dev / v_ss
+        f = 0.5 * (rel - np.log1p(rel) + mu * mu / v_ss)
+        df = -0.5 * sigma_sq * (dev / (v * v_ss)) ** 2 * v - 0.5 * mu * mu * sigma_sq / v_ss ** 2
+        h = 0.5 * np.log(v) + 0.5 * (_LOG_2PI + 1.0)
+        worst = np.maximum(worst, _fd_error(f, df, dt))
+        top = np.maximum(top, np.max(df))
+        here = (samples >= new) & (samples < hi)
+        for name, values in zip(names, (v, mu, f, df, h)):
+            rows[name][here] = values[samples[here] - lo]
+    return dict(times=dt * samples, v_ss=v_ss, max_rel_err=float(worst),
+                max_dF_dt=float(top), **rows)
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +360,11 @@ def kb_identity_scan(a: float, sigma_sq: float, c: float, v0: float,
 
     Propagates the deviations from the stationary pair (V_ss, Vhat_ss) so
     that both sides of the identity remain meaningful (relative accuracy)
-    even after the filter has essentially reached stationarity.  Returns the
-    interior times, the centered finite difference of the closed-form mutual
-    information, the closed-form rate, and their max relative error.
+    even after the filter has essentially reached stationarity.  Returns
+    the largest relative error of the centered finite difference of the
+    closed-form mutual information against the closed-form rate over the
+    interior samples, reduced chunk by chunk, with V_ss and Vhat_ss.
+    ConfigError, before any step, for fewer than 2 steps.
     """
     for name, value in (("a", a), ("c", c)):
         check_finite(value, name)
@@ -312,25 +376,20 @@ def kb_identity_scan(a: float, sigma_sq: float, c: float, v0: float,
         raise NonHurwitzError("identity scan requires a < 0")
     v_ss = -sigma_sq / (2.0 * a)
     vhat_ss = (a + math.sqrt(a * a + c * c * sigma_sq)) / (c * c)
-    n_steps = step_count(horizon, dt)
-    times = dt * np.arange(n_steps + 1)
-
-    dev = _rk4_linear_series(2.0 * a, v0 - v_ss, dt, n_steps)  # V - V_ss
+    n_steps = _scan_steps(horizon, dt)
     c2 = c * c
-    dev_h = _rk4_quadratic_series(2.0 * (a - c2 * vhat_ss), c2, vhat0 - vhat_ss,
-                                  dt, n_steps)  # Vhat - Vhat_ss, nonlinear
-
-    v = v_ss + dev
-    vh = vhat_ss + dev_h
-    # varying part of (1/2) ln(V/Vhat); the constant stationary part cancels
-    # exactly in finite differences
-    i_var = 0.5 * (np.log1p(dev / v_ss) - np.log1p(dev_h / vhat_ss))
-    fd = (i_var[2:] - i_var[:-2]) / (2.0 * dt)
     resid_ss = 0.5 * c2 * vhat_ss + 0.5 * sigma_sq * (1.0 / v_ss - 1.0 / vhat_ss)
-    rate = (0.5 * c2 * dev_h - 0.5 * sigma_sq * dev / (v * v_ss)
-            + 0.5 * sigma_sq * dev_h / (vh * vhat_ss) + resid_ss)
-    rate_in = rate[1:-1]
-    rel = np.abs(fd - rate_in) / np.maximum(np.abs(rate_in), 1e-300)
-    return dict(times=times[1:-1], fd=fd, rate=rate_in,
-                max_rel_err=float(np.max(rel)),
-                v=v, v_hat=vh, v_ss=v_ss, vhat_ss=vhat_ss)
+    worst = -math.inf
+    for dev, dev_h in zip(  # V - V_ss, and Vhat - Vhat_ss, which is nonlinear
+            _rk4_linear_series(2.0 * a, v0 - v_ss, dt, n_steps),
+            _rk4_quadratic_series(2.0 * (a - c2 * vhat_ss), c2, vhat0 - vhat_ss,
+                                  dt, n_steps)):
+        v = v_ss + dev
+        vh = vhat_ss + dev_h
+        # varying part of (1/2) ln(V/Vhat); the constant stationary part
+        # cancels exactly in finite differences
+        i_var = 0.5 * (np.log1p(dev / v_ss) - np.log1p(dev_h / vhat_ss))
+        rate = (0.5 * c2 * dev_h - 0.5 * sigma_sq * dev / (v * v_ss)
+                + 0.5 * sigma_sq * dev_h / (vh * vhat_ss) + resid_ss)
+        worst = np.maximum(worst, _fd_error(i_var, rate, dt))
+    return dict(max_rel_err=float(worst), v_ss=v_ss, vhat_ss=vhat_ss)

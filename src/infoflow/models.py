@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, SimulationBlowupError, check_finite
 from .rng import (CHANNEL_DYNAMICS, CHANNEL_INITIAL, CHANNEL_OBSERVATION,
-                  substreams)
+                  pcg64_states, streams_at, substreams)
 
 
 @dataclass
@@ -147,7 +147,7 @@ def step_count(horizon: float, dt: float) -> int:
 
 
 def draw_increments(seed: int, indices, n_steps: int, dt: float,
-                    x0_sampler: Callable):
+                    x0_sampler: Callable = None, carry: dict = None):
     """Noise of a batch of trajectories: dW and dU as (K, N), and X(0) as (N,).
 
     Trajectory ``j`` draws dW, dU and ``x0_sampler(rng)`` (one state, a
@@ -155,17 +155,31 @@ def draw_increments(seed: int, indices, n_steps: int, dt: float,
     depends on its index alone.  The streams come from ``rng.substreams``,
     one re-seeded generator per channel, so a sampler must not keep its
     ``rng``.  Each trajectory's draws fill one contiguous row; the (K, N)
-    arrays are transposed views.
+    arrays are transposed views.  Without a sampler X(0) is None.
+
+    ``carry`` draws a horizon in time chunks, one call per chunk: a dict,
+    empty before the first, in which each call finds where the dW and dU
+    streams stopped and leaves where they stop now.  The chunks join bit
+    for bit into the one-shot draws.
     """
     sq = math.sqrt(dt)
     dw = np.empty((len(indices), n_steps))
     du = np.empty((len(indices), n_steps))
-    x0 = np.empty(len(indices))
     for out, channel in ((dw, CHANNEL_DYNAMICS), (du, CHANNEL_OBSERVATION)):
-        for row, rng in zip(out, substreams(seed, indices, channel)):
-            np.multiply(rng.normal(size=n_steps), sq, out=row)
-    for col, rng in enumerate(substreams(seed, indices, CHANNEL_INITIAL)):
-        x0[col:col + 1] = x0_sampler(rng)
+        if carry is None:
+            streams = substreams(seed, indices, channel)
+        else:
+            start = carry.get(channel) or pcg64_states(seed, indices, channel)
+            carry[channel] = []
+            streams = streams_at(start, carry[channel])
+        for row, rng in enumerate(streams):
+            # loc + scale z = 0 + sqrt(dt) z is bit for bit (0 + 1 z) sqrt(dt)
+            out[row] = rng.normal(0.0, sq, size=n_steps)
+    x0 = None
+    if x0_sampler is not None:
+        x0 = np.empty(len(indices))
+        for col, rng in enumerate(substreams(seed, indices, CHANNEL_INITIAL)):
+            x0[col:col + 1] = x0_sampler(rng)
     return dw.T, du.T, x0
 
 

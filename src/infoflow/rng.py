@@ -7,15 +7,19 @@ which makes ensemble results reproducible under any parallel schedule.
 
 ``substreams`` yields the same streams for many trajectories at once: it
 runs ``SeedSequence``'s hashing on all of their keys together and sets each
-resulting PCG64 state on one reused generator.  ``substream`` stays the
-definition; a tier-1 test pins the two bit for bit, so a numpy release that
-changes either algorithm fails by name (PCG64: O'Neill 2014, HMC-CS
-TR-2014-0905; stream stability: NumPy NEP 19).
+resulting PCG64 state on one reused generator.  ``streams_at`` sets states
+it is given, and can hand back where each stream stopped, so a long draw can
+go in time chunks.  ``substream`` stays the definition; a tier-1 test pins
+the two bit for bit, so a numpy release that changes either algorithm fails
+by name (PCG64: O'Neill 2014, HMC-CS TR-2014-0905; stream stability: NumPy
+NEP 19).
 """
 
 import numpy as np
 
 from .errors import check_integer
+
+DEFAULT_SEED = 20260809  # master seed of the check suites
 
 CHANNEL_DYNAMICS = 0   # dW, the dynamical Wiener noise
 CHANNEL_OBSERVATION = 1  # dU, the observation Wiener noise
@@ -115,13 +119,25 @@ def substreams(seed: int, indices, channel: int):
     """Yield ``substream(seed, j, channel)``'s stream for each j in
     ``indices``, in order, as one generator re-seeded per index: each is
     valid until the next one is yielded."""
+    return streams_at(pcg64_states(seed, indices, channel))
+
+
+def streams_at(states, saved=None):
+    """Yield one generator set in turn to each PCG64 (state, inc) of
+    ``states``, valid until the next one is yielded.  A list ``saved``
+    receives each stream's (state, inc) once its consumer asks for the next,
+    so a later call continues every stream where this one left it; that is
+    exact for normal draws, which leave no buffered half word."""
     bitgen = np.random.PCG64(0)                # its own seed is overwritten
     rng = np.random.Generator(bitgen)
     value = bitgen.state                       # no buffered half word
-    for state, inc in pcg64_states(seed, indices, channel):
-        value["state"] = {"state": state, "inc": inc}
+    pair = value["state"]
+    for state, inc in states:
+        pair["state"], pair["inc"] = state, inc
         bitgen.state = value
         yield rng
+        if saved is not None:                  # draws never change inc
+            saved.append((bitgen.state["state"]["state"], inc))
 
 
 def check_seed(seed) -> None:

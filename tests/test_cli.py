@@ -301,6 +301,13 @@ def test_cli_imports_only_the_csr_kernels_of_scipy():
     assert loaded.split() == ["scipy.sparse._sparsetools"]
 
 
+def test_cli_leaves_the_check_suites_unloaded():
+    # `infoflow run` never reads the suites; `check` imports them itself
+    out = _fresh_python("import sys, infoflow.cli; "
+                        "print('infoflow.checks' in sys.modules)")
+    assert out == "False\n"
+
+
 @pytest.mark.parametrize("first", ["scipy.sparse", "infoflow.grid"])
 def test_grid_calls_the_kernel_module_of_scipy_sparse(first):
     # one module object, whichever of scipy.sparse and infoflow was

@@ -202,17 +202,9 @@ def test_controlled_run_steps_one_bank_in_place(monkeypatch):
     assert len(banks) == 5 and all(bank is banks[0] for bank in banks)
 
 
-@pytest.mark.parametrize("policy", [None, linear_gain_policy(gain=0.5, bound=5.0)],
-                         ids=["plain", "policy"])
-def test_run_holds_one_bank_and_a_block_scratch(policy):
-    # sampling reads four cells per trajectory and the horizon bank is kept
-    # as a view, so the traced peak is the bank, the transport's scratch of
-    # two 16-row blocks (32 of N floats), the noise draws and the records,
-    # plus per-trajectory vectors (64 of N floats: truths, masses, ledgers,
-    # the values evaluated at X and their stencils) and 5 % of a bank
-    # (operators, interpreter caches); a second bank-sized array would
-    # exceed it
-    m, n, k, stride = 128, 400, 10, 5
+def _traced_run(m, n, k, stride, policy=None):
+    """(traced peak, bytes of the (sample, trajectory) records) of a
+    double-well run of n trajectories on m cells for k steps."""
     cfg = EnsembleConfig(dt=1e-3, horizon=k * 1e-3, n_trajectories=n, seed=3,
                          sample_stride=stride)
     tracemalloc.start()
@@ -222,11 +214,65 @@ def test_run_holds_one_bank_and_a_block_scratch(policy):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    bank, vector = 8 * m * n, 8 * n
-    draws = 2 * k * vector
     records = sum(v.nbytes for v in vars(run).values()
                   if isinstance(v, np.ndarray) and v.shape == (k // stride + 1, n))
-    assert peak <= bank + 32 * vector + draws + records + 64 * vector + 0.05 * bank
+    return peak, records
+
+
+@pytest.mark.parametrize("policy", [None, linear_gain_policy(gain=0.5, bound=5.0)],
+                         ids=["plain", "policy"])
+def test_run_holds_one_bank_and_a_block_scratch(policy):
+    # sampling reads four cells per trajectory and the horizon bank is kept
+    # as a view, so the traced peak is the bank, the transport's scratch of
+    # two 16-row blocks (32 of N floats), one chunk of noise draws (m/2 of
+    # the k steps) and the streams' carried states (three lists of N
+    # (state, inc) pairs, under 48 of N floats), the records, plus
+    # per-trajectory vectors (64 of N floats: truths, masses, ledgers, the
+    # values evaluated at X and their stencils) and 5 % of a bank
+    # (operators, interpreter caches); a second bank-sized array, or a
+    # second chunk of noise, would exceed it
+    m, n, k, stride = 128, 400, 160, 80
+    peak, records = _traced_run(m, n, k, stride, policy)
+    bank, vector = 8 * m * n, 8 * n
+    draws = 2 * ensemble._noise_chunk(Grid1D(-2.5, 2.5, m)) * vector
+    assert draws == bank and k > m // 2
+    assert peak <= bank + 32 * vector + draws + 48 * vector + records \
+        + 64 * vector + 0.05 * bank
+
+
+@pytest.mark.parametrize("policy", [None, linear_gain_policy(gain=0.5, bound=5.0)],
+                         ids=["plain", "policy"])
+def test_run_memory_does_not_grow_with_the_horizon(policy):
+    # one chunk of 64 steps against four, two samples each: the longer run
+    # holds one chunk too, and only adds the streams' carried states (under
+    # 48 of N floats); its whole draws would add 384 of N
+    m, n, k = 128, 400, 64
+    assert ensemble._noise_chunk(Grid1D(-2.5, 2.5, m)) == k
+    short, short_records = _traced_run(m, n, k, k, policy)
+    long, long_records = _traced_run(m, n, 4 * k, 4 * k, policy)
+    assert long_records == short_records
+    assert long <= short + 48 * 8 * n
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 11, 64])
+def test_chunked_noise_runs_are_the_one_shot_run(chunk, monkeypatch):
+    # 10 steps drawn in chunks of 1, 3 or one: every record is bitwise the
+    # run that draws its noise at once
+    grid = Grid1D(-2.5, 2.5, 128)
+    cfg = small_config(horizon=1e-2, n_trajectories=6, sample_stride=2)
+    policy = linear_gain_policy(gain=0.5, bound=5.0)
+    with pytest.warns(UserWarning, match="mean-drift"):
+        ref = run_filter_ensemble(models.double_well(), grid, cfg, policy)
+    draws = []
+    monkeypatch.setattr(ensemble, "_noise_chunk", lambda g: chunk)
+    monkeypatch.setattr(ensemble, "_draw_increments",
+                        lambda *a: draws.append(a[2]) or models.draw_increments(*a))
+    with pytest.warns(UserWarning, match="mean-drift"):
+        run = run_filter_ensemble(models.double_well(), grid, cfg, policy)
+    assert draws == [min(chunk, 10 - lo) for lo in range(0, 10, chunk)]
+    for name, value in vars(ref).items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(getattr(run, name), value), name
 
 
 def test_config_steps_and_stride_contract():

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from infoflow import models
+from infoflow import gaussian, models
 from infoflow.ensemble import EnsembleConfig, run_filter_ensemble
 from infoflow.errors import ConfigError, CovarianceError, NonHurwitzError
 from infoflow.gaussian import (_rk4_linear_series, _rk4_quadratic_series,
@@ -54,7 +55,7 @@ def _scalar_ledger(v, mu, v_ss):
 
 class TestPropagation:
     def test_steady_start_stays(self):
-        series = gaussian_relax_series(-1.0, 2.0, 1.0, 0.0, 2.0, 1e-3)
+        series = gaussian_relax_series(-1.0, 2.0, 1.0, 0.0, 2.0, 1e-3, [2.0])
         assert series["v"][-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_diffusion(self):
@@ -62,7 +63,7 @@ class TestPropagation:
         assert v[-1, 0, 0] == pytest.approx(0.7, rel=1e-10)
 
     def test_mean_decay(self):
-        series = gaussian_relax_series(-1.0, 2.0, 1.0, 1.0, 1.0, 1e-3)
+        series = gaussian_relax_series(-1.0, 2.0, 1.0, 1.0, 1.0, 1e-3, [1.0])
         assert series["mu"][-1] == pytest.approx(math.exp(-1.0), rel=1e-9)
 
     @pytest.mark.parametrize("t, dt", [
@@ -76,7 +77,7 @@ class TestPropagation:
 
     def test_zero_time_is_a_copy(self):
         # the series starts at the initial law, bit for bit
-        series = gaussian_relax_series(-1.0, 2.0, 1.5, 0.3, 1e-3, 1e-3)
+        series = gaussian_relax_series(-1.0, 2.0, 1.5, 0.3, 2e-3, 1e-3, [0.0])
         assert series["times"][0] == 0.0
         assert series["v"][0] == 1.5 and series["mu"][0] == 0.3
 
@@ -128,18 +129,18 @@ class TestSurpriseLedger:
     # the relaxation series of a = -1, sigma = 2 (V_ss = 1) against the
     # closed forms of H, E and F = KL = E - H
     def test_gibbs_equality(self):
-        series = gaussian_relax_series(-1.0, 2.0, 1.0, 0.0, 1e-3, 1e-3)
+        series = gaussian_relax_series(-1.0, 2.0, 1.0, 0.0, 2e-3, 1e-3, [0.0])
         assert series["F"][0] == pytest.approx(0.0, abs=1e-14)
         assert series["dF_dt"][0] == pytest.approx(0.0, abs=1e-14)
 
     def test_standard_entropy(self):
-        series = gaussian_relax_series(-1.0, 2.0, 1.0, 0.0, 1e-3, 1e-3)
+        series = gaussian_relax_series(-1.0, 2.0, 1.0, 0.0, 2e-3, 1e-3, [0.0])
         assert series["H"][0] == pytest.approx(
             0.5 * math.log(2 * math.pi * math.e), abs=1e-12)
 
     def test_worked_rates(self):
         # V=2 against V_ss=1 with Sigma=2: F = (1 - ln 2)/2, dF/dt = -1/2
-        series = gaussian_relax_series(-1.0, 2.0, 2.0, 0.0, 1e-3, 1e-3)
+        series = gaussian_relax_series(-1.0, 2.0, 2.0, 0.0, 2e-3, 1e-3, [0.0])
         assert series["F"][0] == pytest.approx(0.5 * (1.0 - math.log(2.0)),
                                                abs=1e-12)
         assert series["dF_dt"][0] == pytest.approx(-0.5, abs=1e-12)
@@ -147,10 +148,10 @@ class TestSurpriseLedger:
                                                abs=1e-12)
 
     def test_free_surprise_monotone_along_flow(self):
-        series = gaussian_relax_series(-1.0, 2.0, 0.25, 1.0, 3.0, 1e-3)
+        times = np.linspace(0.0, 3.0, 16)
+        series = gaussian_relax_series(-1.0, 2.0, 0.25, 1.0, 3.0, 1e-3, times)
         last = math.inf
-        for t in np.linspace(0.0, 3.0, 16):
-            k = round(t / 1e-3)
+        for k, t in enumerate(times):
             v, mu, f = series["v"][k], series["mu"][k], series["F"][k]
             h, e, _ = _scalar_ledger(v, mu, 1.0)
             assert v == pytest.approx(1.0 - 0.75 * math.exp(-2.0 * t), rel=1e-10)
@@ -162,7 +163,7 @@ class TestSurpriseLedger:
     @given(v=st.floats(0.05, 5.0), mu=st.floats(-3, 3))
     @settings(max_examples=40, deadline=None)
     def test_f_equals_gaussian_kl(self, v, mu):
-        series = gaussian_relax_series(-1.0, 2.0, v, mu, 1e-3, 1e-3)
+        series = gaussian_relax_series(-1.0, 2.0, v, mu, 2e-3, 1e-3, [0.0])
         h, e, kl = _scalar_ledger(v, mu, 1.0)
         f = series["F"][0]
         assert f == pytest.approx(kl, abs=1e-10)
@@ -382,13 +383,19 @@ def test_kalman_bucy_run_refuses_a_bad_law_or_gain(kw, monkeypatch):
     assert not drawn
 
 
+def _joined(chunks, n: int) -> np.ndarray:
+    """The samples 0..n of a chunked series, each once."""
+    return np.concatenate([chunk[new - lo:] for (lo, new, _), chunk
+                           in zip(gaussian._chunk_spans(n), chunks)])
+
+
 @pytest.mark.parametrize("lin, quad, y0, h, n", [
     (-2.0 * (math.sqrt(3.0) - 1.0) - 2.0, 1.0, 0.25 - (math.sqrt(3.0) - 1.0), 1e-4, 50_000),
     (-0.7, 2.5, 1.3, 1e-3, 2_000), (0.4, -1.5, -0.2, 5e-3, 400)])
 def test_quadratic_rk4_series_is_the_stepped_loop(lin, quad, y0, h, n):
     # criterion 2's Riccati deviation: one written-out loop, bit for bit the
     # RK4 steps of dy/dt = lin y - quad y^2
-    series = _rk4_quadratic_series(lin, quad, y0, h, n)
+    series = _joined(_rk4_quadratic_series(lin, quad, y0, h, n), n)
     looped = np.empty(n + 1)
     y = looped[0] = y0
     f = lambda v: lin * v - quad * v * v
@@ -402,7 +409,7 @@ def test_quadratic_rk4_series_is_the_stepped_loop(lin, quad, y0, h, n):
 def test_linear_rk4_series_is_the_stepped_loop(rate, h, n):
     # y0 R^k by one running product, against n RK4 steps of dy/dt = rate y
     y0 = -0.75
-    series = _rk4_linear_series(rate, y0, h, n)
+    series = _joined(_rk4_linear_series(rate, y0, h, n), n)
     looped = np.empty(n + 1)
     y = looped[0] = y0
     f = lambda v: rate * v
@@ -412,11 +419,74 @@ def test_linear_rk4_series_is_the_stepped_loop(rate, h, n):
     assert float(np.max(np.abs(series - looped) / np.abs(looped))) <= 1e-11
 
 
+def _bits(value):
+    """A scan's result as bits: floats by float.hex, arrays by their words."""
+    if isinstance(value, dict):
+        return {key: _bits(v) for key, v in value.items()}
+    if isinstance(value, np.ndarray):
+        return value.view(np.uint64).tolist() if value.dtype == float else value.tolist()
+    return float(value).hex()
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 41, 1000])
+def test_chunked_series_are_the_one_shot_series(chunk, monkeypatch):
+    # 40 steps in chunks of 1, 3 and more: the samples, the centered
+    # differences' errors and the ledger rows are bitwise one chunk's
+    n, h = 40, 2.5e-2
+    one_shot = (_joined(_rk4_linear_series(-1.3, 0.7, h, n), n),
+                _joined(_rk4_quadratic_series(-2.1, 0.8, 0.6, h, n), n))
+    relax = lambda: gaussian_relax_series(-1.0, 2.0, 0.25, 1.0, n * h, h,
+                                          np.linspace(0.0, n * h, 9))
+    scan = lambda: kb_identity_scan(-1.0, 2.0, 1.0, 0.25, 0.6, n * h, h)
+    ref_relax, ref_scan = _bits(relax()), _bits(scan())
+    monkeypatch.setattr(gaussian, "_CHUNK", chunk)
+    assert len(list(gaussian._chunk_spans(n))) == -(-(n + 1) // chunk)
+    for ref, series in zip(one_shot, (_rk4_linear_series(-1.3, 0.7, h, n),
+                                      _rk4_quadratic_series(-2.1, 0.8, 0.6, h, n))):
+        assert np.array_equal(_joined(series, n).view(np.uint64), ref.view(np.uint64))
+    assert _bits(relax()) == ref_relax
+    assert _bits(scan()) == ref_scan
+
+
+@pytest.mark.parametrize("scan", [
+    lambda n: gaussian_relax_series(-1.0, 2.0, 0.25, 1.0, n * 1e-4, 1e-4, [0.0]),
+    lambda n: kb_identity_scan(-1.0, 2.0, 1.0, 0.25, 0.25, n * 1e-4, 1e-4)],
+    ids=["relax", "kalman_bucy"])
+def test_scan_memory_does_not_grow_with_its_samples(scan):
+    # 20,000 and 160,000 samples: the traced peak is a few chunks of
+    # floats, not a series (160,000 floats are 1.28 MB)
+    peaks = []
+    for n in (20_000, 160_000):
+        tracemalloc.start()
+        try:
+            scan(n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 4096
+    assert peaks[1] <= 16 * 8 * (gaussian._CHUNK + 2)
+
+
+def test_scans_refuse_a_horizon_of_one_step():
+    # the centered difference has no interior sample: refused before any
+    # step, not left to an empty reduction
+    with pytest.raises(ConfigError, match="at least 2 steps"):
+        kb_identity_scan(-1, 2, 1, .25, .25, 1e-3, 1e-3)
+    with pytest.raises(ConfigError, match="at least 2 steps"):
+        gaussian_relax_series(-1.0, 2.0, 0.25, 1.0, 1e-3, 1e-3)
+
+
+@pytest.mark.parametrize("at", [[-0.1], [2.1], [math.nan], [0.0, 3.0]])
+def test_relax_ledger_refuses_a_time_off_the_horizon(at):
+    with pytest.raises(ConfigError, match="ledger times"):
+        gaussian_relax_series(-1.0, 2.0, 0.25, 1.0, 2.0, 1e-3, at)
+
+
 @pytest.mark.parametrize("rate, h", [(-2.0, 1e-4), (-1.0, 1e-4), (-1.0, 1e-3),
                                      (-0.5, 2e-2)])
 def test_linear_rk4_factor_is_the_stability_polynomial(rate, h):
     # R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, z = rate h, not exp(z)
     z = Fraction(rate) * Fraction(h)
     poly = float(1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24)
-    factor = float(_rk4_linear_series(rate, 1.0, h, 1)[1])
+    factor = float(next(_rk4_linear_series(rate, 1.0, h, 1))[1])
     assert abs(factor - poly) <= np.spacing(poly)

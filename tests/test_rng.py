@@ -58,3 +58,21 @@ def test_draw_increments_are_the_substreams():
         assert np.array_equal(
             du[:, col], substream(23, j, CHANNEL_OBSERVATION).normal(size=n_steps) * sq)
         assert x0[col] == sampler(substream(23, j, CHANNEL_INITIAL))[0]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7, 50])
+def test_chunked_draws_are_the_one_shot_draws(chunk):
+    # a carry continues each dW and dU stream, so chunks of 1, 3 or more
+    # steps join bit for bit into one call's draws; X(0) comes with a sampler
+    idx, n_steps, dt = [0, 3, 2 ** 32 + 1, 9], 7, 0.01
+    sampler = lambda r: r.normal(0.0, 0.5, size=1)
+    dw, du, x0 = models.draw_increments(23, idx, n_steps, dt, sampler)
+    carry, parts = {}, []
+    for lo in range(0, n_steps, chunk):
+        parts.append(models.draw_increments(23, idx, min(chunk, n_steps - lo), dt,
+                                            sampler if lo == 0 else None, carry))
+    assert np.array_equal(np.concatenate([p[0] for p in parts]), dw)
+    assert np.array_equal(np.concatenate([p[1] for p in parts]), du)
+    assert np.array_equal(parts[0][2], x0) and all(p[2] is None for p in parts[1:])
+    assert sorted(carry) == [CHANNEL_DYNAMICS, CHANNEL_OBSERVATION]
+    assert all(len(states) == len(idx) for states in carry.values())

@@ -26,7 +26,8 @@ def test_lqg_ledger_script_runs():
 
 @pytest.mark.parametrize("args, code", [
     (("--a", "nan"), 2), (("--c", "0"), 2),
-    (("--v0", "0"), 2), (("--sigma-sq", "-1"), 2), (("--a", "1"), 3)])
+    (("--v0", "0"), 2), (("--sigma-sq", "-1"), 2), (("--a", "1"), 3),
+    (("--horizon", "1e-4"), 2)])
 def test_lqg_ledger_script_reports_an_error_in_one_line(args, code):
     # as `infoflow run`: exit 2 or 3 and one line on stderr, no traceback
     proc = run_lqg_ledger(*args)
